@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,11 @@ GOLDEN = {0: [Fraction(1, 2)], 1: [Fraction(1)],
           2: [Fraction(-3, 4), Fraction(3, 2)],
           3: [Fraction(-3), Fraction(6)],
           4: [Fraction(63, 4), Fraction(-15), Fraction(15)]}
+# the gould suite uses the hat polynomials up to index 2 GOULD_NMAX + 1
+GOULD_NMAX = 6
+GENFUN_K = 40
+
+log = logging.getLogger("critpoly")
 
 
 def _max_workers() -> int:
@@ -127,31 +133,10 @@ def _build(args, parser) -> construct.CriticalPolynomial:
 def cmd_poly(args, parser) -> int:
     p = _build(args, parser)
     if args.output == "text":
-        _emit({"polynomial": _pretty(p.poly), **p.to_json()}, args)
+        _emit({"polynomial": repr(p.poly), **p.to_json()}, args)
     else:
         _emit(p.to_json(), args)
     return 0
-
-
-def _pretty(p) -> str:
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        mono = "1" if k == 0 else ("s" if k == 1 else f"s^{k}")
-        if k == 0:
-            parts.append(format_rat(c))
-        elif abs(c) == 1:
-            parts.append(("-" if c < 0 else "") + mono)
-        else:
-            parts.append(f"{format_rat(c)}*{mono}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
 
 
 def cmd_roots(args, parser) -> int:
@@ -172,6 +157,9 @@ def cmd_roots(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_forms(nmax: int, seed: int) -> dict:
+    """Golden values; then S41, HYP, S21 and RECUR against S32 and the
+    reflection of S32 (hence of every form), up to the largest index at
+    which the gould suite builds a hat polynomial."""
     count = 0
     for n, coeffs in GOLDEN.items():
         want = [format_rat(c) for c in coeffs]
@@ -180,17 +168,21 @@ def _suite_forms(nmax: int, seed: int) -> dict:
                       construct.p_chebyshev_recursive(n)):
             if built.to_json()["coeffs"] != want:
                 return {"pass": False, "detail": f"golden mismatch at n={n}"}
-        if construct.p_hyp(n, 1).poly != 2 * construct.p_s32(n, 1).poly:
-            return {"pass": False, "detail": f"hat ratio mismatch at n={n}"}
-        count += 5
-    for n in range(nmax + 1):
+        count += 4
+    for n in range(max(nmax, 2 * min(nmax, GOULD_NMAX) + 1) + 1):
         for lam in LAMBDA_SET:
             a, b = construct.p_s41(n, lam), construct.p_s32(n, lam)
             if a.poly != b.poly:
                 return {"pass": False,
                         "detail": f"S41 != S32 at n={n}, lambda={lam}"}
-            construct.p_hyp(n, lam)  # asserts the hat identity internally
-            count += 2
+            if not verify.check_hat_ratio(construct.p_hyp(n, lam).poly,
+                                          n, lam):
+                return {"pass": False,
+                        "detail": f"HYP != 2 S32 at n={n}, lambda={lam}"}
+            if not verify.check_functional_equation(b.poly, n):
+                return {"pass": False,
+                        "detail": f"reflection fails at n={n}, lambda={lam}"}
+            count += 3
         if construct.p_s21_chebyshev(n).poly != construct.p_s32(n, 1).poly:
             return {"pass": False, "detail": f"S21 != S32 at n={n}"}
         if (construct.p_chebyshev_recursive(n).poly
@@ -255,7 +247,7 @@ def _suite_recur(nmax: int, seed: int) -> dict:
 
 def _suite_gould(nmax: int, seed: int) -> dict:
     count = 0
-    small = min(nmax, 6)
+    small = min(nmax, GOULD_NMAX)
     for n in range(small + 1):
         for lam in LAMBDA_SET:
             if not verify.check_gould_sum_forms(n, lam, S_SAMPLES)["pass"]:
@@ -287,11 +279,15 @@ def _suite_q(nmax: int, seed: int) -> dict:
     count = 0
     for n in range(1, nmax + 1):
         for lam in LAMBDA_SET:
+            if not verify.check_q_forms(construct.q_rational(n, lam).fun,
+                                        n, lam):
+                return {"pass": False,
+                        "detail": f"q forms differ at n={n}, lambda={lam}"}
             r = verify.check_q_range(n, lam, grid)
             if not r["pass"]:
                 return {"pass": False,
                         "detail": f"q range fails at n={n}, lambda={lam}"}
-            count += 1
+            count += 2
     return {"pass": True, "checks": count}
 
 
@@ -313,15 +309,33 @@ def _suite_corollary2(nmax: int, seed: int) -> dict:
 
 
 def _suite_genfun(nmax: int, seed: int) -> dict:
+    """The generating-function series, after checking the closed forms they
+    sum: HYP = 2 S32 with reflection, and the T-factor zero sets."""
+    count = 0
     for lam in (1.0, 0.5, 2.5):
+        lam_r = Fraction(lam)
+        for k in range(GENFUN_K + 1):
+            hat = construct.p_hyp(k, lam_r).poly
+            if not (verify.check_hat_ratio(hat, k, lam_r)
+                    and verify.check_functional_equation(hat, k)):
+                return {"pass": False,
+                        "detail": f"hat polynomial fails at n={k}, "
+                                  f"lambda={lam}"}
+            count += 2
         for s in (1.0, 2.0, 3.0):
             for t in (0.05, 0.1):
-                r = quadrature.genfun_check(lam, s, t, K=40, tol=1e-9)
+                r = quadrature.genfun_check(lam, s, t, K=GENFUN_K, tol=1e-9)
                 if not r["pass"]:
                     return {"pass": False,
                             "detail": f"lambda={lam}, s={s}, t={t}: "
                                       f"{r['errors']}"}
-    return {"pass": True, "checks": 18}
+                count += 1
+    for k in range(2, GENFUN_K + 1):
+        if not verify.check_T_zero_set(construct.mellin_T_closed(k).factor,
+                                       k):
+            return {"pass": False, "detail": f"T zero set fails at n={k}"}
+        count += 1
+    return {"pass": True, "checks": count}
 
 
 def _suite_quad(nmax: int, seed: int) -> dict:
@@ -395,8 +409,10 @@ def cmd_verify(args, parser) -> int:
         for name in names:
             try:
                 results[name] = futures[name].result()
-            except CritPolyError as exc:
-                results[name] = {"pass": False, "detail": str(exc)}
+            except Exception as exc:  # a raising suite is a failed suite
+                log.error("suite %s raised", name, exc_info=True)
+                results[name] = {"pass": False,
+                                 "detail": f"{type(exc).__name__}: {exc}"}
     payload = [{"suite": name, **results[name]} for name in names]
     _emit(payload, args)
     return 0 if all(r["pass"] for r in results.values()) else 1

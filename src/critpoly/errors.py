@@ -58,3 +58,7 @@ class InvalidParameters(CritPolyError):
 
 class ConvergenceMarginViolated(CritPolyError):
     """Generating-function argument outside the enforced |t| margin."""
+
+
+class IdentityFailed(CritPolyError):
+    """An exact identity of the verification catalog does not hold."""

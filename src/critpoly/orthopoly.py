@@ -6,8 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import InvalidLambda
-from .poly import Poly, RatFun, gen_binom, pochhammer
+from .errors import IdentityFailed, InvalidLambda
+from .poly import Poly, gen_binom, pochhammer
 from .rat import as_rat
 
 X = Poly.var("x")
@@ -19,19 +19,10 @@ def _check_lambda(lam: Fraction):
 
 
 def gegenbauer(n: int, lam) -> Poly:
-    """Gegenbauer polynomial of degree n, built from its binomial sum and
-    cross-checked against the three-term recurrence."""
+    """Gegenbauer polynomial of degree n, built from its binomial sum; the
+    identity suite checks it against the three-term recurrence."""
     lam = as_rat(lam)
     _check_lambda(lam)
-    p = _gegenbauer_binomial(n, lam)
-    q = _gegenbauer_recurrence(n, lam)
-    if p != q:
-        raise AssertionError(
-            f"gegenbauer({n}, {lam}): binomial and recurrence forms differ")
-    return p
-
-
-def _gegenbauer_binomial(n: int, lam: Fraction) -> Poly:
     out = Poly.zero("x")
     for r in range(n // 2 + 1):
         c = (Fraction((-1) ** r) * comb(n - r, r)
@@ -128,36 +119,35 @@ def triangle_row_polynomial_b(k: int) -> Poly:
 
 def identity_suite(nmax: int, lambda_samples=None) -> dict:
     """Verify the inter-polynomial identity catalog exactly for all
-    applicable indices <= nmax. Returns a report dict; raises AssertionError
-    with the failing identity and indices on the first failure."""
+    applicable indices <= nmax. Returns a report dict of check counts per
+    identity; raises IdentityFailed with the failing identity and indices on
+    the first failure."""
     if nmax < 4:
         raise ValueError("nmax must be >= 4")
     if lambda_samples is None:
         lambda_samples = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
     report = {}
 
+    def check(name: str, ok: bool, where: str) -> None:
+        if not ok:
+            raise IdentityFailed(f"{name} failed at {where}")
+        report[name] = report.get(name, 0) + 1
+
     # (i) composition-product: U_{mn-1}(x) = U_{m-1}(T_n(x)) U_{n-1}(x)
-    checks = 0
     for m in range(1, nmax + 1):
         for n in range(1, nmax + 1):
             lhs = chebyshev("U", m * n - 1)
             rhs = chebyshev("U", m - 1)(chebyshev("T", n)) * chebyshev("U", n - 1)
-            assert lhs == rhs, f"(i) composition-product failed at m={m}, n={n}"
-            checks += 1
-    report["composition_product"] = checks
+            check("composition_product", lhs == rhs, f"m={m}, n={n}")
 
     # (ii) 2 T_n U_{m-1} = U_{m+n-1} + U_{m-n-1}, with U_{-k} = -U_{k-2}
-    checks = 0
     for m in range(1, nmax + 1):
         for n in range(0, nmax + 1):
             lhs = 2 * chebyshev("T", n) * chebyshev("U", m - 1)
             rhs = chebyshev("U", m + n - 1) + chebyshev("U", m - n - 1)
-            assert lhs == rhs, f"(ii) product-linearization failed at m={m}, n={n}"
-            checks += 1
-    report["product_linearization"] = checks
+            check("product_linearization", lhs == rhs, f"m={m}, n={n}")
 
     # (iii) x^m U_n = 2^-m sum_r C(m,r) U_{m+n-2r}
-    checks = 0
     for m in range(0, nmax + 1):
         for n in range(0, nmax + 1):
             lhs = X ** m * chebyshev("U", n)
@@ -165,81 +155,71 @@ def identity_suite(nmax: int, lambda_samples=None) -> dict:
             for r in range(m + 1):
                 rhs = rhs + comb(m, r) * chebyshev("U", m + n - 2 * r)
             rhs = rhs / Fraction(2) ** m
-            assert lhs == rhs, f"(iii) power reduction failed at m={m}, n={n}"
-            checks += 1
-    report["power_reduction"] = checks
+            check("power_reduction", lhs == rhs, f"m={m}, n={n}")
 
     # (iv) U_m = sum_k P_k P_{m-k}
-    checks = 0
     for m in range(0, nmax + 1):
         rhs = Poly.zero("x")
         for k in range(m + 1):
             rhs = rhs + legendre(k) * legendre(m - k)
-        assert chebyshev("U", m) == rhs, f"(iv) Legendre convolution failed at m={m}"
-        checks += 1
-    report["legendre_convolution"] = checks
+        check("legendre_convolution", chebyshev("U", m) == rhs, f"m={m}")
 
     # (v) 2(x^2-1) sum_k U_k U_{m-k} = (m+1) x U_{m+1} - (m+2) U_m
-    checks = 0
     for m in range(0, nmax + 1):
         conv = Poly.zero("x")
         for k in range(m + 1):
             conv = conv + chebyshev("U", k) * chebyshev("U", m - k)
         lhs = 2 * (X * X - 1) * conv
         rhs = (m + 1) * X * chebyshev("U", m + 1) - (m + 2) * chebyshev("U", m)
-        assert lhs == rhs, f"(v) U self-convolution failed at m={m}"
-        checks += 1
-    report["u_self_convolution"] = checks
+        check("u_self_convolution", lhs == rhs, f"m={m}")
 
     # (vi) C_m^{l1+l2} = sum_k C_k^{l1} C_{m-k}^{l2}
-    checks = 0
     for l1 in lambda_samples:
         for l2 in lambda_samples:
             for m in range(0, nmax + 1):
                 rhs = Poly.zero("x")
                 for k in range(m + 1):
                     rhs = rhs + gegenbauer(k, l1) * gegenbauer(m - k, l2)
-                assert gegenbauer(m, l1 + l2) == rhs, \
-                    f"(vi) parameter addition failed at m={m}, {l1}+{l2}"
-                checks += 1
-    report["parameter_addition"] = checks
+                check("parameter_addition", gegenbauer(m, l1 + l2) == rhs,
+                      f"m={m}, {l1}+{l2}")
 
     # (vii) 2(x^2-1) C_n^2 = (n+1) x U_{n+1} - (n+2) U_n
-    checks = 0
     for n in range(0, nmax + 1):
         lhs = 2 * (X * X - 1) * gegenbauer(n, Fraction(2))
         rhs = (n + 1) * X * chebyshev("U", n + 1) - (n + 2) * chebyshev("U", n)
-        assert lhs == rhs, f"(vii) lambda=2 reduction failed at n={n}"
-        checks += 1
-    report["lambda2_reduction"] = checks
+        check("lambda2_reduction", lhs == rhs, f"n={n}")
 
     # (viii) B_k(x) = U_{2k}(sqrt(x+4)/2): U_{2k} is even, so substitute
     # its squared argument u = (x+4)/4
-    checks = 0
     for k in range(0, nmax + 1):
         u2k = chebyshev("U", 2 * k)
-        assert all(u2k.coeff(j) == 0 for j in range(1, u2k.degree + 1, 2))
-        even = Poly("x", [u2k.coeff(2 * j) for j in range(k + 1)])
+        even = Poly("x", u2k.coeffs[::2])
         rhs = even(Poly("x", [Fraction(1), Fraction(1, 4)]))
         if not isinstance(rhs, Poly):
             rhs = Poly.constant("x", rhs)
-        assert triangle_row_polynomial_b(k) == rhs, \
-            f"(viii) B_k substitution failed at k={k}"
-        checks += 1
-    report["b_row_substitution"] = checks
+        check("b_row_substitution", triangle_row_polynomial_b(k) == rhs
+              and not any(u2k.coeffs[1::2]), f"k={k}")
 
     # (ix) large-parameter limit: C_n^l(x)/C_n^l(1) -> x^n, error <= 10/l
-    checks = 0
     lam = Fraction(10 ** 6)
     grid = [Fraction(i, 4) for i in range(-4, 5)]
     for n in range(0, nmax + 1):
-        c = _gegenbauer_binomial(n, lam)
+        c = gegenbauer(n, lam)
         at_one = pochhammer(2 * lam, n) / factorial(n)
         for x in grid:
             err = abs(c(x) / at_one - x ** n)
-            assert err <= Fraction(10) / lam, \
-                f"(ix) limit envelope failed at n={n}, x={x}: err={err}"
-            checks += 1
-    report["large_parameter_limit"] = checks
+            check("large_parameter_limit", err <= Fraction(10) / lam,
+                  f"n={n}, x={x}: err={err}")
+
+    # (x) binomial sum = three-term recurrence for every parameter used
+    # above, up to 2 nmax: a_polynomial_checks(16) in the triangles suite
+    # evaluates C^2_m for m <= 19
+    lams = {Fraction(2), *lambda_samples,
+            *(l1 + l2 for l1 in lambda_samples for l2 in lambda_samples)}
+    for lam in sorted(lams):
+        for n in range(2 * nmax + 1):
+            check("binomial_recurrence",
+                  gegenbauer(n, lam) == _gegenbauer_recurrence(n, lam),
+                  f"n={n}, lambda={lam}")
 
     return report

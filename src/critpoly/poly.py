@@ -92,7 +92,7 @@ class Poly:
         return Poly(self.variable, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -as_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -165,9 +165,6 @@ class Poly:
         return Poly(self.variable,
                     [k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def with_variable(self, variable: str) -> "Poly":
-        return Poly(variable, self.coeffs)
-
     # -- presentation ---------------------------------------------------
 
     def __repr__(self):
@@ -179,12 +176,13 @@ class Poly:
             if _is_zero(c):
                 continue
             cs = format_rat(c) if isinstance(c, Fraction) else f"({c!r})"
+            mono = self.variable if k == 1 else f"{self.variable}^{k}"
             if k == 0:
                 parts.append(cs)
-            elif k == 1:
-                parts.append(f"{cs}*{self.variable}")
+            elif cs in ("1", "-1"):
+                parts.append(cs[:-1] + mono)
             else:
-                parts.append(f"{cs}*{self.variable}^{k}")
+                parts.append(f"{cs}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
@@ -196,10 +194,6 @@ class Poly:
     @staticmethod
     def from_json(obj: dict) -> "Poly":
         return Poly(obj["variable"], [parse_rat(c) for c in obj["coeffs"]])
-
-
-def as_scalar(x):
-    return x
 
 
 def poly_shift(p: Poly, a) -> Poly:

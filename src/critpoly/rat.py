@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def as_rat(x) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to a Fraction."""
@@ -100,9 +98,6 @@ class GaussRat:
             return NotImplemented
         return o / self
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -118,5 +113,3 @@ class GaussRat:
     def __repr__(self):
         return f"GaussRat({format_rat(self.re)}, {format_rat(self.im)})"
 
-
-I = GaussRat(Fraction(0), Fraction(1))

@@ -2,10 +2,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from critpoly import cli, orthopoly
 from critpoly.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TRIANGLES = ["verify", "--suite", "triangles", "--nmax", "6",
+             "--output", "json"]
 
 
 def run(capsys, *argv):
@@ -28,6 +37,15 @@ def test_poly_defaults_to_s32(capsys):
                     "--output", "json")
     assert code == 0
     assert json.loads(out)["coeffs"] == ["1/2"]
+
+
+def test_poly_text_output(capsys):
+    code, out = run(capsys, "poly", "--n", "4", "--lambda", "1")
+    assert code == 0
+    assert out.startswith("polynomial=15*s^2 - 15*s + 63/4  n=4  ")
+    code, out = run(capsys, "poly", "--family", "beta", "--beta", "0",
+                    "--n", "6")
+    assert out.startswith("polynomial=1/8*s^3 - 3/16*s^2 + s - 15/32  ")
 
 
 def test_poly_beta_family(capsys):
@@ -78,6 +96,45 @@ def test_verify_single_suite(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc[0]["suite"] == "forms" and doc[0]["pass"]
+
+
+def test_verify_reports_a_raising_suite(capsys, monkeypatch):
+    def boom(nmax, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "props", boom)
+    code, out = run(capsys, "verify", "--suite", "props", "--output", "json")
+    assert code == 1
+    row = json.loads(out)[0]
+    assert row["pass"] is False
+    assert row["detail"] == "ZeroDivisionError: boom"
+
+
+def test_broken_identity_fails_verify(capsys, monkeypatch):
+    # breaks identity (viii), b_row_substitution, of the identity suite
+    good = orthopoly.triangle_row_polynomial_b
+    monkeypatch.setattr(orthopoly, "triangle_row_polynomial_b",
+                        lambda k: good(k) + 1)
+    code, out = run(capsys, *TRIANGLES)
+    assert code == 1
+    row = json.loads(out)[0]
+    assert row["pass"] is False and "b_row_substitution" in row["detail"]
+
+
+def test_broken_identity_fails_verify_under_optimize():
+    # python -O strips assert statements; the checks must not rely on them
+    script = ("import sys\n"
+              "from critpoly import orthopoly\n"
+              "from critpoly.cli import main\n"
+              "good = orthopoly.triangle_row_polynomial_b\n"
+              "orthopoly.triangle_row_polynomial_b = lambda k: good(k) + 1\n"
+              f"sys.exit(main({TRIANGLES!r}))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    row = json.loads(proc.stdout)[0]
+    assert row["pass"] is False and "b_row_substitution" in row["detail"]
 
 
 def test_verify_deterministic(capsys):

@@ -11,6 +11,7 @@ from critpoly.construct import (mellin_T_closed, mellin_closed, p_beta,
 from critpoly.errors import (InvalidBeta, InvalidLambda, PoleInDenominator,
                              UndefinedIndex)
 from critpoly.poly import Poly
+from critpoly.verify import check_functional_equation
 
 GOLDEN = {
     0: Poly("s", [Fraction(1, 2)]),
@@ -40,6 +41,7 @@ def test_forms_agree(lam):
         a = p_s41(n, lam).poly
         assert a == p_s32(n, lam).poly
         assert p_hyp(n, lam).poly == 2 * a
+        assert check_functional_equation(a, n)
 
 
 def test_chebyshev_paths_agree():

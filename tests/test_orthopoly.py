@@ -4,9 +4,11 @@ from math import factorial
 
 import pytest
 
-from critpoly.errors import InvalidLambda
-from critpoly.orthopoly import (chebyshev, chebyshev_limit_from_lambda,
-                                gegenbauer, identity_suite, legendre,
+from critpoly import orthopoly
+from critpoly.errors import IdentityFailed, InvalidLambda
+from critpoly.orthopoly import (_gegenbauer_recurrence, chebyshev,
+                                chebyshev_limit_from_lambda, gegenbauer,
+                                identity_suite, legendre,
                                 triangle_row_polynomial_b)
 from critpoly.poly import Poly, pochhammer
 
@@ -18,6 +20,14 @@ def test_value_at_one(lam):
     for n in range(31):
         want = pochhammer(2 * lam, n) / factorial(n)
         assert gegenbauer(n, lam)(Fraction(1)) == want
+
+
+def test_binomial_form_equals_recurrence():
+    # every (n, lambda) at which the tests build a Gegenbauer polynomial
+    for lam in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+                Fraction(7, 3)):
+        for n in range(31):
+            assert gegenbauer(n, lam) == _gegenbauer_recurrence(n, lam)
 
 
 def test_u_is_lambda_one():
@@ -71,4 +81,16 @@ def test_identity_suite_runs_clean():
     assert set(report) == {
         "composition_product", "product_linearization", "power_reduction",
         "legendre_convolution", "u_self_convolution", "parameter_addition",
-        "lambda2_reduction", "b_row_substitution", "large_parameter_limit"}
+        "lambda2_reduction", "b_row_substitution", "large_parameter_limit",
+        "binomial_recurrence"}
+
+
+def test_identity_suite_rejects_broken_gegenbauer_form(monkeypatch):
+    def broken(n, lam):
+        out = _gegenbauer_recurrence(n, lam)
+        return out + Poly.var("x") if n == 3 else out
+
+    monkeypatch.setattr(orthopoly, "_gegenbauer_recurrence", broken)
+    with pytest.raises(IdentityFailed,
+                       match="binomial_recurrence failed at n=3,"):
+        identity_suite(4)

@@ -63,6 +63,14 @@ def test_substitute_critical_agrees_with_gauss_eval(p, t):
     assert direct == want
 
 
+def test_repr_writes_unit_coefficients_bare():
+    s = Poly.var("s")
+    assert repr((s - 2) * (s - 24)) == "s^2 - 26*s + 48"
+    assert repr(-s * s + s - 1) == "-s^2 + s - 1"
+    assert repr(Poly("s", [Fraction(63, 4), Fraction(-15), Fraction(15)])) \
+        == "15*s^2 - 15*s + 63/4"
+
+
 def _poly_from_roots(roots):
     out = Poly("s", [Fraction(1)])
     for r in roots:

@@ -100,6 +100,14 @@ def test_genfun_at_t_zero_is_seed():
     assert r["series"] == pytest.approx(m0, rel=1e-12)
 
 
+def test_genfun_divergent_tail_fails():
+    # p_3 vanishes at s = 1/2, so M_3(0.501) is tiny and the last term
+    # ratio is far above 1: the tail bound is infinite, nothing is proven
+    r = genfun_check(1.0, 0.501, 0.1, K=4, tol=1e-9)
+    assert r["tail_bound"] == math.inf
+    assert not r["pass"]
+
+
 def test_genfun_margin_enforced():
     with pytest.raises(ConvergenceMarginViolated):
         genfun_check(1.0, 2.0, 0.3, K=10, tol=1e-9)

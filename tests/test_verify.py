@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from critpoly.construct import p_beta, p_hyp, p_s21_chebyshev, p_s32
+from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
+                                p_hyp, p_s21_chebyshev, p_s32, q_rational)
+from critpoly.errors import MixedCoefficients
+from critpoly.poly import Poly, RatFun
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
                              check_gould_closures, check_gould_sum_forms,
-                             check_integer_s_sums, check_M_recurrences,
-                             check_q_range)
+                             check_hat_ratio, check_integer_s_sums,
+                             check_M_recurrences, check_q_forms,
+                             check_q_range, check_T_zero_set)
 
 SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), Fraction(11, 7),
            Fraction(9, 4)]
@@ -99,3 +103,76 @@ def test_corollary2_numeric():
         r = check_corollary2(n, [Fraction(3, 10), Fraction(5, 2)])
         assert r["pass"]
         assert r["worst_rel_err"] <= 1e-10
+
+
+# The grids below are those on which the constructors used to run these
+# identities on themselves: the generating-function series sum the hat
+# polynomials to n = 40 (lambda = 1 and 5/2), the acceptance criteria build
+# every lambda and beta sample to n = 30 and q to n = 20 (q at lambda = 9/4
+# too). tests/test_construct.py covers the other lambda samples to n = 30.
+
+def test_hat_ratio_and_reflection():
+    for lam, top in ((Fraction(1), 40), (Fraction(5, 2), 40),
+                     (Fraction(7, 3), 30), (Fraction(5, 3), 30),
+                     (Fraction(9, 4), 20)):
+        for n in range(top + 1):
+            hat = p_hyp(n, lam).poly
+            assert check_hat_ratio(hat, n, lam), (n, lam)
+            assert check_functional_equation(hat, n), (n, lam)
+
+
+def test_beta_reflection():
+    for beta in (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2),
+                 Fraction(-3)):
+        for n in range(31):
+            assert check_functional_equation(p_beta(n, beta).poly, n), \
+                (n, beta)
+
+
+def test_T_zero_sets():
+    for n in range(2, 41):
+        assert check_T_zero_set(mellin_T_closed(n).factor, n), n
+
+
+def test_q_forms():
+    for lam in (Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                Fraction(2), Fraction(7, 3), Fraction(9, 4)):
+        for n in range(1, 21):
+            assert check_q_forms(q_rational(n, lam).fun, n, lam), (n, lam)
+
+
+def test_form_checks_reject_broken_input():
+    lam = Fraction(7, 3)
+    hat = p_hyp(6, lam).poly
+    coeffs = list(hat.coeffs)
+    coeffs[1] += Fraction(1, 7)
+    assert check_hat_ratio(hat, 6, lam)
+    assert not check_hat_ratio(Poly("s", coeffs), 6, lam)
+
+    s = Poly.var("s")
+    assert check_T_zero_set((s - 1) * (s - 3) * (s - 35), 6)
+    assert not check_T_zero_set((s - 1) * (s - 5) * (s - 35), 6)
+
+    q = q_rational(5, Fraction(3, 2)).fun
+    assert check_q_forms(q, 5, Fraction(3, 2))
+    broken = RatFun(q.num, q.den + Fraction(1, 3))
+    assert not check_q_forms(broken, 5, Fraction(3, 2))
+
+
+def test_certificate_rejects_symmetric_off_line_zeros():
+    # s^2 - s is reflection-symmetric, but its zeros 0 and 1 are off the line
+    poly = Poly("s", [Fraction(0), Fraction(-1), Fraction(1)])
+    p = CriticalPolynomial(4, "gegenbauer", Fraction(1), "S32", poly,
+                           "paper_S")
+    assert check_functional_equation(poly, 4)
+    cert = certify_critical_line(p)
+    assert not cert.passed
+    assert cert.distinct_real_roots == 0
+
+
+def test_certificate_rejects_asymmetric_polynomial():
+    poly = Poly("s", [Fraction(1), Fraction(1)])
+    p = CriticalPolynomial(2, "gegenbauer", Fraction(1), "S32", poly,
+                           "paper_S")
+    with pytest.raises(MixedCoefficients):
+        certify_critical_line(p)

@@ -17,7 +17,7 @@ from .errors import CritPolyError
 from .hyp3f2 import appendix_transform_suite
 from .orthopoly import identity_suite
 from .poly import isolate_real_roots, refine_root, substitute_critical
-from .rat import format_rat, parse_rat
+from .rat import as_rat, format_rat, parse_rat
 
 LAMBDA_SET = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
 BETA_SET = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2)]
@@ -37,12 +37,14 @@ log = logging.getLogger("critpoly")
 
 def _max_workers() -> int:
     raw = os.environ.get("CRITPOLY_THREADS", "")
+    fallback = min(4, os.cpu_count() or 1)
     if raw.strip():
         try:
             return max(1, int(raw))
         except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+            log.warning("CRITPOLY_THREADS=%r is not an integer; using %d "
+                        "workers", raw, fallback)
+    return fallback
 
 
 def _rat_flag(text: str) -> Fraction:
@@ -313,7 +315,7 @@ def _suite_genfun(nmax: int, seed: int) -> dict:
     sum: HYP = 2 S32 with reflection, and the T-factor zero sets."""
     count = 0
     for lam in (1.0, 0.5, 2.5):
-        lam_r = Fraction(lam)
+        lam_r = as_rat(lam)
         for k in range(GENFUN_K + 1):
             hat = construct.p_hyp(k, lam_r).poly
             if not (verify.check_hat_ratio(hat, k, lam_r)

@@ -20,10 +20,22 @@ from math import comb, factorial
 from .errors import InvalidBeta, PoleInDenominator, UndefinedIndex
 from .hyp3f2 import poly_from_3f2
 from .orthopoly import _check_lambda
-from .poly import Poly, RatFun, gen_binom, pochhammer
+from .poly import Poly, RatFun, gen_binom, int_mul_linear, pochhammer
 from .rat import as_rat, format_rat
 
 S = Poly.var("s")
+
+# Entries kept by each memoized builder (key (n, parameter), or n for S21
+# and the T-factor recurrence). `verify --suite all --nmax 10` asks for 151
+# distinct S32 keys, 151 HYP, 44 beta and 41 T factors, so every repeat
+# there is a hit.
+MEMO_SIZE = 256
+
+
+def clear_caches() -> None:
+    """Forget every memoized build, so that the next call builds cold."""
+    for memo in (_p_s32, _p_hyp, _p_beta, _T_factor, p_s21_chebyshev):
+        memo.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -88,33 +100,45 @@ def p_s32(n: int, lam) -> CriticalPolynomial:
     """Three-numerator/two-denominator sum form.
 
     The s-dependent denominator binomial is cancelled against the prefactor
-    binomial: C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, keeping the
-    whole computation in Poly.
+    binomial: C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, so the sum is
+    sum_r A_r C(x+r, r) (a+r+1)_{m-r} with x = (s-2+eps)/2 and
+    a = (s+lam)/2 - 3/4 + eps/2. Memoized on (n, lam).
     """
     lam = as_rat(lam)
     _check_lambda(lam)
+    return _p_s32(n, lam)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _p_s32(n: int, lam: Fraction) -> CriticalPolynomial:
+    # Split-product Horner T_k = T_{k-1} (a+k) + A_k B_k, B_k = C(x+k, k),
+    # whose T_m is the sum, run over integers. For lam = p/q the factors
+    # are scaled to L_k = 4q (a+k) and to P_k = 2^k k! B_k, the product of
+    # s - 2 + eps + 2j over j <= k. The weights D_k = A_k (2q)^k / k! then
+    # have the integer term ratio num / den; u and v multiply those up, and
+    # acc = v (4q)^k T_k / A_0 obeys acc_k = den L_k acc_{k-1} + u P_k.
     m, eps = n // 2, n % 2
-    out = Poly.zero("s")
+    p, q = lam.numerator, lam.denominator
+    acc, prods, u, v = [1], [1], 1, 1
+    for k in range(1, m + 1):
+        num = -4 * (q * (m + k - 1 + eps) + p) * (m - k + 1)
+        den = (2 * k - 1 + 2 * eps) * k
+        u, v = u * num, v * den
+        prods = int_mul_linear(prods, 1, eps - 2 + 2 * k)
+        acc = int_mul_linear(acc, 2 * q * den,
+                             den * (2 * p + (2 * eps - 3) * q + 4 * q * k))
+        acc = [a + u * b for a, b in zip(acc, prods)]
+    # A_0 times the prefactor (2m+eps)! C(m+lam-1+eps, m+eps)
     if eps == 0:
-        a = (S + lam) / 2 - Fraction(3, 4)
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(2) ** (2 * r - 1)
-                         * gen_binom(m + r + lam - 1, r) * comb(m + r, 2 * r)
-                         * gen_binom((S - 2) / 2 + r, r) * factorial(r)
-                         * pochhammer(a + r + 1, m - r) / comb(m + r, r))
-        out = factorial(2 * m) * gen_binom(m + lam - 1, m) * out
+        front = Fraction((-1) ** m, 2) * gen_binom(m + lam - 1, m)
     else:
-        a = (S + lam) / 2 - Fraction(1, 4)
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(4) ** r
-                         * gen_binom(m + r + lam, r) * comb(m + r + 1, 2 * r + 1)
-                         * gen_binom((S - 1) / 2 + r, r) * factorial(r)
-                         * pochhammer(a + r + 1, m - r) / comb(m + r + 1, r))
-        out = factorial(2 * m + 1) * gen_binom(m + lam, m + 1) * out
+        front = (-1) ** m * (m + 1) * gen_binom(m + lam, m + 1)
+    scale = factorial(2 * m + eps) * front / (v * (4 * q) ** m)
+    out = Poly("s", [c * scale for c in acc])
     return CriticalPolynomial(n, "gegenbauer", lam, "S32", out, "paper_S")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def p_s21_chebyshev(n: int) -> CriticalPolynomial:
     """Two-numerator/one-denominator sum; the lambda = 1 simplification."""
     m, eps = n // 2, n % 2
@@ -140,22 +164,26 @@ def p_s21_chebyshev(n: int) -> CriticalPolynomial:
 def p_hyp(n: int, lam) -> CriticalPolynomial:
     """Hypergeometric-series construction (the Gamma-ratio normalization).
 
-    Builds hat-p_n(s) = n! (2 lam)_n sum_k c_k ((s+eps)/2)_{m-k}; this is
+    Builds hat-p_n(s) = n! (2 lam)_n sum_k c_k ((s+eps)/2)_{m-k} with
+    c_k = (-1)^k (lam/2 + 1/4)_k / (4^k k! (lam + 1/2)_k (n-2k)!); this is
     exactly twice the canonical polynomial (``verify.check_hat_ratio``).
+    Memoized on (n, lam).
     """
     lam = as_rat(lam)
     _check_lambda(lam)
-    eps = n % 2
-    front = factorial(n) * pochhammer(2 * lam, n)
+    return _p_hyp(n, lam)
 
-    def c(k: int) -> Fraction:
-        return (front * Fraction((-1) ** k)
-                * pochhammer(lam / 2 + Fraction(1, 4), k)
-                / (Fraction(4) ** k * factorial(k)
-                   * pochhammer(lam + Fraction(1, 2), k)
-                   * factorial(n - 2 * k)))
 
-    out = poly_from_3f2(n, eps, c)
+@lru_cache(maxsize=MEMO_SIZE)
+def _p_hyp(n: int, lam: Fraction) -> CriticalPolynomial:
+    p, q = lam.numerator, lam.denominator
+    coeffs = [pochhammer(2 * lam, n)]
+    for k in range(1, n // 2 + 1):
+        # c_k / c_{k-1}, with lam = p/q
+        coeffs.append(coeffs[-1] * Fraction(
+            -(2 * p + q + 4 * q * (k - 1)) * (n - 2 * k + 2) * (n - 2 * k + 1),
+            8 * k * (2 * p + q + 2 * q * (k - 1))))
+    out = poly_from_3f2(n, n % 2, coeffs)
     return CriticalPolynomial(n, "gegenbauer", lam, "HYP", out, "thm4_hat")
 
 
@@ -181,17 +209,25 @@ def p_chebyshev_recursive(n: int) -> CriticalPolynomial:
 
 
 def p_beta(n: int, beta) -> CriticalPolynomial:
-    """One-parameter reflection family, beta < 1 rational."""
+    """One-parameter reflection family, beta < 1 rational: the 3F2 kernel
+    with c_k = (-1)^k (1-beta)_k ((1-n)/2)_k (-n/2)_k / ((2-2beta)_k k!).
+    Memoized on (n, beta)."""
     beta = as_rat(beta)
     if beta >= 1:
         raise InvalidBeta(f"need beta < 1, got {beta}")
+    return _p_beta(n, beta)
 
-    def c(k: int) -> Fraction:
-        return (Fraction((-1) ** k) * pochhammer(1 - beta, k)
-                * pochhammer(Fraction(1 - n, 2), k) * pochhammer(Fraction(-n, 2), k)
-                / (pochhammer(2 * (1 - beta), k) * factorial(k)))
 
-    out = poly_from_3f2(n, n % 2, c)
+@lru_cache(maxsize=MEMO_SIZE)
+def _p_beta(n: int, beta: Fraction) -> CriticalPolynomial:
+    p, q = beta.numerator, beta.denominator
+    coeffs = [Fraction(1)]
+    for k in range(1, n // 2 + 1):
+        # c_k / c_{k-1}, with beta = p/q
+        coeffs.append(coeffs[-1] * Fraction(
+            -(q * k - p) * (n - 2 * k + 2) * (n - 2 * k + 1),
+            4 * k * (q * (k + 1) - 2 * p)))
+    out = poly_from_3f2(n, n % 2, coeffs)
     return CriticalPolynomial(n, "beta", beta, "HYP", out, "paper_S")
 
 
@@ -322,7 +358,8 @@ def mellin_closed(n: int, lam) -> MellinClosedForm:
 
 def mellin_T_closed(n: int) -> MellinClosedForm:
     """First-kind transform via the exact symbolic recursion
-    M_n(s) = 2 M_{n-1}(s+1) - M_{n-2}(s) from the Beta-function seeds.
+    M_n(s) = 2 M_{n-1}(s+1) - M_{n-2}(s) from the Beta-function seeds. The
+    factors are memoized, so factor n is one step from factors n-1 and n-2.
 
     The polynomial factor's zero set is
     {integers of parity n-1 up to n-3} union {n^2 - 1}
@@ -330,13 +367,19 @@ def mellin_T_closed(n: int) -> MellinClosedForm:
     sqrt(pi)/(4 * 2^{floor(n/2)}) (the printed 2^n is off for n >= 4, as
     the recursion shows).
     """
-    facs = [Poly.constant("s", Fraction(1)), Poly.constant("s", Fraction(1))]
-    for k in range(2, n + 1):
-        # c_{k-1}/c_k = 2^{floor(k/2)-floor((k-1)/2)}, c_{k-2}/c_k = 2
-        ratio1 = Fraction(2) ** (k // 2 - (k - 1) // 2)
-        e = S / 2 if k % 2 == 0 else Poly.constant("s", Fraction(1))
-        facs.append(2 * ratio1 * e * facs[k - 1].shift(1)
-                    - 2 * ((S + k + 1) / 2) * facs[k - 2])
-    return MellinClosedForm("T", n, None, n % 2, facs[n],
+    for k in range(n):
+        _T_factor(k)     # fill the memo bottom-up: no deep recursion
+    return MellinClosedForm("T", n, None, n % 2, _T_factor(n),
                             Fraction(1, 4 * 2 ** (n // 2)),
                             Fraction(1, 2), Fraction(n + 3))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _T_factor(k: int) -> Poly:
+    if k < 2:
+        return Poly.constant("s", Fraction(1))
+    # c_{k-1}/c_k = 2^{floor(k/2)-floor((k-1)/2)}, c_{k-2}/c_k = 2
+    ratio1 = Fraction(2) ** (k // 2 - (k - 1) // 2)
+    e = S / 2 if k % 2 == 0 else Poly.constant("s", Fraction(1))
+    return (2 * ratio1 * e * _T_factor(k - 1).shift(1)
+            - 2 * ((S + k + 1) / 2) * _T_factor(k - 2))

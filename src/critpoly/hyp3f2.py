@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import DenominatorPole, NonTerminating
-from .poly import Poly, pochhammer
+from .poly import Poly, int_mul_linear, pochhammer
 from .rat import as_rat
 
 
@@ -42,21 +43,31 @@ def eval_3f2(a1, a2, a3, b1, b2) -> Fraction:
     return total
 
 
-def poly_from_3f2(n: int, eps: int, coeff_rule) -> Poly:
-    """Sum_k coeff_rule(k) * ((s+eps)/2)_{floor(n/2)-k} as a Poly in s.
+def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:
+    """Sum_k coeffs[k] * ((s+eps)/2)_{m-k}, k = 0..m = floor(n/2), as a
+    Poly in s.
 
     This is the kernel shared by every Gamma-prefixed terminating 3F2 here:
     the Gamma-ratio Gamma((s+n)/2 - k)/Gamma((s+eps)/2) telescopes into the
-    rising factorial, leaving an exact polynomial.
+    rising factorial, leaving an exact polynomial. The sum is evaluated by
+    nested Horner in the rising-factorial basis, with the linear factors
+    scaled to s + eps + 2j and the coefficients put over one common
+    denominator: O(m^2) integer operations, one division at the end.
     """
     if eps != n % 2:
         raise ValueError("eps must equal n mod 2")
     m = n // 2
-    half = Poly("s", [Fraction(eps, 2), Fraction(1, 2)])
-    out = Poly.zero("s")
-    for k in range(m + 1):
-        out = out + coeff_rule(k) * pochhammer(half, m - k)
-    return out
+    if len(coeffs) != m + 1:
+        raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    # acc = 2^(m-j) * sum_{k <= m-j} c_k ((s+eps)/2 + j)_{m-j-k}
+    acc = [ints[0]]
+    for j in range(m - 1, -1, -1):
+        acc = int_mul_linear(acc, 1, eps + 2 * j)
+        acc[0] += ints[m - j] << (m - j)
+    scale = Fraction(1, den << m)
+    return Poly("s", [c * scale for c in acc])
 
 
 # ---------------------------------------------------------------------------

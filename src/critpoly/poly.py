@@ -232,6 +232,18 @@ def gen_binom(a, k: int):
     return pochhammer(a - (k - 1), k) / factorial(k)
 
 
+def int_mul_linear(coeffs: list, a: int, b: int) -> list:
+    """Integer coefficients (constant term first) of coeffs(x) * (a x + b).
+
+    The O(m^2) builders keep their running polynomials as plain int lists
+    and multiply them by integer linear factors only, so no gcd is taken
+    until the final rescaling.
+    """
+    return ([b * coeffs[0]]
+            + [b * hi + a * lo for lo, hi in zip(coeffs, coeffs[1:])]
+            + [a * coeffs[-1]])
+
+
 # ---------------------------------------------------------------------------
 # Euclidean layer (Fraction coefficients only)
 # ---------------------------------------------------------------------------

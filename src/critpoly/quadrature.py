@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -13,6 +12,7 @@ from .construct import MellinClosedForm, mellin_T_closed, mellin_closed
 from .errors import (ConvergenceMarginViolated, InvalidParameters,
                      ToleranceNotMet)
 from .poly import Poly
+from .rat import as_rat
 
 _QUAD_DPS = 30
 
@@ -156,8 +156,7 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
 def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
     """One CSV-shaped row: quadrature vs closed form."""
     q = quad_mellin_gegenbauer(n, float(lam), s, tol)
-    return _comparison_row(n, float(lam), s, q,
-                           mellin_closed(n, Fraction(lam)))
+    return _comparison_row(n, float(lam), s, q, mellin_closed(n, lam))
 
 
 def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
@@ -298,7 +297,7 @@ def genfun_check(lam: float, s: float, t: float, K: int = 40,
         raise InvalidParameters(f"need s > 0, got {s}")
     if K < 2:
         raise InvalidParameters("K must be >= 2")
-    lam_r = Fraction(lam)
+    lam_r = as_rat(lam)
     with mp.workdps(_QUAD_DPS):
         t_m, s_m, lam_m = mp.mpf(t), mp.mpf(s), mp.mpf(lam)
         series, tail = _series_sum(

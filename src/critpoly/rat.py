@@ -11,11 +11,14 @@ from fractions import Fraction
 
 
 def as_rat(x) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to a Fraction."""
+    """Coerce an int, Fraction, float or 'p/q' string to a Fraction; a float
+    is read through its shortest repr (0.1 -> 1/10, not its binary value)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(repr(x))
     if isinstance(x, str):
         return parse_rat(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")

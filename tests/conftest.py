@@ -1,0 +1,13 @@
+"""Shared test fixtures."""
+import pytest
+
+from critpoly import construct
+
+
+@pytest.fixture(autouse=True)
+def cold_builders():
+    """Start every test with empty builder caches: a test that monkeypatches
+    a kernel then sees its patch take effect whatever ran before it, and each
+    acceptance budget times a cold build, as a fresh run pays it."""
+    construct.clear_caches()
+    yield

@@ -15,7 +15,8 @@ from critpoly.quadrature import (compare_mellin, genfun_check,
                                  quad_mellin_T, quad_mellin_gegenbauer)
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_difference_equation, check_fq1,
-                             check_functional_equation, check_M_recurrences)
+                             check_functional_equation, check_hat_ratio,
+                             check_M_recurrences)
 
 LAMBDAS = [Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
            Fraction(2), Fraction(7, 3)]
@@ -172,3 +173,16 @@ def test_c12_generating_functions():
         for t in (0.05, 0.1):
             ok &= genfun_check(1.0, s, t, K=40, tol=1e-9)["pass"]
     _report(12, "generating functions", 30.0, t0, ok)
+
+
+def test_c13_builds_at_scale():
+    # about 0.4 s on a 2-CPU Xeon (cold builds: conftest empties the caches)
+    t0 = time.perf_counter()
+    lam = Fraction(7, 3)
+    beta = p_beta(400, -3)
+    s32 = p_s32(400, lam)
+    hat = p_hyp(400, lam)
+    ok = beta.poly.degree == s32.poly.degree == hat.poly.degree == 200
+    ok &= check_hat_ratio(hat.poly, 400, lam)
+    ok &= check_functional_equation(beta.poly, 400)
+    _report(13, "n = 400 builds", 3.0, t0, ok)

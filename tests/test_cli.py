@@ -57,6 +57,19 @@ def test_poly_beta_family(capsys):
     assert len(doc["coeffs"]) == 2
 
 
+def test_invalid_thread_count_is_logged(monkeypatch, caplog):
+    monkeypatch.setenv("CRITPOLY_THREADS", "abc")
+    fallback = min(4, os.cpu_count() or 1)
+    with caplog.at_level("WARNING", logger="critpoly"):
+        assert cli._max_workers() == fallback
+    assert [r.name for r in caplog.records] == ["critpoly"]
+    assert "'abc'" in caplog.text and f"using {fallback} workers" in caplog.text
+    monkeypatch.setenv("CRITPOLY_THREADS", "3")
+    caplog.clear()
+    assert cli._max_workers() == 3
+    assert not caplog.records
+
+
 def test_float_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--n", "2", "--lambda", "0.5"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from critpoly import construct
 from critpoly.construct import (mellin_T_closed, mellin_closed, p_beta,
                                 p_chebyshev_recursive, p_hyp,
                                 p_s21_chebyshev, p_s32, p_s41, q_rational,
@@ -141,3 +142,31 @@ def test_mellin_T_zero_sets():
         for z in range(start, n - 2, 2):
             assert f(Fraction(z)) == 0
         assert form.const_rat == Fraction(1, 4 * 2 ** (n // 2))
+
+
+def test_memo_shares_one_object_across_spellings():
+    assert p_s32(7, 1) is p_s32(7, Fraction(1)) is p_s32(7, "1")
+    assert p_hyp(7, "3/2") is p_hyp(7, Fraction(3, 2)) is p_hyp(7, 1.5)
+    assert p_beta(7, 0) is p_beta(7, Fraction(0)) is p_beta(7, "0")
+    assert mellin_T_closed(9).factor is mellin_T_closed(9).factor
+
+
+def test_memo_never_caches_a_failure():
+    for _ in range(2):
+        for bad in (0, "-1/2", Fraction(-2)):
+            with pytest.raises(InvalidLambda):
+                p_s32(3, bad)
+            with pytest.raises(InvalidLambda):
+                p_hyp(3, bad)
+        with pytest.raises(InvalidBeta):
+            p_beta(3, 1)
+    assert construct._p_s32.cache_info().currsize == 0
+    assert construct._p_hyp.cache_info().currsize == 0
+    assert construct._p_beta.cache_info().currsize == 0
+
+
+def test_memo_is_bounded():
+    for memo in (construct._p_s32, construct._p_hyp, construct._p_beta,
+                 construct._T_factor, p_s21_chebyshev):
+        assert memo.cache_info().maxsize == construct.MEMO_SIZE
+    assert 0 < construct.MEMO_SIZE < 10_000

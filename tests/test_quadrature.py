@@ -1,10 +1,12 @@
 """Numeric oracle: quadrature anchors, Gamma-form agreement, and the
 generating-function comparisons."""
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from critpoly import construct
 from critpoly.construct import mellin_T_closed, mellin_closed
 from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters)
 from critpoly.quadrature import (closed_form_value, compare_mellin,
@@ -125,3 +127,17 @@ def test_argument_shift_identity():
     for m in range(6):
         for n in range(6):
             assert lemma3a_check(m, n, 1.3)["pass"]
+
+
+def test_float_lambda_is_read_as_its_shortest_repr(monkeypatch):
+    seen = []
+    build = construct.p_hyp
+
+    def spy(n, lam):
+        seen.append(lam)
+        return build(n, lam)
+
+    monkeypatch.setattr(construct, "p_hyp", spy)
+    row = compare_mellin(6, 0.1, 2.0)
+    assert seen == [Fraction(1, 10)]
+    assert row["rel_err"] <= 1e-10

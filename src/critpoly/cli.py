@@ -144,9 +144,10 @@ def cmd_poly(args, parser) -> int:
 def cmd_roots(args, parser) -> int:
     p = _build(args, parser)
     cert = verify.certify_critical_line(p)
-    v, _ = substitute_critical(p.poly)
-    roots = []
-    if v.degree > 0:
+    if cert.isolation is not None:
+        roots = cert.isolation.roots()
+    else:
+        v, _ = substitute_critical(p.poly)
         roots = [refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v)]
     payload = {**cert.to_json(),
                "roots": [f"1/2 + {t}i" for t in sorted(roots)]}

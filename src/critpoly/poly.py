@@ -1,18 +1,26 @@
-"""Dense univariate polynomials, rational functions, and Sturm counting.
+"""Dense univariate polynomials, rational functions, Sturm counting, and
+the integer critical-line kernel with Descartes root isolation.
 
 Coefficients are Fractions in normal use. The same class also carries
-GaussRat coefficients (for the critical-line substitution) and Poly
-coefficients (polynomials in the Gegenbauer parameter), so a handful of
-operations are written ring-generically. Division, gcd and Sturm chains
-require Fraction coefficients.
+Poly coefficients (polynomials in the Gegenbauer parameter), so a handful
+of operations are written ring-generically. Division, gcd and Sturm chains
+require Fraction coefficients. The critical-line substitution, the
+Descartes bisection and its root refinement run on plain integer lists.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, gcd, lcm, sqrt
 
 from .errors import MixedCoefficients, VariableMismatch, ZeroPolynomial
-from .rat import GaussRat, as_rat, format_rat, parse_rat
+from .rat import as_rat, format_rat, parse_rat
+
+# Descartes bisection depth allowed beyond 2 (deg w + 1) before the
+# isolation gives up: a repeated positive root always reaches it, other
+# inputs only when roots near the positive axis lie closer together than
+# about 2^-depth times the root bound
+DESCARTES_DEPTH = 64
 
 
 def _is_zero(c) -> bool:
@@ -148,7 +156,7 @@ class Poly:
     # -- evaluation / substitution --------------------------------------
 
     def __call__(self, point):
-        """Horner evaluation at a Fraction, float, GaussRat or Poly point."""
+        """Horner evaluation at a Fraction, float or Poly point."""
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * point + c
@@ -323,16 +331,20 @@ def _variations_at_inf(chain, positive: bool) -> int:
 
 
 class RealRootData:
-    """Distinct-real-root count plus multiplicity bookkeeping."""
+    """Distinct-real-root count plus multiplicity bookkeeping;
+    ``chain_length`` is the length of the Sturm chain that counted them
+    (0 when the squarefree part is constant)."""
 
     __slots__ = ("degree", "squarefree_degree", "distinct_real_roots",
-                 "is_squarefree")
+                 "is_squarefree", "chain_length")
 
-    def __init__(self, degree, squarefree_degree, distinct_real_roots):
+    def __init__(self, degree, squarefree_degree, distinct_real_roots,
+                 chain_length=0):
         self.degree = degree
         self.squarefree_degree = squarefree_degree
         self.distinct_real_roots = distinct_real_roots
         self.is_squarefree = degree == squarefree_degree
+        self.chain_length = chain_length
 
     def all_roots_real(self) -> bool:
         return self.distinct_real_roots == self.squarefree_degree
@@ -346,7 +358,7 @@ def real_root_data(v: Poly) -> RealRootData:
         return RealRootData(v.degree, 0, 0)
     chain = sturm_chain(sf)
     count = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-    return RealRootData(v.degree, sf.degree, count)
+    return RealRootData(v.degree, sf.degree, count, len(chain))
 
 
 def sturm_real_root_count(v: Poly) -> int:
@@ -433,30 +445,186 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, bits: int = 52) -> float:
 
 
 # ---------------------------------------------------------------------------
-# critical-line substitution
+# critical-line substitution and Descartes isolation over the integers
 # ---------------------------------------------------------------------------
+
+def _taylor_shift1(a: list) -> list:
+    """Integer coefficients (constant term first) of a(x + 1), by the
+    O(d^2) Horner scheme: pass i turns a[i:] into its suffix sums."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        tail = list(accumulate(reversed(a[i:])))
+        tail.reverse()
+        a[i:] = tail
+    return a
+
+
+def half_shift(p: Poly):
+    """Integers a_0..a_d and a positive integer D with
+    p(1/2 + u) = sum a_k u^k / D.
+
+    The denominators of p are cleared (P = L p has integer coefficients),
+    q(x) = 2^d P(x/2) is shifted once by 1, and r = q(x + 1) gives
+    p(1/2 + u) = r(2u) / (2^d L), so a_k = 2^k r_k and D = 2^d L.
+    """
+    cs = [as_rat(c) for c in p.coeffs]
+    scale = lcm(*(c.denominator for c in cs)) if cs else 1
+    d = len(cs) - 1
+    q = [(c.numerator * (scale // c.denominator)) << (d - k)
+         for k, c in enumerate(cs)]
+    return ([c << k for k, c in enumerate(_taylor_shift1(q))],
+            scale << max(d, 0))
+
+
+def _split_parity(a: list):
+    """Whether p(1/2 + it) is imaginary (odd k only) for the half-shift
+    coefficients a; MixedCoefficients when both parities occur."""
+    odd = any(a[1::2])
+    if odd and any(a[0::2]):
+        raise MixedCoefficients(
+            "p(1/2+it) has coefficients with nonzero real and imaginary "
+            "parts")
+    return odd
+
 
 def substitute_critical(p: Poly):
     """Expand p(1/2 + i t) and split off the overall real/imaginary unit.
 
     Returns (v, parity) with v a rational polynomial in t and parity one
     of 'real', 'imaginary': p(1/2 + it) = v(t) or i*v(t) respectively.
-    Raises MixedCoefficients when neither case holds.
+    Raises MixedCoefficients when neither case holds. Since
+    i^k = (-1)^{k//2} or i (-1)^{k//2} for the k of one parity, v has the
+    coefficients (-1)^{k//2} a_k / D of ``half_shift``.
     """
-    half_plus_it = Poly("t", [GaussRat(Fraction(1, 2)),
-                              GaussRat(Fraction(0), Fraction(1))])
-    acc = Poly.zero("t")
-    for c in reversed(p.coeffs):
-        acc = acc * half_plus_it + Poly.constant("t", GaussRat(as_rat(c)))
-    w = acc
-    has_re = any(c.re != 0 for c in w.coeffs)
-    has_im = any(c.im != 0 for c in w.coeffs)
-    if has_re and has_im:
-        raise MixedCoefficients(
-            f"p(1/2+it) has mixed coefficients: {w!r}")
-    if has_im:
-        return Poly("t", [c.im for c in w.coeffs]), "imaginary"
-    return Poly("t", [c.re for c in w.coeffs]), "real"
+    a, scale = half_shift(p)
+    odd = _split_parity(a)
+    return (Poly("t", [Fraction(c if k % 4 < 2 else -c, scale)
+                       if k % 2 == odd else Fraction(0)
+                       for k, c in enumerate(a)]),
+            "imaginary" if odd else "real")
+
+
+def _sign_at(w: list, num: int, e: int) -> int:
+    """Sign of w(num / 2^e), from the integer 2^{e d} w(num / 2^e)."""
+    acc = 0
+    for j in range(len(w) - 1, -1, -1):
+        acc = acc * num + (w[j] << (e * (len(w) - 1 - j)))
+    return (acc > 0) - (acc < 0)
+
+
+def _root_bound_exp(w: list) -> int:
+    """b >= 1 with every root of w smaller than 2^b in absolute value
+    (Fujiwara: |z| <= 2 max_k |w_{d-k} / w_d|^{1/k}, with each ratio
+    bounded above through bit lengths)."""
+    d = len(w) - 1
+    lead = abs(w[d]).bit_length() - 1
+    e = 0
+    for k in range(1, d + 1):
+        if w[d - k]:
+            e = max(e, -((lead - abs(w[d - k]).bit_length()) // k))
+    return e + 1
+
+
+class PositiveRoots:
+    """Descartes (Vincent-Collins-Akritas) isolation of the positive roots
+    of an integer polynomial w.
+
+    ``boxes`` lists (lo, hi, e): the open interval (lo/2^e, hi/2^e) holds
+    exactly one root of w (its Descartes variation count is 1) and w is
+    nonzero at both ends. The list is None when no isolation was found
+    (``reason`` says why: w(0) = 0, the depth guard, or a root of w at a
+    bisection point); ``nodes`` counts the intervals tested.
+    """
+
+    __slots__ = ("w", "boxes", "nodes", "reason")
+
+    def __init__(self, w: list):
+        self.w, self.boxes, self.nodes, self.reason = w, None, 0, None
+        if w[0] == 0:
+            self.reason = "w(0)=0"
+            return
+        d = len(w) - 1
+        b = _root_bound_exp(w)
+        max_depth = DESCARTES_DEPTH + 2 * len(w)
+        boxes = []
+        # q(x) = w(2^b x) has its positive roots in (0, 1); the stack holds
+        # (2^{dk} w(2^b (x + c) / 2^k), c, k) for the interval of number c
+        # at depth k
+        stack = [([c << (b * j) for j, c in enumerate(w)], 0, 0)]
+        while stack:
+            q, c, k = stack.pop()
+            self.nodes += 1
+            # the variations of (x+1)^d q(1/(x+1)) bound the roots in (0, 1)
+            count = _sign_changes(map(_sign, _taylor_shift1(q[::-1])))
+            if count == 1:
+                boxes.append((c << (b - k), (c + 1) << (b - k), 0)
+                             if k <= b else (c, c + 1, k - b))
+            elif count > 1:
+                if k == max_depth:
+                    self.reason = "depth guard"
+                    return
+                left = [x << (d - j) for j, x in enumerate(q)]
+                right = _taylor_shift1(left)
+                if right[0] == 0:
+                    self.reason = "root at a split point"
+                    return
+                stack.append((right, 2 * c + 1, k + 1))
+                stack.append((left, 2 * c, k + 1))
+        self.boxes = sorted(boxes)
+
+    def refine(self, box) -> Fraction:
+        """Bisect a box, with the exact sign of w at dyadic points, until
+        its width is below 2^-56 of its lower end (or a bisection point is
+        the root); return the midpoint."""
+        lo, hi, e = box
+        s_lo = _sign_at(self.w, lo, e)
+        while lo == 0 or (hi - lo) << 56 > lo:
+            lo, hi, e = 2 * lo, 2 * hi, e + 1
+            mid = (lo + hi) // 2
+            s_mid = _sign_at(self.w, mid, e)
+            if s_mid == 0:
+                return Fraction(mid, 1 << e)
+            if s_mid == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        return Fraction(lo + hi, 1 << (e + 1))
+
+
+class LineIsolation:
+    """The zeros of p(1/2 + it) through its parity reduction.
+
+    p(1/2 + it) is a positive multiple of t^odd w(t^2), times 1 or i, with
+    w an integer polynomial of content 1. When ``fallback`` is None,
+    ``positive`` isolates deg w distinct positive roots of w (so w(0) != 0),
+    and v(t) has 2 deg w + odd distinct real roots: all its roots are real
+    and simple. Otherwise ``fallback`` names why no such proof was found.
+    """
+
+    __slots__ = ("w", "odd", "positive", "fallback")
+
+    def __init__(self, p: Poly):
+        if p.is_zero:
+            raise ZeroPolynomial("critical-line isolation needs a nonzero "
+                                 "polynomial")
+        a, _ = half_shift(p)
+        self.odd = _split_parity(a)
+        w = [c if j % 2 == 0 else -c for j, c in enumerate(a[self.odd::2])]
+        g = gcd(*w)
+        self.w = [c // g for c in w]
+        self.positive = PositiveRoots(self.w)
+        self.fallback = self.positive.reason
+        found, degree = len(self.positive.boxes or ()), len(self.w) - 1
+        if self.fallback is None and found != degree:
+            self.fallback = f"{found} positive roots of w for degree {degree}"
+
+    def roots(self) -> list:
+        """The real roots of v as floats, ascending: +-sqrt(r) for each
+        positive root r of w, and 0 when v is odd. Needs the isolation to
+        have succeeded (``fallback`` None)."""
+        half = [sqrt(self.positive.refine(box))
+                for box in self.positive.boxes]
+        return sorted([-t for t in half] + [0.0] * self.odd + half)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,7 @@
-"""Exact rational and Gaussian-rational scalars.
-
-Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator). ``GaussRat`` adds the imaginary unit for evaluation on the
-line s = 1/2 + it; it stays internal to the critical-line substitution.
-"""
+"""Exact rational scalars: plain ``fractions.Fraction`` (always reduced,
+positive denominator), coerced, parsed and printed."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -36,83 +31,3 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-@dataclass(frozen=True)
-class GaussRat:
-    """Gaussian rational re + im*i with exact Fraction parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat((self.re * o.re + self.im * o.im) / d,
-                        (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussRat({format_rat(self.re)}, {format_rat(self.im)})"
-

@@ -10,7 +10,8 @@ Pochhammer factors, so the Gamma functions cancel completely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -20,9 +21,11 @@ from .construct import (S, CriticalPolynomial, p_beta, p_hyp, p_s32,
                         q_rational)
 from .errors import GammaPole
 from .hyp3f2 import eval_3f2
-from .poly import (Poly, RatFun, gen_binom, pochhammer, real_root_data,
-                   substitute_critical)
+from .poly import (LineIsolation, Poly, RatFun, gen_binom, half_shift,
+                   pochhammer, real_root_data, substitute_critical)
 from .rat import as_rat
+
+log = logging.getLogger("critpoly")
 
 ONE_MINUS_S = Poly("s", [Fraction(1), Fraction(-1)])
 
@@ -33,6 +36,11 @@ ONE_MINUS_S = Poly("s", [Fraction(1), Fraction(-1)])
 
 @dataclass(frozen=True)
 class Certificate:
+    """Outcome of ``certify_critical_line``. ``method`` is "descartes" or
+    "sturm"; ``work`` counts the Descartes intervals tested or the Sturm
+    chain length; ``coeff_bits`` is the largest bit size among the integer
+    coefficients of w, the parity reduction of p(1/2 + it). ``isolation``
+    holds the Descartes boxes when they prove the result."""
     subject: dict
     degree: int
     v_degree: int
@@ -40,32 +48,57 @@ class Certificate:
     squarefree: bool
     parity_paired: bool
     passed: bool
+    method: str
+    work: int
+    coeff_bits: int
+    isolation: LineIsolation | None = field(default=None, compare=False,
+                                            repr=False)
 
     def to_json(self) -> dict:
         return {"subject": self.subject, "degree": self.degree,
                 "v_degree": self.v_degree,
                 "distinct_real_roots": self.distinct_real_roots,
                 "squarefree": self.squarefree,
-                "parity_paired": self.parity_paired, "pass": self.passed}
+                "parity_paired": self.parity_paired, "pass": self.passed,
+                "method": self.method, "work": self.work,
+                "coeff_bits": self.coeff_bits}
 
 
-def certify_critical_line(p: CriticalPolynomial) -> Certificate:
-    """Sturm-certify that every zero of p lies on Re s = 1/2.
+def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
+    """Certify exactly that every zero of p lies on Re s = 1/2.
 
-    Substituting s = 1/2 + it yields a rational polynomial v(t); the
-    certificate passes when the distinct real roots of v's squarefree part
-    account for its entire degree. Roots of v pair as +-t: the substitution
-    returns only when p(1/2 + it) is purely real or purely imaginary, and
-    for real coefficients that makes v even or odd respectively (it raises
-    MixedCoefficients otherwise), so ``parity_paired`` always holds here.
+    p(1/2 + it) is t^odd w(t^2) up to a constant factor (1 or i), with w an
+    integer polynomial. The certificate passes by Descartes bisection when
+    w(0) != 0 and deg w disjoint intervals each hold exactly one positive
+    root of w: then all 2 deg w + odd roots of v are real and simple. In
+    every other case (w(0) = 0, a depth guard on the bisection, a root of
+    w at a split point, fewer positive roots than deg w) a Sturm chain on
+    the squarefree part of v decides, and the fallback is logged at DEBUG.
+    The substitution raises MixedCoefficients when p(1/2 + it) is neither
+    purely real nor purely imaginary; otherwise v is even or odd, so its
+    roots pair as +-t and ``parity_paired`` always holds.
     """
-    v, _ = substitute_critical(p.poly)
+    if isinstance(p, Poly):
+        poly = p
+        subject = {"n": None, "family": None, "param": None, "form": "poly"}
+    else:
+        poly = p.poly
+        subject = {"n": p.n, "family": p.family, "param": str(p.param),
+                   "form": p.form}
+    iso = LineIsolation(poly)
+    bits = max(abs(c).bit_length() for c in iso.w)
+    if iso.fallback is None:
+        roots = 2 * len(iso.positive.boxes) + iso.odd
+        return Certificate(subject, poly.degree, roots, roots, True, True,
+                           True, "descartes", iso.positive.nodes, bits, iso)
+    log.debug("critical-line certificate of %s falls back to Sturm: %s",
+              subject, iso.fallback)
+    v, _ = substitute_critical(poly)
     data = real_root_data(v)
-    subject = {"n": p.n, "family": p.family, "param": str(p.param),
-               "form": p.form}
-    return Certificate(subject, p.poly.degree, data.degree,
+    return Certificate(subject, poly.degree, data.degree,
                        data.distinct_real_roots, data.is_squarefree, True,
-                       data.all_roots_real())
+                       data.all_roots_real(), "sturm", data.chain_length,
+                       bits)
 
 
 def reflection_sign(n: int) -> int:
@@ -73,11 +106,13 @@ def reflection_sign(n: int) -> int:
 
 
 def check_functional_equation(p: Poly, n: int) -> bool:
-    """The reflection p(s) = (-1)^{floor(n/2)} p(1-s)."""
-    reflected = p(ONE_MINUS_S)
-    if not isinstance(reflected, Poly):
-        reflected = Poly.constant("s", reflected)
-    return p == reflection_sign(n) * reflected
+    """The reflection p(s) = (-1)^{floor(n/2)} p(1-s). With
+    p(1/2 + u) = sum a_k u^k / D (``half_shift``), p(1-s) at s = 1/2 + u is
+    sum a_k (-u)^k / D, so the reflection holds iff a_k = 0 for every k
+    with (-1)^k != (-1)^{floor(n/2)}."""
+    a, _ = half_shift(p)
+    first = 1 if reflection_sign(n) == 1 else 0   # of the a_k that must vanish
+    return not any(a[first::2])
 
 
 def check_fq1(n: int, lam) -> bool:

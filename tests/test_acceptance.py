@@ -186,3 +186,15 @@ def test_c13_builds_at_scale():
     ok &= check_hat_ratio(hat.poly, 400, lam)
     ok &= check_functional_equation(beta.poly, 400)
     _report(13, "n = 400 builds", 3.0, t0, ok)
+
+
+def test_c14_certificates_at_scale():
+    # about 8 s on a 2-CPU Xeon with cold builds
+    t0 = time.perf_counter()
+    ok = True
+    for p in ([p_s32(400, lam) for lam in LAMBDAS]
+              + [p_beta(400, beta) for beta in BETAS]):
+        cert = certify_critical_line(p)
+        ok &= cert.passed and cert.method == "descartes"
+        ok &= cert.distinct_real_roots == 200
+    _report(14, "n = 400 certificates", 30.0, t0, ok)

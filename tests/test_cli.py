@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from critpoly import cli, orthopoly
+from critpoly import cli, orthopoly, poly, verify
 from critpoly.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -94,6 +94,29 @@ def test_roots_output(capsys):
     assert doc["distinct_real_roots"] == 2
     ts = [float(r.split("+")[1].rstrip("i")) for r in doc["roots"]]
     assert ts == pytest.approx([-0.8944271909999159, 0.8944271909999159])
+
+
+def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
+    argv = ("roots", "--family", "beta", "--beta=-2", "--n", "13",
+            "--output", "json")
+    code, out = run(capsys, *argv)
+    fast = json.loads(out)
+    assert code == 0 and fast["method"] == "descartes"
+
+    class NoProof(poly.LineIsolation):
+        def __init__(self, p):
+            super().__init__(p)
+            self.fallback = "forced"
+
+    monkeypatch.setattr(verify, "LineIsolation", NoProof)
+    code, out = run(capsys, *argv)
+    slow = json.loads(out)
+    assert code == 0 and slow["method"] == "sturm" and slow["pass"] is True
+    assert slow["distinct_real_roots"] == fast["distinct_real_roots"] == 6
+    assert slow["coeff_bits"] == fast["coeff_bits"]
+    ts = [[float(r.split("+")[1].rstrip("i")) for r in doc["roots"]]
+          for doc in (fast, slow)]
+    assert ts[0] == pytest.approx(ts[1], rel=1e-12, abs=1e-12)
 
 
 def test_roots_degree_zero(capsys):

@@ -1,10 +1,14 @@
-"""The O(m^2) integer builders against the O(m^3) Fraction routes they
-replaced, coefficient for coefficient on a shared grid.
+"""The integer fast paths against the Fraction routes they replaced, on
+shared grids: the O(m^2) builders coefficient for coefficient against the
+O(m^3) constructions, and the integer critical-line kernel, its reflection
+check, the Descartes certificate and its roots against the Gaussian-rational
+substitution, the composed reflection p(1-s) and Sturm.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
 fresh Pochhammer polynomial per k with c_k from four Pochhammer symbols,
-and the T-factor recurrence rerun from 0 for every n.
+the T-factor recurrence rerun from 0 for every n, and the Horner expansion
+of p(1/2 + it) over Gaussian rationals.
 """
 from fractions import Fraction
 from math import comb, factorial
@@ -12,7 +16,10 @@ from math import comb, factorial
 import pytest
 
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
-from critpoly.poly import Poly, gen_binom, pochhammer
+from critpoly.poly import (Poly, gen_binom, isolate_real_roots, pochhammer,
+                           real_root_data, refine_root, substitute_critical)
+from critpoly.verify import (certify_critical_line, check_functional_equation,
+                             reflection_sign)
 
 LAMBDAS = [Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
            Fraction(2), Fraction(7, 3)]
@@ -96,3 +103,83 @@ def test_beta_matches_slow_kernel(beta):
 def test_T_factor_matches_recurrence_from_zero():
     for n in range(T_NMAX + 1):
         assert mellin_T_closed(n).factor.coeffs == slow_T_factor(n).coeffs, n
+
+
+def slow_substitute_critical(p):
+    """p(1/2 + it) by Horner over Gaussian rationals: each coefficient is a
+    pair (re, im); returns (v, parity) or None for mixed coefficients."""
+    acc = []
+    for c in reversed(p.coeffs):
+        # acc * (1/2 + it) + c
+        out = [(re / 2, im / 2) for re, im in acc] + [(Fraction(0),) * 2]
+        for k, (re, im) in enumerate(acc):
+            out[k + 1] = (out[k + 1][0] - im, out[k + 1][1] + re)
+        out = out or [(Fraction(0),) * 2]
+        out[0] = (out[0][0] + c, out[0][1])
+        acc = out
+    has_re = any(re for re, _ in acc)
+    has_im = any(im for _, im in acc)
+    if has_re and has_im:
+        return None
+    if has_im:
+        return Poly("t", [im for _, im in acc]), "imaginary"
+    return Poly("t", [re for re, _ in acc]), "real"
+
+
+def slow_functional_equation(p, n):
+    reflected = p(Poly("s", [Fraction(1), Fraction(-1)]))
+    if not isinstance(reflected, Poly):
+        reflected = Poly.constant("s", reflected)
+    return p == reflection_sign(n) * reflected
+
+
+def samples(nmax):
+    for n in range(nmax + 1):
+        for lam in LAMBDAS:
+            yield n, p_s32(n, lam)
+        for beta in BETAS:
+            yield n, p_beta(n, beta)
+
+
+def test_substitute_critical_matches_gauss_route():
+    for n, p in samples(NMAX):
+        assert substitute_critical(p.poly) == slow_substitute_critical(
+            p.poly), (n, p.param)
+
+
+def test_reflection_check_matches_composition():
+    for n, p in samples(30):
+        broken = p.poly + Poly("s", [Fraction(0)] * (n // 2) + [Fraction(1)])
+        for q in (p.poly, broken, p.poly.shift(1)):
+            for k in (n, n + 2):
+                assert check_functional_equation(q, k) \
+                    == slow_functional_equation(q, k), (n, p.param, k)
+
+
+def test_descartes_certificate_matches_sturm():
+    # the acceptance c02 grid
+    for n, p in samples(30):
+        cert = certify_critical_line(p)
+        data = real_root_data(substitute_critical(p.poly)[0])
+        assert cert.method == "descartes", (n, p.param)
+        assert cert.passed == data.all_roots_real(), (n, p.param)
+        assert cert.distinct_real_roots == data.distinct_real_roots
+        assert cert.v_degree == data.degree
+
+
+# every n <= 30 for one lambda, and two sizes of each other sample: the
+# Sturm route refines each root through a fresh squarefree part, which
+# makes it too slow for the whole c02 grid
+ROOTS_GRID = ([(p_s32, Fraction(7, 3), n) for n in range(31)]
+              + [(p_s32, lam, n) for lam in LAMBDAS[:-1] for n in (17, 24)]
+              + [(p_beta, beta, n) for beta in BETAS for n in (19, 22)])
+
+
+@pytest.mark.parametrize("build, param, n", ROOTS_GRID,
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_roots_match_sturm_refinement(build, param, n):
+    p = build(n, param)
+    v, _ = substitute_critical(p.poly)
+    want = sorted(refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v))
+    got = certify_critical_line(p).isolation.roots()
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -1,5 +1,5 @@
-"""Exact polynomial core: ring laws, Sturm counting, and the critical-line
-substitution."""
+"""Exact polynomial core: ring laws, Sturm counting, the critical-line
+substitution and Descartes isolation."""
 from fractions import Fraction
 
 import pytest
@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
-from critpoly.poly import (Poly, RatFun, count_roots_in, gen_binom,
+from critpoly.poly import (LineIsolation, Poly, PositiveRoots, RatFun,
+                           count_roots_in, gen_binom, half_shift,
                            isolate_real_roots, pochhammer, real_root_data,
                            refine_root, squarefree_part, sturm_real_root_count,
                            substitute_critical)
-from critpoly.rat import GaussRat
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 polys = st.lists(fracs, min_size=1, max_size=5).map(lambda cs: Poly("s", cs))
@@ -45,6 +45,15 @@ def test_json_roundtrip(p):
     assert Poly.from_json(p.to_json()) == p
 
 
+def _gauss_eval(p: Poly, t: Fraction):
+    """p(1/2 + it) as a pair (re, im) of Fractions, by Horner over the
+    Gaussian rationals."""
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(p.coeffs):
+        re, im = re / 2 - im * t + c, re * t + im / 2
+    return re, im
+
+
 @given(polys, fracs)
 @settings(max_examples=100, deadline=None)
 def test_substitute_critical_agrees_with_gauss_eval(p, t):
@@ -54,13 +63,27 @@ def test_substitute_critical_agrees_with_gauss_eval(p, t):
         # generic polynomials do not split; only those with the
         # reflection symmetry do
         return
-    z = GaussRat(Fraction(1, 2)) + GaussRat(Fraction(0), t)
-    direct = GaussRat(Fraction(0))
-    for c in reversed(p.coeffs):
-        direct = direct * z + GaussRat(c)
-    want = GaussRat(v(t)) if parity == "real" \
-        else GaussRat(Fraction(0), Fraction(1)) * GaussRat(v(t))
-    assert direct == want
+    want = (v(t), Fraction(0)) if parity == "real" else (Fraction(0), v(t))
+    assert _gauss_eval(p, t) == want
+
+
+def test_substitute_critical_of_zero_and_constants():
+    assert substitute_critical(Poly.zero("s")) == (Poly.zero("t"), "real")
+    assert half_shift(Poly.zero("s")) == ([], 1)
+    assert substitute_critical(Poly("s", [Fraction(-3, 7)])) == (
+        Poly("t", [Fraction(-3, 7)]), "real")
+    # s - 1/2 = it
+    assert substitute_critical(Poly("s", [Fraction(-1, 2), Fraction(1)])) \
+        == (Poly("t", [Fraction(0), Fraction(1)]), "imaginary")
+
+
+@given(polys)
+@settings(max_examples=60, deadline=None)
+def test_half_shift_is_translation_by_one_half(p):
+    a, scale = half_shift(p)
+    assert scale > 0
+    shifted = p.shift(Fraction(1, 2))
+    assert Poly("s", [Fraction(c, scale) for c in a]) == shifted
 
 
 def test_repr_writes_unit_coefficients_bare():
@@ -116,6 +139,43 @@ def test_isolate_and_refine():
     assert len(boxes) == 3
     got = sorted(refine_root(p, lo, hi) for lo, hi in boxes)
     assert got == pytest.approx([-3.0, 0.0, 5.0], abs=1e-12)
+
+
+def test_positive_roots_isolates_and_refines():
+    # w = (x - 1/3)(x - 2/3)(x - 7)(x + 5)(x^2 + 1)
+    w = Poly("x", [Fraction(1)])
+    for r in (Fraction(1, 3), Fraction(2, 3), Fraction(7), Fraction(-5)):
+        w = w * Poly("x", [-r, Fraction(1)])
+    w = w * Poly("x", [Fraction(1), Fraction(0), Fraction(1)])
+    ints = [int(c * 9) for c in w.coeffs]
+    pos = PositiveRoots(ints)
+    assert pos.reason is None and len(pos.boxes) == 3
+    for (lo, hi, e), r in zip(pos.boxes, (Fraction(1, 3), Fraction(2, 3), 7)):
+        assert Fraction(lo, 2 ** e) < r < Fraction(hi, 2 ** e)
+        assert abs(pos.refine((lo, hi, e)) - r) < Fraction(r, 2 ** 56)
+    # (3x - 1)^2
+    assert PositiveRoots([1, -6, 9]).reason == "depth guard"
+    # x = 1/2 is a split point of the bisection of (0, 2)
+    assert PositiveRoots([1, -3, 2]).reason == "root at a split point"
+    assert PositiveRoots([0, 1, 1]).reason == "w(0)=0"
+
+
+def test_line_isolation_roots():
+    # p(s) = (s - 1/2)((s - 1/2)^2 + 4/9)((s - 1/2)^2 + 25): v = t (4/9 - t^2)
+    # (25 - t^2) up to a constant, with roots 0, +-2/3, +-5
+    u = Poly("s", [Fraction(-1, 2), Fraction(1)])
+    p = u * (u * u + Fraction(4, 9)) * (u * u + 25)
+    iso = LineIsolation(p)
+    assert iso.fallback is None and iso.odd
+    assert iso.w == [100, -229, 9]
+    assert iso.roots() == pytest.approx([-5, -2 / 3, 0, 2 / 3, 5],
+                                        rel=1e-15)
+    assert LineIsolation(u * u).fallback == "w(0)=0"
+    # zeros 1/2 +- 1, off the line
+    assert LineIsolation(u * u - 1).fallback == "0 positive roots of w " \
+        "for degree 1"
+    with pytest.raises(ZeroPolynomial):
+        LineIsolation(Poly.zero("s"))
 
 
 def test_count_roots_in_window():

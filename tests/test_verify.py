@@ -1,12 +1,15 @@
 """Certificates and exact cross-checks of the transform identities."""
+import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
-from critpoly.errors import MixedCoefficients
-from critpoly.poly import Poly, RatFun
+from critpoly.errors import MixedCoefficients, ZeroPolynomial
+from critpoly.poly import Poly, RatFun, real_root_data, substitute_critical
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
@@ -27,6 +30,10 @@ def test_certificate_structure():
     assert cert.distinct_real_roots == 2
     assert cert.parity_paired
     assert cert.to_json()["pass"] is True
+    assert cert.to_json()["method"] == "descartes"
+    # 15 (1/2 + it)^2 - 15 (1/2 + it) + 63/4 = 12 - 15 t^2, so w = 4 - 5x
+    assert cert.to_json()["work"] >= 1
+    assert cert.to_json()["coeff_bits"] == 3
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -168,6 +175,8 @@ def test_certificate_rejects_symmetric_off_line_zeros():
     cert = certify_critical_line(p)
     assert not cert.passed
     assert cert.distinct_real_roots == 0
+    assert cert.method == "sturm"
+    assert not certify_critical_line(poly).passed
 
 
 def test_certificate_rejects_asymmetric_polynomial():
@@ -176,3 +185,66 @@ def test_certificate_rejects_asymmetric_polynomial():
                            "paper_S")
     with pytest.raises(MixedCoefficients):
         certify_critical_line(p)
+    with pytest.raises(MixedCoefficients):
+        certify_critical_line(poly)
+
+
+U = Poly("s", [Fraction(-1, 2), Fraction(1)])   # s - 1/2
+
+
+def test_certificate_of_bare_poly():
+    cert = certify_critical_line(p_s32(9, Fraction(7, 3)).poly)
+    assert cert.subject == {"n": None, "family": None, "param": None,
+                            "form": "poly"}
+    assert cert.passed and cert.method == "descartes"
+    assert cert.distinct_real_roots == 4
+
+
+def test_double_zero_on_the_line_falls_back_to_sturm(caplog):
+    p4 = p_s32(4, 1).poly
+    caplog.set_level(logging.DEBUG, logger="critpoly")
+    for poly, reason in ((U * U * p4, "w(0)=0"), (p4 * p4, "depth guard")):
+        cert = certify_critical_line(poly)
+        assert cert.method == "sturm" and cert.work > 0
+        assert cert.passed and not cert.squarefree
+        assert cert.distinct_real_roots == 3 if reason == "w(0)=0" else 2
+        assert reason in caplog.text
+    assert certify_critical_line(p4).method == "descartes"
+
+
+def test_certificate_of_zero_polynomial_raises():
+    with pytest.raises(ZeroPolynomial):
+        certify_critical_line(Poly.zero("s"))
+
+
+def _line_factor(kind, x, y):
+    """A factor of p(s) in u = s - 1/2, symmetric under s -> 1 - s:
+    zeros 1/2 +- ix on the line, 1/2 +- x off it, or the quartet
+    1/2 +- x +- iy off it."""
+    if kind == "on":
+        return U * U + x * x
+    if kind == "off":
+        return U * U - x * x
+    return (U * U - x * x + y * y) ** 2 + 4 * x * x * y * y
+
+
+positive = st.fractions(min_value=Fraction(1, 7), max_value=6,
+                        max_denominator=7)
+
+
+@given(st.booleans(), st.integers(min_value=-3, max_value=3).filter(bool),
+       st.lists(st.tuples(st.sampled_from(["on", "on", "off", "quartet"]),
+                          positive, positive), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_certificate_agrees_with_sturm(odd, scale, factors):
+    p = Poly.constant("s", Fraction(scale)) * (U if odd else 1)
+    for kind, x, y in factors:
+        p = p * _line_factor(kind, x, y)
+    cert = certify_critical_line(p)
+    data = real_root_data(substitute_critical(p)[0])
+    assert cert.passed == data.all_roots_real()
+    assert cert.distinct_real_roots == data.distinct_real_roots
+    assert cert.squarefree == data.is_squarefree
+    assert cert.v_degree == data.degree
+    if cert.method == "descartes":
+        assert cert.passed and cert.squarefree

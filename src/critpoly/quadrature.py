@@ -1,12 +1,12 @@
-"""Floating-point oracle: tanh-sinh quadrature of the defining Mellin
-integrals, Gamma-form closed values, and the generating-function checks
-that cannot be made exact."""
+"""Floating-point oracle: Gauss-Jacobi quadrature of the defining Mellin
+integrals (exact for their polynomial integrands), Gamma-form closed values,
+and the generating-function checks that cannot be made exact."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
+import mpmath
 
 from .construct import MellinClosedForm, mellin_T_closed, mellin_closed
 from .errors import (ConvergenceMarginViolated, InvalidParameters,
@@ -16,16 +16,18 @@ from .rat import as_rat
 
 _QUAD_DPS = 30
 
+# A private context whose precision is set here once and never changed: the
+# global mpmath precision is shared by every thread, and a `workdps` block in
+# one thread can restore it to 15 digits under another's running block.
+mp = mpmath.MPContext()
+mp.dps = _QUAD_DPS
+
 
 @dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "error_estimate": self.error_estimate,
-                "evaluations": self.evaluations}
 
 
 def _poly_at(p: Poly, x):
@@ -54,84 +56,79 @@ def _chebyshev_t_at(n: int, x):
     return b
 
 
-def _chebyshev_u_at(n: int, x):
-    if n < 0:
-        return mp.mpf(0) if n == -1 else -_chebyshev_u_at(-n - 2, x)
-    if n == 0:
-        return mp.mpf(1)
-    a, b = mp.mpf(1), 2 * x
-    for _ in range(2, n + 1):
-        a, b = b, 2 * x * b - a
-    return b
+def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
+    """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of the stated
+    degree (alpha, beta > -1).
 
-
-def _half_pi():
-    # the integrable singularity sits at the endpoint, so the endpoint must
-    # be located at full quadrature precision, not the caller's
-    with mp.workdps(_QUAD_DPS):
-        return mp.pi / 2
-
-
-def _run_quad(f, interval, tol) -> QuadResult:
-    count = [0]
-
-    def g(x):
-        count[0] += 1
-        return f(x)
-
-    with mp.workdps(_QUAD_DPS):
-        value, err = mp.quad(g, interval, error=True)
-    value_f, err_f = float(value), float(err)
-    if err_f > tol * max(1.0, abs(value_f)):
+    The Gauss-Jacobi rules (Golub-Welsch) with m = degree//2 + 1 and m + 1
+    nodes are both exact for such an f, so they differ only by rounding;
+    their difference is the error estimate. An f of higher degree, or not a
+    polynomial at all, shows up as a difference above tolerance."""
+    # nodes x on [-1, 1] for (1-x)^alpha (1+x)^beta; y = (1+x)/2
+    scale = mp.mpf(2) ** -(alpha + beta + 1)
+    values, count = [], 0
+    for m in (degree // 2 + 1, degree // 2 + 2):
+        xs, ws = mp.gauss_quadrature(m, "jacobi", alpha, beta)
+        values.append(scale * mp.fsum(w * f((1 + x) / 2)
+                                      for x, w in zip(xs, ws)))
+        count += m
+    value, err = float(values[1]), float(abs(values[1] - values[0]))
+    if not err <= tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
-            f"quadrature error estimate {err_f} exceeds {tol}")
-    return QuadResult(value_f, err_f, count[0])
+            f"quadrature error estimate {err} exceeds {tol}")
+    return QuadResult(value, err, count)
+
+
+def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
+    """Int_0^1 x^(s-1) (1-x^2)^alpha g(x) dx for g a polynomial of the stated
+    degree and parity: in y = x^2 it is Int_0^1 y^beta (1-y)^alpha P(y) dy,
+    beta = (s - 2 + eps)/2, eps = degree mod 2, P(y) = g(sqrt y) / (2
+    sqrt(y)^eps) of degree floor(degree/2)."""
+    eps = degree % 2
+
+    def P(y):
+        x = mp.sqrt(y)
+        return g(x) / (2 * x) if eps else g(x) / 2
+
+    return _gauss_jacobi(P, degree // 2, alpha, (mp.mpf(s) - 2 + eps) / 2,
+                         tol)
+
+
+def _check_s(n: int, s: float) -> None:
+    smin = -(n % 2)
+    if not s > smin:
+        raise InvalidParameters(f"need s > {smin} for n = {n}, got s = {s}")
 
 
 def quad_mellin_gegenbauer(n: int, lam: float, s: float,
                            tol: float = 1e-12) -> QuadResult:
-    """Int_0^1 x^(s-1) C_n^lam(x) (1-x^2)^(lam/2 - 3/4) dx, computed in the
-    theta form cos^(s-1) * C_n^lam(cos) * sin^(lam - 1/2) over [0, pi/2] so
-    tanh-sinh quadrature absorbs both endpoint singularities."""
+    """Int_0^1 x^(s-1) C_n^lam(x) (1-x^2)^(lam/2 - 3/4) dx by Gauss-Jacobi
+    quadrature in y = x^2, exact for this integrand up to rounding."""
     if lam <= -0.5 or lam == 0:
         raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
-    smin = 0.0 if n % 2 == 0 else -1.0
-    if not s > smin:
-        raise InvalidParameters(f"need s > {smin} for n = {n}, got s = {s}")
-    lam_m, s_m = mp.mpf(lam), mp.mpf(s)
-
-    def f(theta):
-        c, si = mp.cos(theta), mp.sin(theta)
-        return c ** (s_m - 1) * _gegenbauer_at(n, lam_m, c) \
-            * si ** (lam_m - mp.mpf("0.5"))
-
-    return _run_quad(f, [0, _half_pi()], tol)
+    _check_s(n, s)
+    lam_m = mp.mpf(lam)
+    return _mellin_even_weight(lambda x: _gegenbauer_at(n, lam_m, x), n,
+                               lam_m / 2 - mp.mpf(3) / 4, s, tol)
 
 
 def quad_mellin_T(n: int, s: float, tol: float = 1e-12) -> QuadResult:
-    """Int_0^1 x^(s-1) T_n(x) (1-x^2)^(1/2) dx."""
-    smin = 0.0 if n % 2 == 0 else -1.0
-    if not s > smin:
-        raise InvalidParameters(f"need s > {smin} for n = {n}, got s = {s}")
-    s_m = mp.mpf(s)
-
-    def f(x):
-        return x ** (s_m - 1) * _chebyshev_t_at(n, x) * mp.sqrt(1 - x * x)
-
-    return _run_quad(f, [0, 1], tol)
+    """Int_0^1 x^(s-1) T_n(x) (1-x^2)^(1/2) dx, the same way."""
+    _check_s(n, s)
+    return _mellin_even_weight(lambda x: _chebyshev_t_at(n, x), n,
+                               mp.mpf(1) / 2, s, tol)
 
 
 def closed_form_value(form: MellinClosedForm, s) -> float:
     """Evaluate a Gamma-form Mellin transform at float s via mp.gamma."""
-    with mp.workdps(_QUAD_DPS):
-        s_m = mp.mpf(s)
-        c = mp.mpf(form.const_rat.numerator) / form.const_rat.denominator
-        g1 = mp.gamma(mp.mpf(form.const_gamma_arg.numerator)
-                      / form.const_gamma_arg.denominator)
-        num = mp.gamma((s_m + form.eps) / 2)
-        den = mp.gamma((s_m + mp.mpf(form.den_offset.numerator)
-                        / form.den_offset.denominator) / 2)
-        return float(c * g1 * num / den * _poly_at(form.factor, s_m))
+    s_m = mp.mpf(s)
+    c = mp.mpf(form.const_rat.numerator) / form.const_rat.denominator
+    g1 = mp.gamma(mp.mpf(form.const_gamma_arg.numerator)
+                  / form.const_gamma_arg.denominator)
+    num = mp.gamma((s_m + form.eps) / 2)
+    den = mp.gamma((s_m + mp.mpf(form.den_offset.numerator)
+                    / form.den_offset.denominator) / 2)
+    return float(c * g1 * num / den * _poly_at(form.factor, s_m))
 
 
 def log_gamma(x: float) -> float:
@@ -150,7 +147,9 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
     # meaningless; report the absolute error there instead
     rel_err = abs_err / abs(c) if abs(c) > 1e-13 else abs_err
     return {"n": n, "lambda": lam, "s": s, "quadrature": q.value,
-            "closed_form": c, "abs_err": abs_err, "rel_err": rel_err}
+            "closed_form": c, "abs_err": abs_err, "rel_err": rel_err,
+            "error_estimate": q.error_estimate,
+            "evaluations": q.evaluations}
 
 
 def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
@@ -175,7 +174,7 @@ def _hyp_partial(nums, dens, z, max_terms=4000):
     Returns (sum, last_term_magnitude)."""
     term = mp.mpf(1)
     total = mp.mpf(1)
-    eps = mp.mpf(10) ** (-(mp.mp.dps - 2))
+    eps = mp.mpf(10) ** (-(mp.dps - 2))
     last = mp.mpf(0)
     for k in range(max_terms):
         num = mp.mpf(1)
@@ -298,23 +297,22 @@ def genfun_check(lam: float, s: float, t: float, K: int = 40,
     if K < 2:
         raise InvalidParameters("K must be >= 2")
     lam_r = as_rat(lam)
-    with mp.workdps(_QUAD_DPS):
-        t_m, s_m, lam_m = mp.mpf(t), mp.mpf(s), mp.mpf(lam)
-        series, tail = _series_sum(
-            [closed_form_value(mellin_closed(k, lam_r), s)
-             for k in range(K + 1)], t_m)
-        checks = {"general": float(_genfun_rhs_general(lam_m, s_m, t_m))}
-        if lam == 1:
-            checks["lambda1"] = float(_genfun_rhs_lambda1(s_m, t_m))
-            if t != 0:
-                reexp, _ = _genfun_rhs_reexpanded(s_m, t_m, K)
-                checks["reexpanded"] = float(reexp)
-        # T family is parameter-free; checked at the same (s, t)
-        t_vals = [closed_form_value(mellin_T_closed(k), s)
-                  for k in range(K + 1)]
-        t_series, t_tail = _series_sum(
-            [t_vals[0]] + [2 * v for v in t_vals[1:]], t_m)
-        t_closed = float(_genfun_rhs_T(s_m, t_m))
+    t_m, s_m, lam_m = mp.mpf(t), mp.mpf(s), mp.mpf(lam)
+    series, tail = _series_sum(
+        [closed_form_value(mellin_closed(k, lam_r), s)
+         for k in range(K + 1)], t_m)
+    checks = {"general": float(_genfun_rhs_general(lam_m, s_m, t_m))}
+    if lam == 1:
+        checks["lambda1"] = float(_genfun_rhs_lambda1(s_m, t_m))
+        if t != 0:
+            reexp, _ = _genfun_rhs_reexpanded(s_m, t_m, K)
+            checks["reexpanded"] = float(reexp)
+    # T family is parameter-free; checked at the same (s, t)
+    t_vals = [closed_form_value(mellin_T_closed(k), s)
+              for k in range(K + 1)]
+    t_series, t_tail = _series_sum(
+        [t_vals[0]] + [2 * v for v in t_vals[1:]], t_m)
+    t_closed = float(_genfun_rhs_T(s_m, t_m))
     series_f, tail_f = float(series), float(tail)
     report = {"lambda": lam, "s": s, "t": t, "K": K,
               "series": series_f, "tail_bound": tail_f,
@@ -342,15 +340,13 @@ def transform_level_lemma1_check(m: int, n: int, s: float,
         raise InvalidParameters("need m, n >= 1")
     if not s > 0:
         raise InvalidParameters(f"need s > 0, got {s}")
-    s_m = mp.mpf(s)
 
-    def f(theta):
-        c = mp.cos(theta)
-        return (c ** (s_m - 1) * mp.sin(theta) ** mp.mpf("0.5")
-                * _chebyshev_u_at(m - 1, _chebyshev_t_at(n, c))
-                * _chebyshev_u_at(n - 1, c))
+    def g(x):
+        # degree mn - 1, parity mn - 1; U_k = C_k^1
+        return _gegenbauer_at(m - 1, 1, _chebyshev_t_at(n, x)) \
+            * _gegenbauer_at(n - 1, 1, x)
 
-    lhs = _run_quad(f, [0, _half_pi()], tol)
+    lhs = _mellin_even_weight(g, m * n - 1, -mp.mpf(1) / 4, s, tol)
     rhs = quad_mellin_gegenbauer(m * n - 1, 1.0, s, tol)
     err = abs(lhs.value - rhs.value)
     return {"m": m, "n": n, "s": s, "lhs": lhs.value, "rhs": rhs.value,

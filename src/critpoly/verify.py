@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-import mpmath as mp
+import mpmath
 
 from .construct import (S, CriticalPolynomial, p_beta, p_hyp, p_s32,
                         q_rational)
@@ -28,6 +28,11 @@ from .rat import as_rat
 log = logging.getLogger("critpoly")
 
 ONE_MINUS_S = Poly("s", [Fraction(1), Fraction(-1)])
+
+# the float cross-checks run in a private 40-digit context: the global
+# mpmath precision is shared by every thread and changed by `workdps` blocks
+mp = mpmath.MPContext()
+mp.dps = 40
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +469,19 @@ def check_corollary2(n: int, s_samples) -> dict:
     exact = p_beta(n, Fraction(0)).poly
     eps = n % 2
     worst = 0.0
-    with mp.workdps(40):
-        for s in s_samples:
-            s = as_rat(s)
-            for arg in ((n + s) / 2, (s + eps) / 2, -(n + s) / 2,
-                        (1 - s) / 2, 1 - s / 2, (n + 3 - s) / 2):
-                if arg.denominator == 1 and arg <= 0:
-                    raise GammaPole(f"Gamma argument {arg} at s={s}")
-            sm = mp.mpf(s.numerator) / s.denominator
-            bracket = 1 - (mp.gamma(-(n + sm) / 2) * mp.gamma((n + 3 - sm) / 2)
-                           / (mp.gamma((1 - sm) / 2) * mp.gamma(1 - sm / 2)))
-            val = (2 * (n + sm) / ((n + 1) * (n + 2))
-                   * mp.gamma((n + sm) / 2) / mp.gamma((sm + eps) / 2)
-                   * bracket)
-            want = mp.mpf(exact(s).numerator) / exact(s).denominator
-            rel = abs(val - want) / max(abs(want), mp.mpf(1e-300))
-            worst = max(worst, float(rel))
+    for s in s_samples:
+        s = as_rat(s)
+        for arg in ((n + s) / 2, (s + eps) / 2, -(n + s) / 2,
+                    (1 - s) / 2, 1 - s / 2, (n + 3 - s) / 2):
+            if arg.denominator == 1 and arg <= 0:
+                raise GammaPole(f"Gamma argument {arg} at s={s}")
+        sm = mp.mpf(s.numerator) / s.denominator
+        bracket = 1 - (mp.gamma(-(n + sm) / 2) * mp.gamma((n + 3 - sm) / 2)
+                       / (mp.gamma((1 - sm) / 2) * mp.gamma(1 - sm / 2)))
+        val = (2 * (n + sm) / ((n + 1) * (n + 2))
+               * mp.gamma((n + sm) / 2) / mp.gamma((sm + eps) / 2)
+               * bracket)
+        want = mp.mpf(exact(s).numerator) / exact(s).denominator
+        rel = abs(val - want) / max(abs(want), mp.mpf(1e-300))
+        worst = max(worst, float(rel))
     return {"pass": worst <= 1e-10, "worst_rel_err": worst}

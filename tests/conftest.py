@@ -3,6 +3,15 @@ import pytest
 
 from critpoly import construct
 
+try:
+    from hypothesis import settings
+except ImportError:  # optional test tooling
+    pass
+else:
+    # the same examples on every run; each test keeps its own max_examples
+    settings.register_profile("critpoly", derandomize=True)
+    settings.load_profile("critpoly")
+
 
 @pytest.fixture(autouse=True)
 def cold_builders():

@@ -190,6 +190,16 @@ def test_mellin_csv(capsys):
     assert float(rows[0]["rel_err"]) <= 1e-10
 
 
+def test_mellin_csv_reports_quadrature_work(capsys):
+    code, out = run(capsys, "mellin", "--n", "4", "--n", "5",
+                    "--lambda=-1/4", "--s", "0.125", "--output", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["evaluations"]) for r in rows] == [5, 5]
+    assert all(float(r["error_estimate"]) <= 1e-20 for r in rows)
+    assert all(float(r["rel_err"]) <= 1e-12 for r in rows)
+
+
 def test_triangle_row(capsys):
     code, out = run(capsys, "triangle", "--kind", "b", "--k", "2",
                     "--output", "json")

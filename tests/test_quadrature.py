@@ -1,19 +1,23 @@
 """Numeric oracle: quadrature anchors, Gamma-form agreement, and the
 generating-function comparisons."""
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from critpoly import construct
+from critpoly import construct, quadrature
 from critpoly.construct import mellin_T_closed, mellin_closed
-from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters)
+from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters,
+                             ToleranceNotMet)
 from critpoly.quadrature import (closed_form_value, compare_mellin,
                                  compare_mellin_T, genfun_check,
                                  lemma3a_check, log_gamma,
                                  quad_mellin_T, quad_mellin_gegenbauer,
                                  transform_level_lemma1_check)
+from critpoly.verify import check_corollary2
 
 
 def test_anchor_u1_at_s1():
@@ -118,9 +122,11 @@ def test_genfun_margin_enforced():
 
 
 def test_composition_transform_numeric():
-    for m, n, s in ((2, 2, 2.0), (1, 5, 1.0), (3, 2, 1.5)):
-        r = transform_level_lemma1_check(m, n, s)
-        assert r["pass"], r
+    for m in range(1, 5):
+        for n in range(1, 6):
+            for s in (0.5, 1.0, 1.5, 2.0, 3.7):
+                r = transform_level_lemma1_check(m, n, s)
+                assert r["pass"], r
 
 
 def test_argument_shift_identity():
@@ -141,3 +147,139 @@ def test_float_lambda_is_read_as_its_shortest_repr(monkeypatch):
     row = compare_mellin(6, 0.1, 2.0)
     assert seen == [Fraction(1, 10)]
     assert row["rel_err"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi against the tanh-sinh quadrature it replaced
+# ---------------------------------------------------------------------------
+
+def tanh_sinh_gegenbauer(n, lam, s, tol=1e-12):
+    """Test-local copy of the former oracle: the theta form
+    cos^(s-1) C_n^lam(cos) sin^(lam - 1/2) over [0, pi/2] by adaptive
+    tanh-sinh at 30 digits. Returns the value, or None where its own error
+    estimate misses the tolerance."""
+    ctx = mp.MPContext()
+    ctx.dps = 30
+    lam_m, s_m = ctx.mpf(lam), ctx.mpf(s)
+
+    def gegenbauer(x):
+        a, b = ctx.mpf(1), 2 * lam_m * x
+        if n == 0:
+            return a
+        for m in range(2, n + 1):
+            a, b = b, (2 * (lam_m + m - 1) * x * b
+                       - (2 * lam_m + m - 2) * a) / m
+        return b
+
+    def f(theta):
+        c, si = ctx.cos(theta), ctx.sin(theta)
+        return c ** (s_m - 1) * gegenbauer(c) * si ** (lam_m - ctx.mpf("0.5"))
+
+    value, err = ctx.quad(f, [0, ctx.pi / 2], error=True)
+    value, err = float(value), float(err)
+    return value if err <= tol * max(1.0, abs(value)) else None
+
+
+def test_gauss_jacobi_agrees_with_tanh_sinh_on_c06_grid():
+    grid = [(n, lam, s) for n in range(11) for lam in (0.5, 1.0, 1.5, 2.5)
+            for s in (0.5, 1.0, 2.0, 3.7)]
+    compared = 0
+    for n, lam, s in grid:
+        ref = tanh_sinh_gegenbauer(n, lam, s)
+        if ref is None:
+            continue
+        got = quad_mellin_gegenbauer(n, lam, s).value
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, lam, s)
+        compared += 1
+    # the old rule converges on this whole grid, so nothing is skipped
+    assert compared == len(grid)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_points_tanh_sinh_missed(n):
+    for s in (0.125, 0.5, 2.0, 3.7):
+        row = compare_mellin(n, Fraction(-1, 4), s)
+        assert row["rel_err"] <= 1e-12, row
+    if n % 2 == 0:
+        for lam in (0.5, 1.0, 1.5, 2.5):
+            row = compare_mellin(n, lam, 0.125)
+            assert row["rel_err"] <= 1e-12, row
+
+
+def test_comparison_rows_report_the_quadrature_work():
+    row = compare_mellin(12, 2.5, 3.7)
+    # rules of 4 and 5 nodes for a degree-6 polynomial in y = x^2
+    assert row["evaluations"] == 9
+    assert 0 < row["error_estimate"] < 1e-20
+    row = compare_mellin_T(5, 2.5)
+    assert row["evaluations"] == 5
+    assert row["error_estimate"] < 1e-20
+    assert {"n", "lambda", "s", "quadrature", "closed_form", "abs_err",
+            "rel_err"} <= set(row)
+
+
+def test_gauss_jacobi_exact_for_stated_degree():
+    # Int_0^1 y^5 dy and Int_0^1 y^(1/2) (1-y) y^2 dy = B(7/2, 2)
+    q = quadrature._gauss_jacobi(lambda y: y ** 5, 5, 0, 0, 1e-25)
+    assert q.value == pytest.approx(1 / 6, rel=1e-15)
+    assert q.evaluations == 3 + 4
+    q = quadrature._gauss_jacobi(lambda y: y * y, 2, 1, 0.5, 1e-25)
+    assert q.value == pytest.approx(float(mp.beta(3.5, 2)), rel=1e-15)
+
+
+def test_error_estimate_rejects_wrong_integrands():
+    gj = quadrature._gauss_jacobi
+    with pytest.raises(ToleranceNotMet):  # not a polynomial
+        gj(lambda y: quadrature.mp.sqrt(y), 1, 0, 0, 1e-12)
+    with pytest.raises(ToleranceNotMet):  # stated degree too low
+        gj(lambda y: y ** 5, 1, 0, 0, 1e-12)
+    with pytest.raises(ToleranceNotMet):  # parity differs from the degree's
+        quadrature._mellin_even_weight(lambda x: x ** 3 + x ** 2, 3,
+                                       -0.25, 2.0, 1e-12)
+
+
+def test_oracles_ignore_the_global_precision(monkeypatch):
+    # a non-dyadic s is rounded if anything reads it at 5 digits
+    monkeypatch.setattr(mp.mp, "dps", 5)
+    for n in range(9):
+        assert compare_mellin(n, 1.5, 3.7)["rel_err"] <= 1e-12
+        assert compare_mellin_T(n, 3.7)["rel_err"] <= 1e-12
+    assert genfun_check(1.0, 3.7, 0.1)["pass"]
+    assert genfun_check(2.5, 3.7, 0.05)["pass"]
+    for n in range(1, 9):
+        assert check_corollary2(n, [Fraction(37, 10), Fraction(1, 3)])["pass"]
+    assert mp.mp.dps == 5
+
+
+def test_oracle_under_concurrent_precision_changes():
+    # other threads enter and leave `workdps` blocks, which is what can
+    # leave the global precision at another thread's value
+    stop = threading.Event()
+    rel_errs = []
+
+    def churn():
+        while not stop.is_set():
+            with mp.workdps(5):
+                pass
+
+    def work():
+        for n in range(9):
+            rel_errs.append(compare_mellin(n, 1.5, 3.7)["rel_err"])
+
+    churners = [threading.Thread(target=churn) for _ in range(2)]
+    workers = [threading.Thread(target=work) for _ in range(2)]
+    prec, interval = mp.mp.prec, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in churners + workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        for t in churners:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+        mp.mp.prec = prec
+    assert not any(t.is_alive() for t in churners + workers)
+    assert len(rel_errs) == 18 and max(rel_errs) <= 1e-12

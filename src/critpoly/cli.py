@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -403,19 +404,23 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, nmax: int, seed: int) -> dict:
+    """One suite's row, timed in the worker that runs it."""
+    start = time.perf_counter()
+    try:
+        row = SUITES[name](nmax, seed)
+    except Exception as exc:  # a raising suite is a failed suite
+        log.error("suite %s raised", name, exc_info=True)
+        row = {"pass": False, "detail": f"{type(exc).__name__}: {exc}"}
+    return {**row, "elapsed_s": time.perf_counter() - start}
+
+
 def cmd_verify(args, parser) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = {}
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {name: pool.submit(SUITES[name], args.nmax, args.seed)
+        futures = {name: pool.submit(_run_suite, name, args.nmax, args.seed)
                    for name in names}
-        for name in names:
-            try:
-                results[name] = futures[name].result()
-            except Exception as exc:  # a raising suite is a failed suite
-                log.error("suite %s raised", name, exc_info=True)
-                results[name] = {"pass": False,
-                                 "detail": f"{type(exc).__name__}: {exc}"}
+        results = {name: futures[name].result() for name in names}
     payload = [{"suite": name, **results[name]} for name in names]
     _emit(payload, args)
     return 0 if all(r["pass"] for r in results.values()) else 1
@@ -475,6 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="critpoly",
         description="Critical polynomials from Mellin transforms of "
                     "Gegenbauer and Chebyshev functions")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="level of the critpoly logger (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -542,11 +550,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    log.setLevel(args.log_level)
+    log.addHandler(handler)
     try:
         return args.func(args, parser)
     except CritPolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

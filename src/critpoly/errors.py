@@ -49,7 +49,8 @@ class GammaPole(CritPolyError):
 
 
 class ToleranceNotMet(CritPolyError):
-    """Quadrature error estimate exceeds the requested tolerance."""
+    """Quadrature error estimate exceeds the requested tolerance, or a
+    series neither terminates nor converges within its term budget."""
 
 
 class InvalidParameters(CritPolyError):

@@ -23,12 +23,12 @@ def gegenbauer(n: int, lam) -> Poly:
     identity suite checks it against the three-term recurrence."""
     lam = as_rat(lam)
     _check_lambda(lam)
-    out = Poly.zero("x")
+    coeffs = [Fraction(0)] * (n + 1)
     for r in range(n // 2 + 1):
-        c = (Fraction((-1) ** r) * comb(n - r, r)
-             * gen_binom(n - r - 1 + lam, n - r) * Fraction(2) ** (n - 2 * r))
-        out = out + c * X ** (n - 2 * r)
-    return out
+        coeffs[n - 2 * r] = (Fraction((-1) ** r) * comb(n - r, r)
+                             * gen_binom(n - r - 1 + lam, n - r)
+                             * Fraction(2) ** (n - 2 * r))
+    return Poly("x", coeffs)
 
 
 def _gegenbauer_recurrence(n: int, lam: Fraction) -> Poly:
@@ -174,12 +174,14 @@ def identity_suite(nmax: int, lambda_samples=None) -> dict:
         check("u_self_convolution", lhs == rhs, f"m={m}")
 
     # (vi) C_m^{l1+l2} = sum_k C_k^{l1} C_{m-k}^{l2}
+    geg = {lam: [gegenbauer(k, lam) for k in range(nmax + 1)]
+           for lam in lambda_samples}
     for l1 in lambda_samples:
         for l2 in lambda_samples:
             for m in range(0, nmax + 1):
                 rhs = Poly.zero("x")
                 for k in range(m + 1):
-                    rhs = rhs + gegenbauer(k, l1) * gegenbauer(m - k, l2)
+                    rhs = rhs + geg[l1][k] * geg[l2][m - k]
                 check("parameter_addition", gegenbauer(m, l1 + l2) == rhs,
                       f"m={m}, {l1}+{l2}")
 

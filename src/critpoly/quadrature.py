@@ -169,28 +169,29 @@ def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
 # ---------------------------------------------------------------------------
 
 def _hyp_partial(nums, dens, z, max_terms=4000):
-    """Partial sum of a (generalized) hypergeometric series at z, stopping
-    on termination or when the tail is negligible at working precision.
-    Returns (sum, last_term_magnitude)."""
+    """Sum of a (generalized) hypergeometric series at z, stopping on
+    termination or when the last term is negligible at working precision.
+    Raises ToleranceNotMet when neither happens within max_terms terms."""
     term = mp.mpf(1)
     total = mp.mpf(1)
     eps = mp.mpf(10) ** (-(mp.dps - 2))
-    last = mp.mpf(0)
     for k in range(max_terms):
         num = mp.mpf(1)
         for a in nums:
             num *= a + k
         if num == 0:
-            return total, mp.mpf(0)
+            return total
         den = mp.mpf(k + 1)
         for b in dens:
             den *= b + k
         term = term * num / den * z
         total += term
-        last = abs(term)
-        if last < eps * max(mp.mpf(1), abs(total)):
-            return total, last
-    return total, last
+        if abs(term) < eps * max(mp.mpf(1), abs(total)):
+            return total
+    raise ToleranceNotMet(
+        f"series with numerator parameters {[str(a) for a in nums]} and "
+        f"denominator parameters {[str(b) for b in dens]} at z = {z} "
+        f"neither terminates nor converges within {max_terms} terms")
 
 
 def _z_of(t):
@@ -202,10 +203,10 @@ def _genfun_rhs_general(lam, s, t):
     form carries spurious Gamma(lam) and Gamma(lam+1) prefactors (at t = 0 it
     would equal Gamma(lam) * M_0(s)); they are corrected to 1 and lam."""
     z = _z_of(t)
-    even, _ = _hyp_partial([(lam + 1) / 2, lam / 2, s / 2],
-                           [mp.mpf("0.5"), (s + lam) / 2 + mp.mpf("0.25")], z)
-    odd, _ = _hyp_partial([(lam + 1) / 2, 1 + lam / 2, (s + 1) / 2],
-                          [mp.mpf("1.5"), (s + lam) / 2 + mp.mpf("0.75")], z)
+    even = _hyp_partial([(lam + 1) / 2, lam / 2, s / 2],
+                        [mp.mpf("0.5"), (s + lam) / 2 + mp.mpf("0.25")], z)
+    odd = _hyp_partial([(lam + 1) / 2, 1 + lam / 2, (s + 1) / 2],
+                       [mp.mpf("1.5"), (s + lam) / 2 + mp.mpf("0.75")], z)
     pre = (1 + t * t) ** (-lam) * mp.gamma(mp.mpf("0.25") + lam / 2) / 2
     return pre * (mp.gamma(s / 2) / mp.gamma((s + lam) / 2 + mp.mpf("0.25"))
                   * even
@@ -216,8 +217,8 @@ def _genfun_rhs_general(lam, s, t):
 
 def _genfun_rhs_lambda1(s, t):
     z = _z_of(t)
-    even, _ = _hyp_partial([mp.mpf(1), s / 2], [(2 * s + 3) / 4], z)
-    odd, _ = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(2 * s + 5) / 4], z)
+    even = _hyp_partial([mp.mpf(1), s / 2], [(2 * s + 3) / 4], z)
+    odd = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(2 * s + 5) / 4], z)
     pre = mp.gamma(mp.mpf("0.75")) / (2 * (1 + t * t))
     return pre * (mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75")) * even
                   + 2 * t / (1 + t * t) * mp.gamma((s + 1) / 2)
@@ -226,8 +227,8 @@ def _genfun_rhs_lambda1(s, t):
 
 def _genfun_rhs_T(s, t):
     z = _z_of(t)
-    even, _ = _hyp_partial([mp.mpf(1), s / 2], [(s + 3) / 2], z)
-    odd, _ = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(s + 4) / 2], z)
+    even = _hyp_partial([mp.mpf(1), s / 2], [(s + 3) / 2], z)
+    odd = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(s + 4) / 2], z)
     pre = mp.sqrt(mp.pi) / 4 * (1 - t * t)
     return pre * (mp.gamma(s / 2) / ((1 + t * t) * mp.gamma(s / 2 + 1.5))
                   * even
@@ -238,7 +239,10 @@ def _genfun_rhs_T(s, t):
 def _genfun_rhs_reexpanded(s, t, K):
     """Power-series re-expansion of the lambda = 1 generating function in
     which each t^(2k) coefficient is a pair of terminating series at 4/t^2.
-    Returns (partial sum to K, magnitude of the last added term)."""
+    Returns (partial sum to K, magnitude of the last added term).
+
+    The odd series is summed only for k >= 1: its factor 2k/t vanishes at
+    k = 0, where the series does not terminate and diverges at w > 1."""
     g34 = mp.gamma(mp.mpf("0.75"))
     ge = mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75"))
     go = mp.gamma((s + 1) / 2) / mp.gamma(s / 2 + mp.mpf("1.25"))
@@ -246,11 +250,11 @@ def _genfun_rhs_reexpanded(s, t, K):
     total = mp.mpf(0)
     last = mp.mpf(0)
     for k in range(K + 1):
-        e, _ = _hyp_partial([(1 - k) / mp.mpf(2), s / 2, -k / mp.mpf(2)],
-                            [mp.mpf("0.5"), (2 * s + 3) / 4], w)
-        o, _ = _hyp_partial([(1 - k) / mp.mpf(2), 1 - k / mp.mpf(2),
-                             (s + 1) / 2],
-                            [mp.mpf("1.5"), (2 * s + 5) / 4], w)
+        e = _hyp_partial([(1 - k) / mp.mpf(2), s / 2, -k / mp.mpf(2)],
+                         [mp.mpf("0.5"), (2 * s + 3) / 4], w)
+        o = _hyp_partial([(1 - k) / mp.mpf(2), 1 - k / mp.mpf(2),
+                          (s + 1) / 2],
+                         [mp.mpf("1.5"), (2 * s + 5) / 4], w) if k else 0
         piece = (g34 / 2 * (-1) ** k * t ** (2 * k)
                  * (ge * e - 2 * k / t * go * o))
         total += piece

@@ -2,9 +2,11 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,25 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     assert ts[0] == pytest.approx(ts[1], rel=1e-12, abs=1e-12)
 
 
+def test_log_level_shows_the_sturm_fallback(capsys, monkeypatch):
+    class NoProof(poly.LineIsolation):
+        def __init__(self, p):
+            super().__init__(p)
+            self.fallback = "forced"
+
+    monkeypatch.setattr(verify, "LineIsolation", NoProof)
+    argv = ["roots", "--n", "4", "--lambda", "1", "--output", "json"]
+    level = logging.getLogger("critpoly").level
+    assert main(argv) == 0
+    assert "falls back to Sturm" not in capsys.readouterr().err
+    assert main(["--log-level", "DEBUG", *argv]) == 0
+    err = capsys.readouterr().err
+    assert "DEBUG critpoly: " in err
+    assert "falls back to Sturm: forced" in err
+    # the level is the run's own: the logger is back at its earlier level
+    assert logging.getLogger("critpoly").level == level
+
+
 def test_roots_degree_zero(capsys):
     code, out = run(capsys, "roots", "--n", "1", "--lambda", "1",
                     "--output", "json")
@@ -144,6 +165,20 @@ def test_verify_reports_a_raising_suite(capsys, monkeypatch):
     row = json.loads(out)[0]
     assert row["pass"] is False
     assert row["detail"] == "ZeroDivisionError: boom"
+    assert row["elapsed_s"] >= 0
+
+
+def test_verify_rows_carry_their_suite_time(capsys, monkeypatch):
+    def slow(nmax, seed):
+        time.sleep(0.05)
+        return {"pass": True, "checks": 1}
+
+    monkeypatch.setitem(cli.SUITES, "props", slow)
+    code, out = run(capsys, "verify", "--suite", "props", "--output", "csv")
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert list(row) == ["suite", "pass", "checks", "elapsed_s"]
+    assert 0.05 <= float(row["elapsed_s"]) < 5
 
 
 def test_broken_identity_fails_verify(capsys, monkeypatch):
@@ -178,7 +213,10 @@ def test_verify_deterministic(capsys):
                "--output", "json")
     _, b = run(capsys, "verify", "--suite", "hyp3f2", "--seed", "5",
                "--output", "json")
-    assert a == b
+    rows = [json.loads(out) for out in (a, b)]
+    # everything but the suite's run time is determined by the seed
+    assert all(row.pop("elapsed_s") >= 0 for doc in rows for row in doc)
+    assert rows[0] == rows[1]
 
 
 def test_mellin_csv(capsys):

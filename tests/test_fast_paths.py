@@ -7,15 +7,19 @@ substitution, the composed reflection p(1-s) and Sturm.
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
 fresh Pochhammer polynomial per k with c_k from four Pochhammer symbols,
-the T-factor recurrence rerun from 0 for every n, and the Horner expansion
-of p(1/2 + it) over Gaussian rationals.
+the T-factor recurrence rerun from 0 for every n, the Horner expansion
+of p(1/2 + it) over Gaussian rationals, the Gegenbauer binomial sum with
+each x^k built by Poly powers, and the re-expanded lambda = 1 generating
+function summing its odd series at k = 0 too.
 """
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from critpoly import quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
+from critpoly.orthopoly import gegenbauer
 from critpoly.poly import (Poly, gen_binom, isolate_real_roots, pochhammer,
                            real_root_data, refine_root, substitute_critical)
 from critpoly.verify import (certify_critical_line, check_functional_equation,
@@ -183,3 +187,74 @@ def test_roots_match_sturm_refinement(build, param, n):
     want = sorted(refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v))
     got = certify_critical_line(p).isolation.roots()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def slow_gegenbauer(n, lam):
+    x = Poly.var("x")
+    out = Poly.zero("x")
+    for r in range(n // 2 + 1):
+        c = (Fraction((-1) ** r) * comb(n - r, r)
+             * gen_binom(n - r - 1 + lam, n - r) * Fraction(2) ** (n - 2 * r))
+        out = out + c * x ** (n - 2 * r)
+    return out
+
+
+# the identity suite's default samples, their pairwise sums (identity vi)
+# and its large-parameter limit (identity ix)
+IDENTITY_LAMBDAS = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
+GEGENBAUER_LAMBDAS = sorted({*LAMBDAS, Fraction(10 ** 6),
+                             *(a + b for a in IDENTITY_LAMBDAS
+                               for b in IDENTITY_LAMBDAS)})
+
+
+@pytest.mark.parametrize("lam", GEGENBAUER_LAMBDAS, ids=str)
+def test_gegenbauer_matches_power_sum(lam):
+    for n in range(31):
+        assert gegenbauer(n, lam).coeffs == slow_gegenbauer(n, lam).coeffs, n
+
+
+def slow_hyp_partial(nums, dens, z, max_terms=4000):
+    mp = quadrature.mp
+    term = total = mp.mpf(1)
+    eps = mp.mpf(10) ** (-(mp.dps - 2))
+    for k in range(max_terms):
+        num = mp.mpf(1)
+        for a in nums:
+            num *= a + k
+        if num == 0:
+            return total
+        den = mp.mpf(k + 1)
+        for b in dens:
+            den *= b + k
+        term = term * num / den * z
+        total += term
+        if abs(term) < eps * max(mp.mpf(1), abs(total)):
+            return total
+    return total
+
+
+def slow_genfun_rhs_reexpanded(s, t, K):
+    mp = quadrature.mp
+    g34 = mp.gamma(mp.mpf("0.75"))
+    ge = mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75"))
+    go = mp.gamma((s + 1) / 2) / mp.gamma(s / 2 + mp.mpf("1.25"))
+    w = 4 / (t * t)
+    total = mp.mpf(0)
+    for k in range(K + 1):
+        e = slow_hyp_partial([(1 - k) / mp.mpf(2), s / 2, -k / mp.mpf(2)],
+                             [mp.mpf("0.5"), (2 * s + 3) / 4], w)
+        o = slow_hyp_partial([(1 - k) / mp.mpf(2), 1 - k / mp.mpf(2),
+                              (s + 1) / 2],
+                             [mp.mpf("1.5"), (2 * s + 5) / 4], w)
+        total += (g34 / 2 * (-1) ** k * t ** (2 * k)
+                  * (ge * e - 2 * k / t * go * o))
+    return total
+
+
+# the acceptance c12 grid
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("t", ["0.05", "0.1"])
+def test_reexpanded_genfun_matches_full_sum(s, t):
+    s_m, t_m = quadrature.mp.mpf(s), quadrature.mp.mpf(t)
+    got, _ = quadrature._genfun_rhs_reexpanded(s_m, t_m, 40)
+    assert got == slow_genfun_rhs_reexpanded(s_m, t_m, 40)

@@ -114,6 +114,19 @@ def test_genfun_divergent_tail_fails():
     assert not r["pass"]
 
 
+def test_hyp_partial_raises_on_a_series_that_neither_ends_nor_converges():
+    m = quadrature.mp
+    half, one, three_halves = m.mpf(1) / 2, m.mpf(1), m.mpf(3) / 2
+    assert quadrature._hyp_partial([half, one], [three_halves], m.mpf(1) / 4) \
+        == pytest.approx(m.hyp2f1(half, one, three_halves, m.mpf(1) / 4),
+                         rel=1e-25)
+    assert quadrature._hyp_partial([-2 * one, one], [three_halves], 2 * one) \
+        == pytest.approx(m.mpf(7) / 15, rel=1e-25)
+    # 2F1(1/2, 1; 3/2; z) = atanh(sqrt z)/sqrt z: its series diverges at z > 1
+    with pytest.raises(ToleranceNotMet, match=r"at z = 2\.0 neither"):
+        quadrature._hyp_partial([half, one], [three_halves], 2 * one)
+
+
 def test_genfun_margin_enforced():
     with pytest.raises(ConvergenceMarginViolated):
         genfun_check(1.0, 2.0, 0.3, K=10, tol=1e-9)

@@ -31,15 +31,14 @@ def gegenbauer(n: int, lam) -> Poly:
     return Poly("x", coeffs)
 
 
-def _gegenbauer_recurrence(n: int, lam: Fraction) -> Poly:
-    a = Poly.constant("x", Fraction(1))
-    if n == 0:
-        return a
-    b = 2 * lam * X
+def _gegenbauer_recurrence(n: int, lam: Fraction) -> list:
+    """C_0^lam, ..., C_n^lam by the three-term recurrence, in one pass."""
+    out = [Poly.constant("x", Fraction(1)), 2 * lam * X]
     for m in range(2, n + 1):
         # m*C_m = 2(lam+m-1)*x*C_{m-1} - (2lam+m-2)*C_{m-2}
-        a, b = b, (2 * (lam + m - 1) * X * b - (2 * lam + m - 2) * a) / m
-    return b
+        out.append((2 * (lam + m - 1) * X * out[-1]
+                    - (2 * lam + m - 2) * out[-2]) / m)
+    return out[:n + 1]
 
 
 def gegenbauer_lambda_poly(n: int) -> Poly:
@@ -219,9 +218,9 @@ def identity_suite(nmax: int, lambda_samples=None) -> dict:
     lams = {Fraction(2), *lambda_samples,
             *(l1 + l2 for l1 in lambda_samples for l2 in lambda_samples)}
     for lam in sorted(lams):
+        recurrence = _gegenbauer_recurrence(2 * nmax, lam)
         for n in range(2 * nmax + 1):
-            check("binomial_recurrence",
-                  gegenbauer(n, lam) == _gegenbauer_recurrence(n, lam),
+            check("binomial_recurrence", gegenbauer(n, lam) == recurrence[n],
                   f"n={n}, lambda={lam}")
 
     return report

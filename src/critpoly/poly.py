@@ -1,11 +1,11 @@
-"""Dense univariate polynomials, rational functions, Sturm counting, and
-the integer critical-line kernel with Descartes root isolation.
+"""Dense univariate polynomials, rational functions, and the integer
+critical-line kernel with Descartes root isolation, the one real-root engine.
 
 Coefficients are Fractions in normal use. The same class also carries
 Poly coefficients (polynomials in the Gegenbauer parameter), so a handful
-of operations are written ring-generically. Division, gcd and Sturm chains
-require Fraction coefficients. The critical-line substitution, the
-Descartes bisection and its root refinement run on plain integer lists.
+of operations are written ring-generically. Division and gcd require
+Fraction coefficients. The critical-line substitution, the Descartes
+bisection and its root refinement run on plain integer lists.
 """
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from .errors import MixedCoefficients, VariableMismatch, ZeroPolynomial
 from .rat import as_rat, format_rat, parse_rat
 
 # Descartes bisection depth allowed beyond 2 (deg w + 1) before the
-# isolation gives up: a repeated positive root always reaches it, other
-# inputs only when roots near the positive axis lie closer together than
-# about 2^-depth times the root bound
+# isolation checks that w is squarefree: a repeated positive root off the
+# bisection points always reaches it, and the isolation then gives up; on
+# squarefree w the bisection ends (Collins-Akritas), so it goes on.
 DESCARTES_DEPTH = 64
 
 
@@ -294,157 +294,6 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
-# ---------------------------------------------------------------------------
-
-def sturm_chain(p: Poly):
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero]
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_changes(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain, point) -> int:
-    return _sign_changes([_sign(q(point)) for q in chain])
-
-
-def _variations_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = _sign(q.leading)
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _sign_changes(signs)
-
-
-class RealRootData:
-    """Distinct-real-root count plus multiplicity bookkeeping;
-    ``chain_length`` is the length of the Sturm chain that counted them
-    (0 when the squarefree part is constant)."""
-
-    __slots__ = ("degree", "squarefree_degree", "distinct_real_roots",
-                 "is_squarefree", "chain_length")
-
-    def __init__(self, degree, squarefree_degree, distinct_real_roots,
-                 chain_length=0):
-        self.degree = degree
-        self.squarefree_degree = squarefree_degree
-        self.distinct_real_roots = distinct_real_roots
-        self.is_squarefree = degree == squarefree_degree
-        self.chain_length = chain_length
-
-    def all_roots_real(self) -> bool:
-        return self.distinct_real_roots == self.squarefree_degree
-
-
-def real_root_data(v: Poly) -> RealRootData:
-    if v.is_zero:
-        raise ZeroPolynomial("root counting needs a nonzero polynomial")
-    sf = squarefree_part(v)
-    if sf.degree == 0:
-        return RealRootData(v.degree, 0, 0)
-    chain = sturm_chain(sf)
-    count = _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-    return RealRootData(v.degree, sf.degree, count, len(chain))
-
-
-def sturm_real_root_count(v: Poly) -> int:
-    """Number of distinct real roots of v."""
-    return real_root_data(v).distinct_real_roots
-
-
-def count_roots_in(v: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of v in (lo, hi]."""
-    sf = squarefree_part(v)
-    if sf.degree == 0:
-        return 0
-    chain = sturm_chain(sf)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
-    lead = abs(p.leading)
-    return 1 + max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0)) / lead
-
-
-def isolate_real_roots(p: Poly):
-    """Disjoint rational intervals (a, b] each containing one distinct root."""
-    sf = squarefree_part(p)
-    if sf.degree == 0:
-        return []
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    out = []
-
-    def recurse(lo, hi):
-        n = _variations_at(chain, lo) - _variations_at(chain, hi)
-        if n == 0:
-            return
-        if n == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        recurse(lo, mid)
-        recurse(mid, hi)
-
-    recurse(-bound, bound)
-    return sorted(out)
-
-
-def refine_root(p: Poly, lo: Fraction, hi: Fraction, bits: int = 52) -> float:
-    """Bisect a sign-changing (or Sturm-isolating) interval to float width.
-
-    The interval is half-open (lo, hi]: a root exactly at lo belongs to the
-    previous isolating interval, so lo is nudged inward in that case.
-    """
-    sf = squarefree_part(p)
-    flo = sf(lo)
-    if flo == 0:
-        chain = sturm_chain(sf)
-        step = (hi - lo) / 2
-        while _variations_at(chain, lo + step) - _variations_at(chain, hi) < 1:
-            step /= 2
-        lo = lo + step
-        flo = sf(lo)
-        if flo == 0:
-            return float(lo)
-    use_signs = _sign(flo) != _sign(sf(hi)) and sf(hi) != 0
-    chain = None if use_signs else sturm_chain(sf)
-    for _ in range(bits + 8):
-        mid = (lo + hi) / 2
-        fm = sf(mid)
-        if fm == 0:
-            return float(mid)
-        if use_signs:
-            if _sign(fm) == _sign(flo):
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if _variations_at(chain, lo) - _variations_at(chain, mid) >= 1:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        if hi - lo < Fraction(1, 2 ** (bits + 4)) * max(1, abs(hi)):
-            break
-    return float((lo + hi) / 2)
-
-
-# ---------------------------------------------------------------------------
 # critical-line substitution and Descartes isolation over the integers
 # ---------------------------------------------------------------------------
 
@@ -504,12 +353,21 @@ def substitute_critical(p: Poly):
             "imaginary" if odd else "real")
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_changes(signs) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _sign_at(w: list, num: int, e: int) -> int:
     """Sign of w(num / 2^e), from the integer 2^{e d} w(num / 2^e)."""
     acc = 0
     for j in range(len(w) - 1, -1, -1):
         acc = acc * num + (w[j] << (e * (len(w) - 1 - j)))
-    return (acc > 0) - (acc < 0)
+    return _sign(acc)
 
 
 def _root_bound_exp(w: list) -> int:
@@ -529,11 +387,14 @@ class PositiveRoots:
     """Descartes (Vincent-Collins-Akritas) isolation of the positive roots
     of an integer polynomial w.
 
-    ``boxes`` lists (lo, hi, e): the open interval (lo/2^e, hi/2^e) holds
-    exactly one root of w (its Descartes variation count is 1) and w is
-    nonzero at both ends. The list is None when no isolation was found
-    (``reason`` says why: w(0) = 0, the depth guard, or a root of w at a
-    bisection point); ``nodes`` counts the intervals tested.
+    ``boxes`` lists (lo, hi, e) in ascending order, one box for each
+    distinct positive root of w. When lo == hi the root is lo/2^e, found
+    exactly at a bisection point. Otherwise the open interval
+    (lo/2^e, hi/2^e) holds exactly one root of w, which is simple (its
+    Descartes variation count is 1); an end of it may be a root found
+    exactly. The list is None when no isolation was found; ``reason`` then
+    says why: w(0) = 0, or the depth guard, which gives up only when w is
+    not squarefree. ``nodes`` counts the intervals tested.
     """
 
     __slots__ = ("w", "boxes", "nodes", "reason")
@@ -547,6 +408,12 @@ class PositiveRoots:
         b = _root_bound_exp(w)
         max_depth = DESCARTES_DEPTH + 2 * len(w)
         boxes = []
+
+        def box(lo, hi, k):
+            # (lo/2^k, hi/2^k) scaled by 2^b
+            return (lo << (b - k), hi << (b - k), 0) if k <= b \
+                else (lo, hi, k - b)
+
         # q(x) = w(2^b x) has its positive roots in (0, 1); the stack holds
         # (2^{dk} w(2^b (x + c) / 2^k), c, k) for the interval of number c
         # at depth k
@@ -554,30 +421,39 @@ class PositiveRoots:
         while stack:
             q, c, k = stack.pop()
             self.nodes += 1
-            # the variations of (x+1)^d q(1/(x+1)) bound the roots in (0, 1)
+            # the variations of (x+1)^d q(1/(x+1)) bound the roots in the
+            # open interval (0, 1); a root at 0 or 1 drops out of the count
             count = _sign_changes(map(_sign, _taylor_shift1(q[::-1])))
             if count == 1:
-                boxes.append((c << (b - k), (c + 1) << (b - k), 0)
-                             if k <= b else (c, c + 1, k - b))
+                boxes.append(box(c, c + 1, k))
             elif count > 1:
                 if k == max_depth:
-                    self.reason = "depth guard"
-                    return
+                    if squarefree_part(Poly("x", map(Fraction, w))).degree < d:
+                        self.reason = "depth guard"
+                        return
+                    max_depth = None
                 left = [x << (d - j) for j, x in enumerate(q)]
                 right = _taylor_shift1(left)
                 if right[0] == 0:
-                    self.reason = "root at a split point"
-                    return
+                    # the split point is a root; neither half counts it
+                    boxes.append(box(2 * c + 1, 2 * c + 1, k + 1))
                 stack.append((right, 2 * c + 1, k + 1))
                 stack.append((left, 2 * c, k + 1))
-        self.boxes = sorted(boxes)
+        self.boxes = sorted(boxes, key=lambda x: Fraction(x[0], 1 << x[2]))
 
     def refine(self, box) -> Fraction:
         """Bisect a box, with the exact sign of w at dyadic points, until
         its width is below 2^-56 of its lower end (or a bisection point is
-        the root); return the midpoint."""
+        the root); return the midpoint. A box found exactly returns its
+        root."""
         lo, hi, e = box
-        s_lo = _sign_at(self.w, lo, e)
+        if lo == hi:
+            return Fraction(lo, 1 << e)
+        # the sign of w just right of lo, which may be a root found exactly:
+        # that of its first derivative not zero at lo
+        w = self.w
+        while not (s_lo := _sign_at(w, lo, e)):
+            w = [j * c for j, c in enumerate(w)][1:]
         while lo == 0 or (hi - lo) << 56 > lo:
             lo, hi, e = 2 * lo, 2 * hi, e + 1
             mid = (lo + hi) // 2
@@ -625,6 +501,75 @@ class LineIsolation:
         half = [sqrt(self.positive.refine(box))
                 for box in self.positive.boxes]
         return sorted([-t for t in half] + [0.0] * self.odd + half)
+
+
+# ---------------------------------------------------------------------------
+# real roots of a rational polynomial, on the same engine
+# ---------------------------------------------------------------------------
+
+class RealRootData:
+    """The distinct real roots of v, isolated by Descartes bisection of
+    sf(x) and sf(-x), with sf the squarefree part of v cleared to integers
+    (primitive, since sf is monic) and divided by x when 0 is a root.
+    ``intervals`` lists them as ``isolate_real_roots`` does; ``work`` is the
+    number of intervals tested. sf is squarefree, so the bisection ends."""
+
+    def __init__(self, v: Poly):
+        if v.is_zero:
+            raise ZeroPolynomial("root isolation needs a nonzero polynomial")
+        sf = squarefree_part(v).coeffs
+        scale = lcm(*(c.denominator for c in sf))
+        w = [c.numerator * (scale // c.denominator) for c in sf]
+        self.degree, self.squarefree_degree = v.degree, len(sf) - 1
+        self.is_squarefree = self.degree == self.squarefree_degree
+        self.intervals, self.work = [], 0
+        if w[0] == 0:
+            self.intervals.append((Fraction(0), Fraction(0)))
+            w = w[1:]
+        for sign in (1, -1):
+            roots = PositiveRoots([c * sign ** j for j, c in enumerate(w)])
+            self.work += roots.nodes
+            self.intervals += [tuple(sorted((Fraction(sign * lo, 1 << e),
+                                             Fraction(sign * hi, 1 << e))))
+                               for lo, hi, e in roots.boxes]
+        self.intervals.sort()
+        self.distinct_real_roots = len(self.intervals)
+
+    def all_roots_real(self) -> bool:
+        return self.distinct_real_roots == self.squarefree_degree
+
+
+def real_root_data(v: Poly) -> RealRootData:
+    return RealRootData(v)
+
+
+def isolate_real_roots(p: Poly):
+    """The distinct real roots of p, ascending, as pairs (lo, hi) of
+    Fractions: the root itself when lo == hi, otherwise an open interval
+    (lo, hi) holding exactly one root of p."""
+    return RealRootData(p).intervals
+
+
+def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
+    """The root of p in a pair from ``isolate_real_roots``: lo when
+    lo == hi, otherwise the midpoint of (lo, hi) bisected, with the exact
+    sign of the squarefree part of p, until its width is below 2^-56 of
+    max(1, |lo|, |hi|) (or a bisection point is the root)."""
+    if lo == hi:
+        return float(lo)
+    sf = squarefree_part(p)
+    # the sign of sf just right of lo, which may be a (simple) root of sf
+    s_lo = _sign(sf(lo)) or _sign(sf.derivative()(lo))
+    while (hi - lo) * 2 ** 56 > max(1, abs(lo), abs(hi)):
+        mid = (lo + hi) / 2
+        s_mid = _sign(sf(mid))
+        if s_mid == 0:
+            return float(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
 
 
 # ---------------------------------------------------------------------------

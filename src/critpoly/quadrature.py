@@ -25,9 +25,13 @@ mp.dps = _QUAD_DPS
 
 @dataclass(frozen=True)
 class QuadResult:
+    """``magnitude`` is the rule's sum of |w_i P(y_i)|, the size of the
+    terms that make up ``value``: rounding errors scale with it, and it is
+    positive where ``value`` vanishes."""
     value: float
     error_estimate: float
     evaluations: int
+    magnitude: float
 
 
 def _poly_at(p: Poly, x):
@@ -69,14 +73,15 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     values, count = [], 0
     for m in (degree // 2 + 1, degree // 2 + 2):
         xs, ws = mp.gauss_quadrature(m, "jacobi", alpha, beta)
-        values.append(scale * mp.fsum(w * f((1 + x) / 2)
-                                      for x, w in zip(xs, ws)))
+        terms = [w * f((1 + x) / 2) for x, w in zip(xs, ws)]
+        values.append(scale * mp.fsum(terms))
         count += m
     value, err = float(values[1]), float(abs(values[1] - values[0]))
     if not err <= tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
             f"quadrature error estimate {err} exceeds {tol}")
-    return QuadResult(value, err, count)
+    return QuadResult(value, err, count,
+                      float(scale * mp.fsum(abs(t) for t in terms)))
 
 
 def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
@@ -143,9 +148,9 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
                     form: MellinClosedForm) -> dict:
     c = closed_form_value(form, s)
     abs_err = abs(q.value - c)
-    # at an exact zero of the polynomial factor the relative error is
-    # meaningless; report the absolute error there instead
-    rel_err = abs_err / abs(c) if abs(c) > 1e-13 else abs_err
+    # relative to the size of the quadrature's terms, which stays positive
+    # at a zero of the polynomial factor, where |c| cannot serve
+    rel_err = abs_err / q.magnitude
     return {"n": n, "lambda": lam, "s": s, "quadrature": q.value,
             "closed_form": c, "abs_err": abs_err, "rel_err": rel_err,
             "error_estimate": q.error_estimate,

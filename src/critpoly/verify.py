@@ -42,10 +42,11 @@ mp.dps = 40
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of ``certify_critical_line``. ``method`` is "descartes" or
-    "sturm"; ``work`` counts the Descartes intervals tested or the Sturm
-    chain length; ``coeff_bits`` is the largest bit size among the integer
-    coefficients of w, the parity reduction of p(1/2 + it). ``isolation``
-    holds the Descartes boxes when they prove the result."""
+    "squarefree"; ``work`` counts the Descartes intervals tested, on w or
+    on the squarefree part of p(1/2 + it); ``coeff_bits`` is the largest
+    bit size among the integer coefficients of w, the parity reduction of
+    p(1/2 + it). ``isolation`` holds the Descartes boxes when they prove
+    the result."""
     subject: dict
     degree: int
     v_degree: int
@@ -76,9 +77,9 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
     integer polynomial. The certificate passes by Descartes bisection when
     w(0) != 0 and deg w disjoint intervals each hold exactly one positive
     root of w: then all 2 deg w + odd roots of v are real and simple. In
-    every other case (w(0) = 0, a depth guard on the bisection, a root of
-    w at a split point, fewer positive roots than deg w) a Sturm chain on
-    the squarefree part of v decides, and the fallback is logged at DEBUG.
+    every other case (w(0) = 0, a repeated root of w, fewer positive roots
+    than deg w) the same bisection counts the real roots of the squarefree
+    part of v, which decides, and the fallback is logged at DEBUG.
     The substitution raises MixedCoefficients when p(1/2 + it) is neither
     purely real nor purely imaginary; otherwise v is even or odd, so its
     roots pair as +-t and ``parity_paired`` always holds.
@@ -96,14 +97,13 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
         roots = 2 * len(iso.positive.boxes) + iso.odd
         return Certificate(subject, poly.degree, roots, roots, True, True,
                            True, "descartes", iso.positive.nodes, bits, iso)
-    log.debug("critical-line certificate of %s falls back to Sturm: %s",
-              subject, iso.fallback)
+    log.debug("critical-line certificate of %s falls back to the "
+              "squarefree part: %s", subject, iso.fallback)
     v, _ = substitute_critical(poly)
     data = real_root_data(v)
     return Certificate(subject, poly.degree, data.degree,
                        data.distinct_real_roots, data.is_squarefree, True,
-                       data.all_roots_real(), "sturm", data.chain_length,
-                       bits)
+                       data.all_roots_real(), "squarefree", data.work, bits)
 
 
 def reflection_sign(n: int) -> int:

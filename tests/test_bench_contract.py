@@ -1,32 +1,47 @@
 """The names the benchmark under bench/ calls or traces still exist.
 
 The benchmark reads them from the source tree, so a rename in src/ breaks
-it without failing any other test. The traced list is read from
-bench/spans.py itself rather than copied here."""
+it without failing any other test. The traced list and the workloads'
+imports are read from bench/spans.py and bench/workloads.py themselves
+rather than copied here."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from critpoly import cli
 from critpoly.quadrature import quad_mellin_T, quad_mellin_gegenbauer
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _layer_functions() -> dict:
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.LAYER_FUNCTIONS
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_exists():
-    layers = _layer_functions()
+    layers = _load("spans").LAYER_FUNCTIONS
     assert layers
     for layer, names in layers.items():
         module = importlib.import_module(f"critpoly.{layer}")
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (layer, missing)
+
+
+def test_workloads_import_and_warm_up():
+    # loading runs the workloads' imports from critpoly; each warm-up calls
+    # its workload's operations once, at a small size
+    workloads = _load("workloads")
+    assert set(workloads.WORKLOADS) == {"exact-scale", "verify-all",
+                                        "mellin-batch"}
+    for workload in workloads.WORKLOADS.values():
+        workload.warm_up()
 
 
 def test_cli_names_the_benchmark_reads():

@@ -113,7 +113,8 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     monkeypatch.setattr(verify, "LineIsolation", NoProof)
     code, out = run(capsys, *argv)
     slow = json.loads(out)
-    assert code == 0 and slow["method"] == "sturm" and slow["pass"] is True
+    assert code == 0 and slow["method"] == "squarefree"
+    assert slow["pass"] is True
     assert slow["distinct_real_roots"] == fast["distinct_real_roots"] == 6
     assert slow["coeff_bits"] == fast["coeff_bits"]
     ts = [[float(r.split("+")[1].rstrip("i")) for r in doc["roots"]]
@@ -121,7 +122,7 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     assert ts[0] == pytest.approx(ts[1], rel=1e-12, abs=1e-12)
 
 
-def test_log_level_shows_the_sturm_fallback(capsys, monkeypatch):
+def test_log_level_shows_the_fallback(capsys, monkeypatch):
     class NoProof(poly.LineIsolation):
         def __init__(self, p):
             super().__init__(p)
@@ -131,11 +132,11 @@ def test_log_level_shows_the_sturm_fallback(capsys, monkeypatch):
     argv = ["roots", "--n", "4", "--lambda", "1", "--output", "json"]
     level = logging.getLogger("critpoly").level
     assert main(argv) == 0
-    assert "falls back to Sturm" not in capsys.readouterr().err
+    assert "falls back" not in capsys.readouterr().err
     assert main(["--log-level", "DEBUG", *argv]) == 0
     err = capsys.readouterr().err
     assert "DEBUG critpoly: " in err
-    assert "falls back to Sturm: forced" in err
+    assert "falls back to the squarefree part: forced" in err
     # the level is the run's own: the logger is back at its earlier level
     assert logging.getLogger("critpoly").level == level
 

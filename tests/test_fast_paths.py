@@ -2,7 +2,8 @@
 shared grids: the O(m^2) builders coefficient for coefficient against the
 O(m^3) constructions, and the integer critical-line kernel, its reflection
 check, the Descartes certificate and its roots against the Gaussian-rational
-substitution, the composed reflection p(1-s) and Sturm.
+substitution, the composed reflection p(1-s) and the Sturm oracle in
+sturm_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -20,10 +21,10 @@ import pytest
 from critpoly import quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
 from critpoly.orthopoly import gegenbauer
-from critpoly.poly import (Poly, gen_binom, isolate_real_roots, pochhammer,
-                           real_root_data, refine_root, substitute_critical)
+from critpoly.poly import Poly, gen_binom, pochhammer, substitute_critical
 from critpoly.verify import (certify_critical_line, check_functional_equation,
                              reflection_sign)
+from sturm_oracle import sturm_root_data, sturm_roots
 
 LAMBDAS = [Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
            Fraction(2), Fraction(7, 3)]
@@ -164,10 +165,11 @@ def test_descartes_certificate_matches_sturm():
     # the acceptance c02 grid
     for n, p in samples(30):
         cert = certify_critical_line(p)
-        data = real_root_data(substitute_critical(p.poly)[0])
+        data = sturm_root_data(substitute_critical(p.poly)[0])
         assert cert.method == "descartes", (n, p.param)
         assert cert.passed == data.all_roots_real(), (n, p.param)
         assert cert.distinct_real_roots == data.distinct_real_roots
+        assert cert.squarefree == data.is_squarefree
         assert cert.v_degree == data.degree
 
 
@@ -184,7 +186,7 @@ ROOTS_GRID = ([(p_s32, Fraction(7, 3), n) for n in range(31)]
 def test_roots_match_sturm_refinement(build, param, n):
     p = build(n, param)
     v, _ = substitute_critical(p.poly)
-    want = sorted(refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v))
+    want = sturm_roots(v)
     got = certify_critical_line(p).isolation.roots()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 

@@ -1,5 +1,5 @@
-"""Exact polynomial core: ring laws, Sturm counting, the critical-line
-substitution and Descartes isolation."""
+"""Exact polynomial core: ring laws, real-root counting against the Sturm
+oracle, the critical-line substitution and Descartes isolation."""
 from fractions import Fraction
 
 import pytest
@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, RatFun,
-                           count_roots_in, gen_binom, half_shift,
-                           isolate_real_roots, pochhammer, real_root_data,
-                           refine_root, squarefree_part, sturm_real_root_count,
-                           substitute_critical)
+                           gen_binom, half_shift, isolate_real_roots,
+                           pochhammer, real_root_data, refine_root,
+                           squarefree_part, substitute_critical)
+from sturm_oracle import sturm_root_data
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 polys = st.lists(fracs, min_size=1, max_size=5).map(lambda cs: Poly("s", cs))
@@ -106,7 +106,10 @@ def _poly_from_roots(roots):
 @settings(max_examples=80, deadline=None)
 def test_sturm_count_matches_known_roots(roots):
     p = _poly_from_roots(roots)
-    assert sturm_real_root_count(p) == len(set(roots))
+    data = real_root_data(p)
+    assert data.distinct_real_roots == len(set(roots))
+    assert sturm_root_data(p).distinct_real_roots == len(set(roots))
+    assert data.squarefree_degree == len(set(roots))
 
 
 def test_sturm_ignores_complex_pairs():
@@ -114,6 +117,7 @@ def test_sturm_ignores_complex_pairs():
     p = Poly("s", [Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)])
     data = real_root_data(p)
     assert data.distinct_real_roots == 1
+    assert sturm_root_data(p).distinct_real_roots == 1
     assert data.is_squarefree
 
 
@@ -134,11 +138,18 @@ def test_zero_polynomial_rejected():
 
 
 def test_isolate_and_refine():
-    p = _poly_from_roots([-3, 0, 5])
-    boxes = isolate_real_roots(p)
-    assert len(boxes) == 3
-    got = sorted(refine_root(p, lo, hi) for lo, hi in boxes)
-    assert got == pytest.approx([-3.0, 0.0, 5.0], abs=1e-12)
+    # in the second case 1 and 2 are bisection points of (0, 4), found
+    # exactly, 13/10 lies between them, and the double root -1/2 counts once
+    for roots, exact in (([-3, 0, 5], [0]),
+                         ([Fraction(-1, 2), Fraction(-1, 2), 0, 1,
+                           Fraction(13, 10), 2], [0, 1, 2])):
+        p = _poly_from_roots(roots)
+        boxes = isolate_real_roots(p)
+        assert len(boxes) == len(set(roots))
+        assert [lo for lo, hi in boxes if lo == hi] == exact
+        assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
+        got = [refine_root(p, lo, hi) for lo, hi in boxes]
+        assert got == pytest.approx(sorted(set(roots)), abs=1e-12)
 
 
 def test_positive_roots_isolates_and_refines():
@@ -155,8 +166,25 @@ def test_positive_roots_isolates_and_refines():
         assert abs(pos.refine((lo, hi, e)) - r) < Fraction(r, 2 ** 56)
     # (3x - 1)^2
     assert PositiveRoots([1, -6, 9]).reason == "depth guard"
-    # x = 1/2 is a split point of the bisection of (0, 2)
-    assert PositiveRoots([1, -3, 2]).reason == "root at a split point"
+    # (3x - 1)(3 * 2^100 x - 2^100 - 3) is squarefree, with roots 2^-100
+    # apart, deeper than the guard: the bisection goes on and isolates both
+    big = 2 ** 100
+    pos = PositiveRoots([big + 3, -6 * big - 9, 9 * big])
+    assert pos.reason is None and len(pos.boxes) == 2
+    for (lo, hi, e), r in zip(pos.boxes, (Fraction(1, 3),
+                                          Fraction(1, 3) + Fraction(1, big))):
+        assert Fraction(lo, 2 ** e) < r < Fraction(hi, 2 ** e)
+    # (2x - 1)(x - 1): x = 1 is the first split point of (0, 2), found
+    # exactly; x = 1/2 is isolated in (0, 1)
+    pos = PositiveRoots([1, -3, 2])
+    assert pos.reason is None and pos.boxes == [(0, 1, 0), (1, 1, 0)]
+    assert [pos.refine(box) for box in pos.boxes] == [Fraction(1, 2), 1]
+    # (x - 1)^2 (x - 3): the double root sits on the split point 1
+    assert PositiveRoots([-3, 7, -5, 1]).boxes == [(1, 1, 0), (2, 4, 0)]
+    # (x - 1)(x - 2)(10x - 13): both ends of the box of 13/10 are roots
+    pos = PositiveRoots([-26, 59, -43, 10])
+    assert pos.boxes == [(1, 1, 0), (1, 2, 0), (2, 2, 0)]
+    assert pos.refine(pos.boxes[1]) == pytest.approx(1.3, rel=1e-16)
     assert PositiveRoots([0, 1, 1]).reason == "w(0)=0"
 
 
@@ -171,17 +199,17 @@ def test_line_isolation_roots():
     assert iso.roots() == pytest.approx([-5, -2 / 3, 0, 2 / 3, 5],
                                         rel=1e-15)
     assert LineIsolation(u * u).fallback == "w(0)=0"
+    # w = (x - 1)(x - 2)(10x - 13), with the roots 1 and 2 at split points
+    iso = LineIsolation((u * u + 1) * (u * u + 2) * (10 * u * u + 13))
+    assert iso.fallback is None and iso.w == [26, -59, 43, -10]
+    half = [1, 1.3 ** 0.5, 2 ** 0.5]
+    assert iso.roots() == pytest.approx([-t for t in half[::-1]] + half,
+                                        rel=1e-15)
     # zeros 1/2 +- 1, off the line
     assert LineIsolation(u * u - 1).fallback == "0 positive roots of w " \
         "for degree 1"
     with pytest.raises(ZeroPolynomial):
         LineIsolation(Poly.zero("s"))
-
-
-def test_count_roots_in_window():
-    p = _poly_from_roots([-1, 2, 4])
-    assert count_roots_in(p, Fraction(0), Fraction(3)) == 1
-    assert count_roots_in(p, Fraction(-2), Fraction(5)) == 3
 
 
 @given(st.integers(min_value=0, max_value=8))

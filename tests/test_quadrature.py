@@ -3,6 +3,7 @@ generating-function comparisons."""
 import math
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -229,6 +230,20 @@ def test_comparison_rows_report_the_quadrature_work():
     assert row["error_estimate"] < 1e-20
     assert {"n", "lambda", "s", "quadrature", "closed_form", "abs_err",
             "rel_err"} <= set(row)
+
+
+def test_rel_err_at_a_zero_of_the_closed_form():
+    # s = n^2 - 1 is a zero of the T factor, so the closed form is 0 there
+    for n in range(2, 13):
+        row = compare_mellin_T(n, float(n * n - 1))
+        assert row["closed_form"] == 0 and row["rel_err"] <= 1e-28, row
+    # the rule's terms at n = 12, s = 143 have |w_i P(y_i)| summing to about
+    # 3.5e-4, so an error of 1e-11 there is a relative error near 3e-8
+    q = quad_mellin_T(12, 143.0)
+    row = quadrature._comparison_row(12, None, 143.0,
+                                     replace(q, value=q.value + 1e-11),
+                                     mellin_T_closed(12))
+    assert row["abs_err"] <= 1e-10 < row["rel_err"]
 
 
 def test_gauss_jacobi_exact_for_stated_degree():

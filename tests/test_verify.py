@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
-from critpoly.poly import Poly, RatFun, real_root_data, substitute_critical
+from critpoly.poly import (Poly, RatFun, isolate_real_roots, refine_root,
+                           substitute_critical)
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
@@ -17,6 +18,7 @@ from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_hat_ratio, check_integer_s_sums,
                              check_M_recurrences, check_q_forms,
                              check_q_range, check_T_zero_set)
+from sturm_oracle import sturm_root_data, sturm_roots
 
 SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), Fraction(11, 7),
            Fraction(9, 4)]
@@ -175,8 +177,13 @@ def test_certificate_rejects_symmetric_off_line_zeros():
     cert = certify_critical_line(p)
     assert not cert.passed
     assert cert.distinct_real_roots == 0
-    assert cert.method == "sturm"
+    assert cert.method == "squarefree"
     assert not certify_critical_line(poly).passed
+    # (s^2 - s)^2: the same zeros, each repeated
+    cert = certify_critical_line(poly * poly)
+    assert cert.method == "squarefree" and not cert.passed
+    assert not cert.squarefree and cert.distinct_real_roots == 0
+    assert cert.v_degree == 4
 
 
 def test_certificate_rejects_asymmetric_polynomial():
@@ -200,12 +207,12 @@ def test_certificate_of_bare_poly():
     assert cert.distinct_real_roots == 4
 
 
-def test_double_zero_on_the_line_falls_back_to_sturm(caplog):
+def test_double_zero_on_the_line_falls_back_to_squarefree(caplog):
     p4 = p_s32(4, 1).poly
     caplog.set_level(logging.DEBUG, logger="critpoly")
     for poly, reason in ((U * U * p4, "w(0)=0"), (p4 * p4, "depth guard")):
         cert = certify_critical_line(poly)
-        assert cert.method == "sturm" and cert.work > 0
+        assert cert.method == "squarefree" and cert.work > 0
         assert cert.passed and not cert.squarefree
         assert cert.distinct_real_roots == 3 if reason == "w(0)=0" else 2
         assert reason in caplog.text
@@ -241,10 +248,14 @@ def test_certificate_agrees_with_sturm(odd, scale, factors):
     for kind, x, y in factors:
         p = p * _line_factor(kind, x, y)
     cert = certify_critical_line(p)
-    data = real_root_data(substitute_critical(p)[0])
+    v, _ = substitute_critical(p)
+    data = sturm_root_data(v)
     assert cert.passed == data.all_roots_real()
     assert cert.distinct_real_roots == data.distinct_real_roots
     assert cert.squarefree == data.is_squarefree
     assert cert.v_degree == data.degree
     if cert.method == "descartes":
         assert cert.passed and cert.squarefree
+    # the roots the fallback of `critpoly roots` lists
+    got = [refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v)]
+    assert got == pytest.approx(sturm_roots(v), rel=1e-12, abs=1e-12)

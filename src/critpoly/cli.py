@@ -17,7 +17,7 @@ from . import arithprops, construct, quadrature, verify
 from .errors import CritPolyError
 from .hyp3f2 import appendix_transform_suite
 from .orthopoly import identity_suite
-from .poly import isolate_real_roots, refine_root, substitute_critical
+from .poly import real_root_data, substitute_critical
 from .rat import as_rat, format_rat, parse_rat
 
 LAMBDA_SET = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
@@ -144,14 +144,17 @@ def cmd_poly(args, parser) -> int:
 
 def cmd_roots(args, parser) -> int:
     p = _build(args, parser)
+    start = time.perf_counter()
     cert = verify.certify_critical_line(p)
-    if cert.isolation is not None:
-        roots = cert.isolation.roots()
-    else:
-        v, _ = substitute_critical(p.poly)
-        roots = [refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v)]
-    payload = {**cert.to_json(),
-               "roots": [f"1/2 + {t}i" for t in sorted(roots)]}
+    found = cert.isolation
+    if found is None:
+        found = real_root_data(substitute_critical(p.poly)[0])
+    roots = found.roots()
+    log.debug("roots of %s: %d isolation nodes, %d refinement evaluations, "
+              "%.3f s", cert.subject, cert.work, found.refine_work,
+              time.perf_counter() - start)
+    payload = {**cert.to_json(), "refine_work": found.refine_work,
+               "roots": [f"1/2 + {t}i" for t in roots]}
     _emit(payload, args)
     return 0 if cert.passed else 1
 

@@ -10,8 +10,9 @@ bisection and its root refinement run on plain integer lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, lcm, sqrt
+from itertools import accumulate, islice
+from math import comb, factorial, gcd, lcm, sqrt
+from operator import add
 
 from .errors import MixedCoefficients, VariableMismatch, ZeroPolynomial
 from .rat import as_rat, format_rat, parse_rat
@@ -21,6 +22,9 @@ from .rat import as_rat, format_rat, parse_rat
 # bisection points always reaches it, and the isolation then gives up; on
 # squarefree w the bisection ends (Collins-Akritas), so it goes on.
 DESCARTES_DEPTH = 64
+# ``PositiveRoots.refine`` narrows a box below 2^-REFINE_BITS of its lower
+# end, past the 53 bits of the float it is returned as
+REFINE_BITS = 56
 
 
 def _is_zero(c) -> bool:
@@ -357,17 +361,26 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_changes(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(b: list) -> int:
+    """The sign variations of b, zeros skipped, counted up to 2: the
+    isolation only needs to know whether there are none, one or more."""
+    count, negative = 0, None
+    for x in b:
+        if x and (x < 0) != negative:
+            if negative is not None:
+                count += 1
+                if count == 2:
+                    return 2
+            negative = x < 0
+    return count
 
 
-def _sign_at(w: list, num: int, e: int) -> int:
-    """Sign of w(num / 2^e), from the integer 2^{e d} w(num / 2^e)."""
+def _value_at(w: list, num: int, e: int) -> int:
+    """The integer 2^{e d} w(num / 2^e), by Horner's scheme."""
     acc = 0
-    for j in range(len(w) - 1, -1, -1):
-        acc = acc * num + (w[j] << (e * (len(w) - 1 - j)))
-    return _sign(acc)
+    for i, c in enumerate(reversed(w)):
+        acc = acc * num + (c << (e * i))
+    return acc
 
 
 def _root_bound_exp(w: list) -> int:
@@ -383,9 +396,60 @@ def _root_bound_exp(w: list) -> int:
     return e + 1
 
 
+def _strip_twos(b: list) -> list:
+    """b divided by the largest power of 2 that divides every entry."""
+    g = 0
+    for x in b:
+        g |= x
+    t = (g & -g).bit_length() - 1
+    return [x >> t for x in b] if t > 0 else b
+
+
+def _bernstein(w: list, b: int) -> list:
+    """Integer Bernstein coefficients of w(2^b x) on (0, 1), up to a
+    positive factor. With q(x) = w(2^b x), coefficient d - i of
+    (x + 1)^d q(1/(x + 1)) is C(d, i) times Bernstein coefficient i, so one
+    Taylor shift gives them all, and multiplying coefficient d - i by
+    lcm_j C(d, j) / C(d, i) makes them integers with one common factor."""
+    d = len(w) - 1
+    c = _taylor_shift1([x << (b * j) for j, x in enumerate(w)][::-1])
+    binoms = [comb(d, i) for i in range(d + 1)]
+    scale = lcm(*binoms)
+    return _strip_twos([c[d - i] * (scale // binoms[i])
+                        for i in range(d + 1)])
+
+
+def _bernstein_split(b: list):
+    """The Bernstein coefficients of the halves (0, 1/2) and (1/2, 1) of
+    the polynomial with Bernstein coefficients b on (0, 1): one de
+    Casteljau pass at 1/2 that sums instead of averaging, so row r carries
+    the factor 2^r; each child is brought to the common factor 2^d and
+    then stripped of its common power of 2. The last entry of the left
+    child and the first of the right are the value at 1/2 (up to a
+    positive factor)."""
+    d = len(b) - 1
+    row = list(b)
+    left, right = [row[0]], [row[-1]]
+    for r in range(d, 0, -1):
+        row[:r] = map(add, row[:r], islice(row, 1, r + 1))
+        left.append(row[0])
+        right.append(row[r - 1])
+    right.reverse()
+    return (_strip_twos([x << (d - i) for i, x in enumerate(left)]),
+            _strip_twos([x << i for i, x in enumerate(right)]))
+
+
 class PositiveRoots:
     """Descartes (Vincent-Collins-Akritas) isolation of the positive roots
-    of an integer polynomial w.
+    of an integer polynomial w, in the integer Bernstein form of
+    Rouillier-Zimmermann ("Efficient isolation of polynomial's real roots",
+    2004), with quadratic interval refinement (Abbott, ISSAC 2006).
+
+    The bisection runs over (0, 2^b), which holds every positive root of
+    w. Each interval carries the integer Bernstein coefficients of w on it,
+    up to a positive factor; their sign variations bound the roots in the
+    open interval (a root at an end drops out of the count), and one de
+    Casteljau split gives both halves.
 
     ``boxes`` lists (lo, hi, e) in ascending order, one box for each
     distinct positive root of w. When lo == hi the root is lo/2^e, found
@@ -394,13 +458,15 @@ class PositiveRoots:
     Descartes variation count is 1); an end of it may be a root found
     exactly. The list is None when no isolation was found; ``reason`` then
     says why: w(0) = 0, or the depth guard, which gives up only when w is
-    not squarefree. ``nodes`` counts the intervals tested.
+    not squarefree. ``nodes`` counts the intervals tested and
+    ``evaluations`` the exact values of w that ``refine`` has computed.
     """
 
-    __slots__ = ("w", "boxes", "nodes", "reason")
+    __slots__ = ("w", "boxes", "nodes", "reason", "evaluations")
 
     def __init__(self, w: list):
         self.w, self.boxes, self.nodes, self.reason = w, None, 0, None
+        self.evaluations = 0
         if w[0] == 0:
             self.reason = "w(0)=0"
             return
@@ -414,16 +480,13 @@ class PositiveRoots:
             return (lo << (b - k), hi << (b - k), 0) if k <= b \
                 else (lo, hi, k - b)
 
-        # q(x) = w(2^b x) has its positive roots in (0, 1); the stack holds
-        # (2^{dk} w(2^b (x + c) / 2^k), c, k) for the interval of number c
-        # at depth k
-        stack = [([c << (b * j) for j, c in enumerate(w)], 0, 0)]
+        # the stack holds (the Bernstein coefficients of w(2^b x) on
+        # (c/2^k, (c+1)/2^k), c, k) for intervals of x in (0, 1)
+        stack = [(_bernstein(w, b), 0, 0)]
         while stack:
             q, c, k = stack.pop()
             self.nodes += 1
-            # the variations of (x+1)^d q(1/(x+1)) bound the roots in the
-            # open interval (0, 1); a root at 0 or 1 drops out of the count
-            count = _sign_changes(map(_sign, _taylor_shift1(q[::-1])))
+            count = _variations(q)
             if count == 1:
                 boxes.append(box(c, c + 1, k))
             elif count > 1:
@@ -432,8 +495,7 @@ class PositiveRoots:
                         self.reason = "depth guard"
                         return
                     max_depth = None
-                left = [x << (d - j) for j, x in enumerate(q)]
-                right = _taylor_shift1(left)
+                left, right = _bernstein_split(q)
                 if right[0] == 0:
                     # the split point is a root; neither half counts it
                     boxes.append(box(2 * c + 1, 2 * c + 1, k + 1))
@@ -441,29 +503,73 @@ class PositiveRoots:
                 stack.append((left, 2 * c, k + 1))
         self.boxes = sorted(boxes, key=lambda x: Fraction(x[0], 1 << x[2]))
 
+    def _value(self, num: int, e: int) -> int:
+        self.evaluations += 1
+        return _value_at(self.w, num, e)
+
     def refine(self, box) -> Fraction:
-        """Bisect a box, with the exact sign of w at dyadic points, until
-        its width is below 2^-56 of its lower end (or a bisection point is
+        """Narrow a box, with exact values of w at dyadic points, until its
+        width is below 2^-REFINE_BITS of its lower end (or a grid point is
         the root); return the midpoint. A box found exactly returns its
-        root."""
+        root.
+
+        This is quadratic interval refinement: each step cuts the box into
+        2^k equal parts and tests the two parts beside the grid point
+        nearest the secant root, with one value of w or two. On success the
+        box is the part that holds the root and k doubles; on failure the
+        box keeps the side the values show and k halves, down to k = 1,
+        where the step is a bisection. While an end of the box is a root
+        (found exactly), the step is a bisection too."""
         lo, hi, e = box
         if lo == hi:
             return Fraction(lo, 1 << e)
+        d = len(self.w) - 1
+        f_lo, f_hi = self._value(lo, e), self._value(hi, e)
         # the sign of w just right of lo, which may be a root found exactly:
         # that of its first derivative not zero at lo
-        w = self.w
-        while not (s_lo := _sign_at(w, lo, e)):
-            w = [j * c for j, c in enumerate(w)][1:]
-        while lo == 0 or (hi - lo) << 56 > lo:
-            lo, hi, e = 2 * lo, 2 * hi, e + 1
-            mid = (lo + hi) // 2
-            s_mid = _sign_at(self.w, mid, e)
-            if s_mid == 0:
-                return Fraction(mid, 1 << e)
-            if s_mid == s_lo:
-                lo = mid
+        s_lo, deriv = _sign(f_lo), self.w
+        while not s_lo:
+            deriv = [j * c for j, c in enumerate(deriv)][1:]
+            self.evaluations += 1
+            s_lo = _sign(_value_at(deriv, lo, e))
+        k = 2
+        while lo == 0 or (hi - lo) << REFINE_BITS > lo:
+            if f_lo and f_hi:
+                # f_lo and f_hi differ in sign: round n f_lo / (f_lo - f_hi)
+                n, den = 1 << k, f_lo - f_hi
+                j = min(max((2 * n * f_lo + den) // (2 * den), 1), n - 1)
             else:
-                hi = mid
+                # an end is a root: bisect
+                k, n, j = 1, 2, 1
+            step = hi - lo
+            lo, hi, e = lo << k, hi << k, e + k
+            f_lo, f_hi = f_lo << (k * d), f_hi << (k * d)
+            g = lo + j * step
+            f_g = self._value(g, e)
+            if f_g == 0:
+                return Fraction(g, 1 << e)
+            if _sign(f_g) == s_lo:
+                # the root is right of g; is it left of g + step?
+                lo, f_lo, k = g, f_g, 2 * k
+                if j + 1 < n:
+                    f_next = self._value(g + step, e)
+                    if f_next == 0:
+                        return Fraction(g + step, 1 << e)
+                    if _sign(f_next) == s_lo:
+                        lo, f_lo, k = g + step, f_next, max(k // 4, 1)
+                    else:
+                        hi, f_hi = g + step, f_next
+            else:
+                # the root is left of g; is it right of g - step?
+                hi, f_hi, k = g, f_g, 2 * k
+                if j > 1:
+                    f_prev = self._value(g - step, e)
+                    if f_prev == 0:
+                        return Fraction(g - step, 1 << e)
+                    if _sign(f_prev) != s_lo:
+                        hi, f_hi, k = g - step, f_prev, max(k // 4, 1)
+                    else:
+                        lo, f_lo = g - step, f_prev
         return Fraction(lo + hi, 1 << (e + 1))
 
 
@@ -502,6 +608,11 @@ class LineIsolation:
                 for box in self.positive.boxes]
         return sorted([-t for t in half] + [0.0] * self.odd + half)
 
+    @property
+    def refine_work(self) -> int:
+        """The exact values of w that ``roots`` has computed."""
+        return self.positive.evaluations
+
 
 # ---------------------------------------------------------------------------
 # real roots of a rational polynomial, on the same engine
@@ -522,21 +633,37 @@ class RealRootData:
         w = [c.numerator * (scale // c.denominator) for c in sf]
         self.degree, self.squarefree_degree = v.degree, len(sf) - 1
         self.is_squarefree = self.degree == self.squarefree_degree
-        self.intervals, self.work = [], 0
-        if w[0] == 0:
-            self.intervals.append((Fraction(0), Fraction(0)))
+        self.zero_root = w[0] == 0
+        if self.zero_root:
             w = w[1:]
-        for sign in (1, -1):
-            roots = PositiveRoots([c * sign ** j for j, c in enumerate(w)])
-            self.work += roots.nodes
-            self.intervals += [tuple(sorted((Fraction(sign * lo, 1 << e),
-                                             Fraction(sign * hi, 1 << e))))
-                               for lo, hi, e in roots.boxes]
-        self.intervals.sort()
+        # (sign, the positive roots of sf(sign x))
+        self.sides = [(sign, PositiveRoots([c * sign ** j
+                                            for j, c in enumerate(w)]))
+                      for sign in (1, -1)]
+        self.work = sum(roots.nodes for _, roots in self.sides)
+        self.intervals = sorted(
+            [(Fraction(0), Fraction(0))] * self.zero_root
+            + [tuple(sorted((Fraction(sign * lo, 1 << e),
+                             Fraction(sign * hi, 1 << e))))
+               for sign, roots in self.sides for lo, hi, e in roots.boxes])
         self.distinct_real_roots = len(self.intervals)
 
     def all_roots_real(self) -> bool:
         return self.distinct_real_roots == self.squarefree_degree
+
+    def roots(self) -> list:
+        """The distinct real roots of v as floats, ascending, each refined
+        by ``PositiveRoots.refine`` on sf(x) or sf(-x)."""
+        return sorted([0.0] * self.zero_root
+                      + [sign * float(roots.refine(box))
+                         for sign, roots in self.sides
+                         for box in roots.boxes])
+
+    @property
+    def refine_work(self) -> int:
+        """The exact values of sf(x) and sf(-x) that ``roots`` has
+        computed."""
+        return sum(roots.evaluations for _, roots in self.sides)
 
 
 def real_root_data(v: Poly) -> RealRootData:

@@ -112,7 +112,10 @@ def sturm_refine(p: Poly, lo: Fraction, hi: Fraction, bits: int = 52):
             return float(lo)
     use_signs = _sign(flo) != _sign(sf(hi)) and sf(hi) != 0
     chain = None if use_signs else sturm_chain(sf)
-    for _ in range(bits + 8):
+    # bisect until the width test holds: the cap of bits + 8 steps this
+    # loop once had stopped short on isolating intervals wider than 16,
+    # which a large Cauchy bound gives
+    while hi - lo >= Fraction(1, 2 ** (bits + 4)) * max(1, abs(hi)):
         mid = (lo + hi) / 2
         fm = sf(mid)
         if fm == 0:
@@ -127,8 +130,6 @@ def sturm_refine(p: Poly, lo: Fraction, hi: Fraction, bits: int = 52):
                 hi = mid
             else:
                 lo, flo = mid, fm
-        if hi - lo < Fraction(1, 2 ** (bits + 4)) * max(1, abs(hi)):
-            break
     return float((lo + hi) / 2)
 
 

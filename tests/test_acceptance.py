@@ -189,7 +189,7 @@ def test_c13_builds_at_scale():
 
 
 def test_c14_certificates_at_scale():
-    # about 8 s on a 2-CPU Xeon with cold builds
+    # about 2.5 s on a 2-CPU Xeon with cold builds
     t0 = time.perf_counter()
     ok = True
     for p in ([p_s32(400, lam) for lam in LAMBDAS]
@@ -198,3 +198,17 @@ def test_c14_certificates_at_scale():
         ok &= cert.passed and cert.method == "descartes"
         ok &= cert.distinct_real_roots == 200
     _report(14, "n = 400 certificates", 30.0, t0, ok)
+
+
+def test_c15_certificates_at_n_1000():
+    # about 14 s on a 2-CPU Xeon with cold builds
+    t0 = time.perf_counter()
+    ok = True
+    for p in (p_s32(1000, Fraction(7, 3)), p_beta(1000, -3)):
+        cert = certify_critical_line(p)
+        ok &= cert.passed and cert.method == "descartes"
+        ok &= cert.distinct_real_roots == 500
+        roots = cert.isolation.roots()
+        ok &= len(roots) == 500 and all(a < b for a, b in zip(roots,
+                                                              roots[1:]))
+    _report(15, "n = 1000 certificates", 60.0, t0, ok)

@@ -13,6 +13,9 @@ import pytest
 
 from critpoly import cli, orthopoly, poly, verify
 from critpoly.cli import main
+from critpoly.construct import p_beta
+from sturm_oracle import sturm_roots
+from taylor_oracle import TaylorPositiveRoots
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TRIANGLES = ["verify", "--suite", "triangles", "--nmax", "6",
@@ -120,6 +123,23 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     ts = [[float(r.split("+")[1].rstrip("i")) for r in doc["roots"]]
           for doc in (fast, slow)]
     assert ts[0] == pytest.approx(ts[1], rel=1e-12, abs=1e-12)
+    v, _ = poly.substitute_critical(p_beta(13, -2).poly)
+    assert ts[1] == pytest.approx(sturm_roots(v), rel=1e-12, abs=1e-12)
+    assert slow["refine_work"] > 0
+
+
+def test_roots_report_refine_work(capsys):
+    argv = ("roots", "--family", "beta", "--beta=-3", "--n", "40")
+    code, out = run(capsys, *argv, "--output", "json")
+    work = json.loads(out)["refine_work"]
+    assert code == 0 and work == 147
+    code, out = run(capsys, *argv, "--output", "csv")
+    assert next(csv.DictReader(io.StringIO(out)))["refine_work"] == "147"
+    # bisection spends 575 signs on the same boxes
+    oracle = TaylorPositiveRoots(poly.LineIsolation(p_beta(40, -3).poly).w)
+    for box in oracle.boxes:
+        oracle.refine(box)
+    assert work < oracle.evaluations == 575
 
 
 def test_log_level_shows_the_fallback(capsys, monkeypatch):
@@ -137,6 +157,7 @@ def test_log_level_shows_the_fallback(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "DEBUG critpoly: " in err
     assert "falls back to the squarefree part: forced" in err
+    assert "2 isolation nodes, 28 refinement evaluations" in err
     # the level is the run's own: the logger is back at its earlier level
     assert logging.getLogger("critpoly").level == level
 

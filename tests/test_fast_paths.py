@@ -3,7 +3,8 @@ shared grids: the O(m^2) builders coefficient for coefficient against the
 O(m^3) constructions, and the integer critical-line kernel, its reflection
 check, the Descartes certificate and its roots against the Gaussian-rational
 substitution, the composed reflection p(1-s) and the Sturm oracle in
-sturm_oracle.py.
+sturm_oracle.py; and the Bernstein-basis isolation and its quadratic
+refinement against the Taylor-shift bisection in taylor_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -17,14 +18,18 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critpoly import quadrature
+from critpoly import poly, quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
 from critpoly.orthopoly import gegenbauer
-from critpoly.poly import Poly, gen_binom, pochhammer, substitute_critical
+from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
+                           int_mul_linear, pochhammer, substitute_critical)
 from critpoly.verify import (certify_critical_line, check_functional_equation,
                              reflection_sign)
 from sturm_oracle import sturm_root_data, sturm_roots
+from taylor_oracle import TaylorPositiveRoots
 
 LAMBDAS = [Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
            Fraction(2), Fraction(7, 3)]
@@ -189,6 +194,83 @@ def test_roots_match_sturm_refinement(build, param, n):
     want = sturm_roots(v)
     got = certify_critical_line(p).isolation.roots()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def oracle_disagreements(w) -> list:
+    """How the Bernstein isolation and quadratic refinement of w differ
+    from the Taylor-shift bisection: boxes, nodes and reason must be
+    equal, and each refined root within 2^-56 of the larger value."""
+    new, old = PositiveRoots(w), TaylorPositiveRoots(w)
+    if (new.boxes, new.nodes, new.reason) != (old.boxes, old.nodes,
+                                              old.reason):
+        return [f"isolation {new.boxes, new.nodes, new.reason} != "
+                f"{old.boxes, old.nodes, old.reason}"]
+    return [f"root {float(a)} != {float(b)}" for box in new.boxes or ()
+            for a, b in [(new.refine(box), old.refine(box))]
+            if abs(a - b) > max(a, b) / 2 ** 56]
+
+
+# the pinned cases of test_poly: roots at split points, a box with both
+# ends roots, the depth guard, w(0) = 0 and roots 2^-100 apart
+PINNED_W = [[1, -3, 2], [-3, 7, -5, 1], [-26, 59, -43, 10], [1, -6, 9],
+            [0, 1, 1], [2 ** 100 + 3, -6 * 2 ** 100 - 9, 9 * 2 ** 100]]
+
+
+def test_bernstein_isolation_matches_taylor_oracle():
+    # the acceptance c02 grid, n = 60 and 400 for one lambda and one beta,
+    # and the pinned cases
+    ws = [LineIsolation(p.poly).w for _, p in samples(30)]
+    ws += [LineIsolation(build(n, param).poly).w for n in (60, 400)
+           for build, param in ((p_s32, Fraction(7, 3)), (p_beta, -3))]
+    for w in ws + PINNED_W:
+        assert oracle_disagreements(w) == [], w
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-9, max_value=40),
+                          st.integers(min_value=1, max_value=12)),
+                min_size=1, max_size=7),
+       st.integers(min_value=0, max_value=3), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_bernstein_matches_taylor_oracle_on_products(roots, complex_pairs,
+                                                     square):
+    # prod (b x - a), with the first factor squared when square is set,
+    # times (x^2 + x + 1)^complex_pairs: roots at split points, close
+    # together, at 0, repeated, negative or not real
+    w = [1]
+    for a, b in roots + roots[:square]:
+        w = int_mul_linear(w, b, -a)
+    for _ in range(complex_pairs):
+        w = [sum(w[k - j] for j in range(3) if 0 <= k - j < len(w))
+             for k in range(len(w) + 2)]
+    assert oracle_disagreements(w) == []
+
+
+def test_refinement_counts_its_values_of_w():
+    # (x - 1)(x - 2)(10x - 13): both ends of the box of 13/10 are roots,
+    # so each refinement also takes the sign of w' at 1
+    new, old = (cls([-26, 59, -43, 10])
+                for cls in (PositiveRoots, TaylorPositiveRoots))
+    for pos in (new, old):
+        assert pos.refine(pos.boxes[1]) == pytest.approx(1.3, rel=1e-16)
+    assert (new.evaluations, old.evaluations) == (14, 58)
+
+
+def test_perturbed_de_casteljau_child_is_caught(monkeypatch):
+    w = LineIsolation(p_beta(60, -3).poly).w
+    split, calls = poly._bernstein_split, []
+
+    def perturbed(b):
+        # the right child of the first split only: perturbing every split
+        # can keep the variation counts above 1 at every depth, and the
+        # bisection of a squarefree w goes on without a depth limit
+        left, right = split(b)
+        if not calls:
+            right[len(right) // 2] *= -1
+        calls.append(b)
+        return left, right
+
+    monkeypatch.setattr(poly, "_bernstein_split", perturbed)
+    assert oracle_disagreements(w)
 
 
 def slow_gegenbauer(n, lam):

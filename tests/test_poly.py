@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critpoly import poly
+from critpoly.construct import p_beta
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, RatFun,
                            gen_binom, half_shift, isolate_real_roots,
@@ -210,6 +212,41 @@ def test_line_isolation_roots():
         "for degree 1"
     with pytest.raises(ZeroPolynomial):
         LineIsolation(Poly.zero("s"))
+
+
+def root_window_problems(v, roots) -> list:
+    """Each listed t must be a root of v: v changes sign across a window
+    around t too narrow to hold a neighbouring root."""
+    problems = []
+    windows = []
+    for t in roots:
+        delta = Fraction(1, 10 ** 9) * max(1, abs(Fraction(t)))
+        lo, hi = Fraction(t) - delta, Fraction(t) + delta
+        if v(lo) * v(hi) >= 0:
+            problems.append(f"no sign change of v around t={t}")
+        windows.append((lo, hi))
+    windows.sort()
+    if any(a[1] >= b[0] for a, b in zip(windows, windows[1:])):
+        problems.append("listed roots are not distinct")
+    return problems
+
+
+def test_refined_roots_pass_the_window_check(monkeypatch):
+    p = p_beta(40, -3).poly
+    v, _ = substitute_critical(p)
+    assert root_window_problems(v, LineIsolation(p).roots()) == []
+    assert root_window_problems(v, real_root_data(v).roots()) == []
+    # a refinement stopped at 2^-8 of the lower end
+    monkeypatch.setattr(poly, "REFINE_BITS", 8)
+    assert root_window_problems(v, LineIsolation(p).roots())
+    assert root_window_problems(v, real_root_data(v).roots())
+    monkeypatch.undo()
+    # a refinement that returns the next point beyond the upper end
+    refine = PositiveRoots.refine
+    monkeypatch.setattr(PositiveRoots, "refine", lambda self, box: (
+        refine(self, box) + Fraction(box[1] - box[0], 1 << box[2])))
+    assert root_window_problems(v, LineIsolation(p).roots())
+    assert root_window_problems(v, real_root_data(v).roots())
 
 
 @given(st.integers(min_value=0, max_value=8))

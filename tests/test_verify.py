@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
-from critpoly.poly import (Poly, RatFun, isolate_real_roots, refine_root,
-                           substitute_critical)
+from critpoly.poly import (Poly, RatFun, isolate_real_roots, real_root_data,
+                           refine_root, substitute_critical)
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
@@ -256,6 +256,10 @@ def test_certificate_agrees_with_sturm(odd, scale, factors):
     assert cert.v_degree == data.degree
     if cert.method == "descartes":
         assert cert.passed and cert.squarefree
-    # the roots the fallback of `critpoly roots` lists
+    # the roots the fallback of `critpoly roots` lists, and those of
+    # refine_root
+    want = sturm_roots(v)
+    assert real_root_data(v).roots() == pytest.approx(want, rel=1e-12,
+                                                      abs=1e-12)
     got = [refine_root(v, lo, hi) for lo, hi in isolate_real_roots(v)]
-    assert got == pytest.approx(sturm_roots(v), rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

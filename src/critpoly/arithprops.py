@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .construct import p_s21_chebyshev
+from .construct import p_s32
 from .errors import InvalidParameters
 from .orthopoly import gegenbauer, triangle_row_polynomial_b
 from .poly import Poly
@@ -84,8 +84,8 @@ def odd_factor_check(n: int, s: int) -> dict:
     if n < 1:
         raise InvalidParameters("n must be >= 1")
     sv = Fraction(s)
-    even_val = _exact_int(4 * catalan(n - 1) * p_s21_chebyshev(2 * n).poly(sv))
-    odd_val = _exact_int(catalan(n) * p_s21_chebyshev(2 * n + 1).poly(sv))
+    even_val = _exact_int(4 * catalan(n - 1) * p_s32(2 * n, 1).poly(sv))
+    odd_val = _exact_int(catalan(n) * p_s32(2 * n + 1, 1).poly(sv))
     report = {"n": n, "s": s}
     for name, value in (("even", even_val), ("odd", odd_val)):
         report[name] = {"value": value, "is_integer": True,
@@ -108,13 +108,12 @@ def reduced_odd_forms(n: int, s: int) -> dict:
         raise InvalidParameters("s must be a positive integer")
     if n < 0:
         raise InvalidParameters("n must be >= 0")
-    from math import factorial
     sv = Fraction(s)
     even_val = _exact_int(Fraction(2 ** (2 * n + 1), factorial(2 * n))
-                          * p_s21_chebyshev(2 * n).poly(sv))
+                          * p_s32(2 * n, 1).poly(sv))
     odd_val = _exact_int(
         Fraction(2 ** (2 * n + 1) * largest_odd_factor(n + 1),
-                 factorial(2 * n + 2)) * p_s21_chebyshev(2 * n + 1).poly(sv))
+                 factorial(2 * n + 2)) * p_s32(2 * n + 1, 1).poly(sv))
     report = {"n": n, "s": s}
     for name, value in (("even", even_val), ("odd", odd_val)):
         report[name] = {"value": value, "is_odd": v2(value) == 0,
@@ -127,7 +126,6 @@ def reduced_odd_forms(n: int, s: int) -> dict:
 def catalan_valuation_check(nmax: int = 20) -> dict:
     """The power of 2 in C_n is pinned by 2^(2n+1)/(2n+2)!: check
     v2(C_n) = 2n + 1 - v2((2n+2)!)."""
-    from math import factorial
     oks = [v2(catalan(n)) == 2 * n + 1 - v2(factorial(2 * n + 2))
            for n in range(nmax + 1)]
     return {"pass": all(oks), "checks": len(oks)}

@@ -17,7 +17,6 @@ from . import arithprops, construct, quadrature, verify
 from .errors import CritPolyError
 from .hyp3f2 import appendix_transform_suite
 from .orthopoly import identity_suite
-from .poly import real_root_data, substitute_critical
 from .rat import as_rat, format_rat, parse_rat
 
 LAMBDA_SET = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
@@ -120,7 +119,9 @@ def _build(args, parser) -> construct.CriticalPolynomial:
     if family == "chebyshev":
         if args.lam not in (None, Fraction(1)):
             parser.error("--family chebyshev fixes lambda = 1")
-        if form in (None, "s21"):
+        if form is None:
+            return construct.p_s32(args.n, 1)
+        if form == "s21":
             return construct.p_s21_chebyshev(args.n)
         if form == "recur":
             return construct.p_chebyshev_recursive(args.n)
@@ -146,14 +147,11 @@ def cmd_roots(args, parser) -> int:
     p = _build(args, parser)
     start = time.perf_counter()
     cert = verify.certify_critical_line(p)
-    found = cert.isolation
-    if found is None:
-        found = real_root_data(substitute_critical(p.poly)[0])
-    roots = found.roots()
+    roots = cert.isolation.roots()
     log.debug("roots of %s: %d isolation nodes, %d refinement evaluations, "
-              "%.3f s", cert.subject, cert.work, found.refine_work,
+              "%.3f s", cert.subject, cert.work, cert.isolation.refine_work,
               time.perf_counter() - start)
-    payload = {**cert.to_json(), "refine_work": found.refine_work,
+    payload = {**cert.to_json(), "refine_work": cert.isolation.refine_work,
                "roots": [f"1/2 + {t}i" for t in roots]}
     _emit(payload, args)
     return 0 if cert.passed else 1

@@ -1,9 +1,12 @@
 """Construction of the critical polynomials p_n(s), the normalized rational
 functions q_n(s), the reflection family p_n(s; beta), and the closed-form
-Mellin transform descriptors, via every independent formula.
+Mellin transform descriptors.
 
-Each constructor builds its own form only; the identities that tie the
-forms together are checked in ``verify``.
+One kernel builds the canonical polynomials: the beta family's 3F2 series,
+whose term ratio at beta = 3/4 - lam/2 (< 1 for lam > -1/2) is that of the
+Gegenbauer series at lam, so p_s32(n, lam) = ((2 lam)_n / 2) p_beta(n, beta)
+and p_hyp is twice that. S41, S21 and RECUR are built here as evidence, the
+S32 sum is ``verify.s32_sum``, and ``verify`` checks the identities.
 
 Normalization bookkeeping: the canonical normalization (tag ``paper_S``)
 matches the printed list p_0 = 1/2, p_1 = 1, p_2 = 3s/2 - 3/4, ...; the
@@ -20,15 +23,15 @@ from math import comb, factorial
 from .errors import InvalidBeta, PoleInDenominator, UndefinedIndex
 from .hyp3f2 import poly_from_3f2
 from .orthopoly import _check_lambda
-from .poly import Poly, RatFun, gen_binom, int_mul_linear, pochhammer
+from .poly import Poly, RatFun, gen_binom, pochhammer
 from .rat import as_rat, format_rat
 
 S = Poly.var("s")
 
 # Entries kept by each memoized builder (key (n, parameter), or n for S21
-# and the T-factor recurrence). `verify --suite all --nmax 10` asks for 151
-# distinct S32 keys, 151 HYP, 44 beta and 41 T factors, so every repeat
-# there is a hit.
+# and the T-factor recurrence). `verify --suite all --nmax 10` asks for 64
+# distinct S32 keys, 151 HYP, 173 beta (S32 and HYP build through it), 41
+# T factors and 14 S21, so every repeat there is a hit.
 MEMO_SIZE = 256
 
 
@@ -97,13 +100,8 @@ def p_s41(n: int, lam) -> CriticalPolynomial:
 
 
 def p_s32(n: int, lam) -> CriticalPolynomial:
-    """Three-numerator/two-denominator sum form.
-
-    The s-dependent denominator binomial is cancelled against the prefactor
-    binomial: C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, so the sum is
-    sum_r A_r C(x+r, r) (a+r+1)_{m-r} with x = (s-2+eps)/2 and
-    a = (s+lam)/2 - 3/4 + eps/2. Memoized on (n, lam).
-    """
+    """Three-numerator/two-denominator sum form, built as (2 lam)_n / 2
+    times the beta kernel at beta = 3/4 - lam/2. Memoized on (n, lam)."""
     lam = as_rat(lam)
     _check_lambda(lam)
     return _p_s32(n, lam)
@@ -111,30 +109,8 @@ def p_s32(n: int, lam) -> CriticalPolynomial:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _p_s32(n: int, lam: Fraction) -> CriticalPolynomial:
-    # Split-product Horner T_k = T_{k-1} (a+k) + A_k B_k, B_k = C(x+k, k),
-    # whose T_m is the sum, run over integers. For lam = p/q the factors
-    # are scaled to L_k = 4q (a+k) and to P_k = 2^k k! B_k, the product of
-    # s - 2 + eps + 2j over j <= k. The weights D_k = A_k (2q)^k / k! then
-    # have the integer term ratio num / den; u and v multiply those up, and
-    # acc = v (4q)^k T_k / A_0 obeys acc_k = den L_k acc_{k-1} + u P_k.
-    m, eps = n // 2, n % 2
-    p, q = lam.numerator, lam.denominator
-    acc, prods, u, v = [1], [1], 1, 1
-    for k in range(1, m + 1):
-        num = -4 * (q * (m + k - 1 + eps) + p) * (m - k + 1)
-        den = (2 * k - 1 + 2 * eps) * k
-        u, v = u * num, v * den
-        prods = int_mul_linear(prods, 1, eps - 2 + 2 * k)
-        acc = int_mul_linear(acc, 2 * q * den,
-                             den * (2 * p + (2 * eps - 3) * q + 4 * q * k))
-        acc = [a + u * b for a, b in zip(acc, prods)]
-    # A_0 times the prefactor (2m+eps)! C(m+lam-1+eps, m+eps)
-    if eps == 0:
-        front = Fraction((-1) ** m, 2) * gen_binom(m + lam - 1, m)
-    else:
-        front = (-1) ** m * (m + 1) * gen_binom(m + lam, m + 1)
-    scale = factorial(2 * m + eps) * front / (v * (4 * q) ** m)
-    out = Poly("s", [c * scale for c in acc])
+    out = (_p_beta(n, Fraction(3, 4) - lam / 2).poly
+           * (pochhammer(2 * lam, n) / 2))
     return CriticalPolynomial(n, "gegenbauer", lam, "S32", out, "paper_S")
 
 
@@ -176,14 +152,7 @@ def p_hyp(n: int, lam) -> CriticalPolynomial:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _p_hyp(n: int, lam: Fraction) -> CriticalPolynomial:
-    p, q = lam.numerator, lam.denominator
-    coeffs = [pochhammer(2 * lam, n)]
-    for k in range(1, n // 2 + 1):
-        # c_k / c_{k-1}, with lam = p/q
-        coeffs.append(coeffs[-1] * Fraction(
-            -(2 * p + q + 4 * q * (k - 1)) * (n - 2 * k + 2) * (n - 2 * k + 1),
-            8 * k * (2 * p + q + 2 * q * (k - 1))))
-    out = poly_from_3f2(n, n % 2, coeffs)
+    out = _p_beta(n, Fraction(3, 4) - lam / 2).poly * pochhammer(2 * lam, n)
     return CriticalPolynomial(n, "gegenbauer", lam, "HYP", out, "thm4_hat")
 
 

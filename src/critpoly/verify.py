@@ -21,8 +21,9 @@ from .construct import (S, CriticalPolynomial, p_beta, p_hyp, p_s32,
                         q_rational)
 from .errors import GammaPole
 from .hyp3f2 import eval_3f2
-from .poly import (LineIsolation, Poly, RatFun, gen_binom, half_shift,
-                   pochhammer, real_root_data, substitute_critical)
+from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
+                   half_shift, int_mul_linear, pochhammer, real_root_data,
+                   substitute_critical)
 from .rat import as_rat
 
 log = logging.getLogger("critpoly")
@@ -45,8 +46,8 @@ class Certificate:
     "squarefree"; ``work`` counts the Descartes intervals tested, on w or
     on the squarefree part of p(1/2 + it); ``coeff_bits`` is the largest
     bit size among the integer coefficients of w, the parity reduction of
-    p(1/2 + it). ``isolation`` holds the Descartes boxes when they prove
-    the result."""
+    p(1/2 + it). ``isolation`` holds the isolated roots, which ``roots()``
+    refines: of w, or of the squarefree part of v under "squarefree"."""
     subject: dict
     degree: int
     v_degree: int
@@ -57,8 +58,8 @@ class Certificate:
     method: str
     work: int
     coeff_bits: int
-    isolation: LineIsolation | None = field(default=None, compare=False,
-                                            repr=False)
+    isolation: LineIsolation | RealRootData = field(compare=False,
+                                                    repr=False)
 
     def to_json(self) -> dict:
         return {"subject": self.subject, "degree": self.degree,
@@ -103,7 +104,8 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
     data = real_root_data(v)
     return Certificate(subject, poly.degree, data.degree,
                        data.distinct_real_roots, data.is_squarefree, True,
-                       data.all_roots_real(), "squarefree", data.work, bits)
+                       data.all_roots_real(), "squarefree", data.work, bits,
+                       data)
 
 
 def reflection_sign(n: int) -> int:
@@ -138,10 +140,42 @@ def check_fq1(n: int, lam) -> bool:
 # agreement of the constructed forms
 # ---------------------------------------------------------------------------
 
+def s32_sum(n: int, lam) -> Poly:
+    """The three-numerator/two-denominator sum form of p_n(s), built apart
+    from the beta kernel of ``construct.p_s32``. The s-dependent binomial
+    cancels against the prefactor, C(m+A, m) / C(A+r, r) =
+    (r!/m!) (A+r+1)_{m-r}, leaving sum_r A_r C(x+r, r) (a+r+1)_{m-r} with
+    x = (s-2+eps)/2 and a = (s+lam)/2 - 3/4 + eps/2."""
+    lam = as_rat(lam)
+    # Split-product Horner T_k = T_{k-1} (a+k) + A_k B_k, B_k = C(x+k, k),
+    # whose T_m is the sum, run over integers. For lam = p/q the factors
+    # are scaled to L_k = 4q (a+k) and to P_k = 2^k k! B_k, the product of
+    # s - 2 + eps + 2j over j <= k. The weights D_k = A_k (2q)^k / k! then
+    # have the integer term ratio num / den; u and v multiply those up, and
+    # acc = v (4q)^k T_k / A_0 obeys acc_k = den L_k acc_{k-1} + u P_k.
+    m, eps = n // 2, n % 2
+    p, q = lam.numerator, lam.denominator
+    acc, prods, u, v = [1], [1], 1, 1
+    for k in range(1, m + 1):
+        num = -4 * (q * (m + k - 1 + eps) + p) * (m - k + 1)
+        den = (2 * k - 1 + 2 * eps) * k
+        u, v = u * num, v * den
+        prods = int_mul_linear(prods, 1, eps - 2 + 2 * k)
+        acc = int_mul_linear(acc, 2 * q * den,
+                             den * (2 * p + (2 * eps - 3) * q + 4 * q * k))
+        acc = [a + u * b for a, b in zip(acc, prods)]
+    # A_0 times the prefactor (2m+eps)! C(m+lam-1+eps, m+eps), with
+    # (m+1) C(m+lam, m+1) = (m+lam) C(m+lam-1, m)
+    front = ((-1) ** m * gen_binom(m + lam - 1, m)
+             * (m + lam if eps else Fraction(1, 2)))
+    scale = factorial(2 * m + eps) * front / (v * (4 * q) ** m)
+    return Poly("s", [c * scale for c in acc])
+
+
 def check_hat_ratio(hat: Poly, n: int, lam) -> bool:
     """HYP = 2 S32: the hypergeometric route (normalization ``thm4_hat``)
-    gives exactly twice the canonical polynomial."""
-    return hat == 2 * p_s32(n, lam).poly
+    gives exactly twice the S32 sum, built independently by ``s32_sum``."""
+    return hat == 2 * s32_sum(n, lam)
 
 
 def check_q_forms(q: RatFun, n: int, lam) -> bool:

@@ -113,8 +113,18 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
             super().__init__(p)
             self.fallback = "forced"
 
+    # the fallback isolates v once, in the certificate, and refines that
+    built = []
+    init = poly.RealRootData.__init__
+
+    def counted(self, v):
+        built.append(v)
+        init(self, v)
+
     monkeypatch.setattr(verify, "LineIsolation", NoProof)
+    monkeypatch.setattr(poly.RealRootData, "__init__", counted)
     code, out = run(capsys, *argv)
+    assert len(built) == 1
     slow = json.loads(out)
     assert code == 0 and slow["method"] == "squarefree"
     assert slow["pass"] is True

@@ -149,6 +149,10 @@ def test_memo_shares_one_object_across_spellings():
     assert p_hyp(7, "3/2") is p_hyp(7, Fraction(3, 2)) is p_hyp(7, 1.5)
     assert p_beta(7, 0) is p_beta(7, Fraction(0)) is p_beta(7, "0")
     assert mellin_T_closed(9).factor is mellin_T_closed(9).factor
+    # lambda = 3/2 is beta = 0: S32, HYP and beta share one kernel entry
+    construct.clear_caches()
+    p_s32(7, "3/2"), p_hyp(7, 1.5), p_beta(7, 0)
+    assert construct._p_beta.cache_info().currsize == 1
 
 
 def test_memo_never_caches_a_failure():

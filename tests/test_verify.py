@@ -6,18 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critpoly import cli, construct, verify
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
-from critpoly.poly import (Poly, RatFun, isolate_real_roots, real_root_data,
-                           refine_root, substitute_critical)
+from critpoly.poly import (Poly, RatFun, RealRootData, isolate_real_roots,
+                           real_root_data, refine_root, substitute_critical)
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
                              check_gould_closures, check_gould_sum_forms,
                              check_hat_ratio, check_integer_s_sums,
                              check_M_recurrences, check_q_forms,
-                             check_q_range, check_T_zero_set)
+                             check_q_range, check_T_zero_set, s32_sum)
 from sturm_oracle import sturm_root_data, sturm_roots
 
 SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), Fraction(11, 7),
@@ -130,6 +131,39 @@ def test_hat_ratio_and_reflection():
             assert check_functional_equation(hat, n), (n, lam)
 
 
+# p_s32 and p_hyp are scalings of the beta kernel; s32_sum is the S32
+# binomial sum, built on its own
+KERNEL_LAMBDAS = [Fraction(-49, 100), Fraction(-1, 4), Fraction(1, 2),
+                  Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3),
+                  Fraction(5, 2), Fraction(10)]
+
+
+@pytest.mark.parametrize("lam", KERNEL_LAMBDAS, ids=str)
+def test_beta_kernel_matches_s32_sum(lam):
+    for n in [*range(61), 400]:
+        want = s32_sum(n, lam)
+        assert p_s32(n, lam).poly == want, (n, lam)
+        assert p_hyp(n, lam).poly == 2 * want, (n, lam)
+
+
+def _perturbed(poly):
+    return Poly("s", [poly.coeffs[0] + Fraction(1, 7), *poly.coeffs[1:]])
+
+
+@pytest.mark.parametrize("route", ["beta kernel", "s32_sum"])
+def test_perturbed_route_fails_the_form_checks(monkeypatch, route):
+    if route == "beta kernel":
+        kernel = construct.poly_from_3f2
+        monkeypatch.setattr(construct, "poly_from_3f2",
+                            lambda *args: _perturbed(kernel(*args)))
+    else:
+        monkeypatch.setattr(verify, "s32_sum",
+                            lambda n, lam: _perturbed(s32_sum(n, lam)))
+    lam = Fraction(7, 3)
+    assert not check_hat_ratio(p_hyp(6, lam).poly, 6, lam)
+    assert not cli.SUITES["forms"](10, 0)["pass"]
+
+
 def test_beta_reflection():
     for beta in (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2),
                  Fraction(-3)):
@@ -213,6 +247,7 @@ def test_double_zero_on_the_line_falls_back_to_squarefree(caplog):
     for poly, reason in ((U * U * p4, "w(0)=0"), (p4 * p4, "depth guard")):
         cert = certify_critical_line(poly)
         assert cert.method == "squarefree" and cert.work > 0
+        assert isinstance(cert.isolation, RealRootData)
         assert cert.passed and not cert.squarefree
         assert cert.distinct_real_roots == 3 if reason == "w(0)=0" else 2
         assert reason in caplog.text

@@ -70,10 +70,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(
+            f"expected an integer value, got {Fraction(num, den)}")
+    return q
+
+
 def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer value, got {x}")
-    return int(x)
+    return _exact_quotient(x.numerator, x.denominator)
 
 
 def odd_factor_check(n: int, s: int) -> dict:
@@ -153,16 +159,17 @@ def triangle(kind: str, k: int) -> TriangleRow:
     if kind == "a":
         if k < 1:
             raise InvalidParameters("a-triangle needs k >= 1")
-        vals = [Fraction((2 * k - 1) * (2 * k + 1), 2 * j + 3)
-                * comb(k + j, 2 * j + 1) for j in range(k)]
+        ints = tuple(_exact_quotient((2 * k - 1) * (2 * k + 1)
+                                     * comb(k + j, 2 * j + 1), 2 * j + 3)
+                     for j in range(k))
     elif kind == "b":
         if k < 0:
             raise InvalidParameters("b-triangle needs k >= 0")
-        vals = [Fraction(2 * k + 1, 2 * j + 1) * comb(k + j, 2 * j)
-                for j in range(k + 1)]
+        ints = tuple(_exact_quotient((2 * k + 1) * comb(k + j, 2 * j),
+                                     2 * j + 1)
+                     for j in range(k + 1))
     else:
         raise InvalidParameters("kind must be 'a' or 'b'")
-    ints = tuple(_exact_int(v) for v in vals)
     if any(v <= 0 for v in ints):
         raise AssertionError(f"non-positive triangle entry in {kind}, k={k}")
     return TriangleRow(kind, k, ints)

@@ -31,6 +31,7 @@ GOLDEN = {0: [Fraction(1, 2)], 1: [Fraction(1)],
 # the gould suite uses the hat polynomials up to index 2 GOULD_NMAX + 1
 GOULD_NMAX = 6
 GENFUN_K = 40
+GENFUN_S = (1.0, 2.0, 3.0)
 
 log = logging.getLogger("critpoly")
 
@@ -317,6 +318,10 @@ def _suite_genfun(nmax: int, seed: int) -> dict:
     """The generating-function series, after checking the closed forms they
     sum: HYP = 2 S32 with reflection, and the T-factor zero sets."""
     count = 0
+    # the series coefficients do not depend on t, and the T family not on
+    # lambda either: each is computed once for the points that share it
+    t_values = {s: quadrature.mellin_values(None, s, GENFUN_K)
+                for s in GENFUN_S}
     for lam in (1.0, 0.5, 2.5):
         lam_r = as_rat(lam)
         for k in range(GENFUN_K + 1):
@@ -327,9 +332,12 @@ def _suite_genfun(nmax: int, seed: int) -> dict:
                         "detail": f"hat polynomial fails at n={k}, "
                                   f"lambda={lam}"}
             count += 2
-        for s in (1.0, 2.0, 3.0):
+        for s in GENFUN_S:
+            m_values = quadrature.mellin_values(lam, s, GENFUN_K)
             for t in (0.05, 0.1):
-                r = quadrature.genfun_check(lam, s, t, K=GENFUN_K, tol=1e-9)
+                r = quadrature.genfun_check(lam, s, t, K=GENFUN_K, tol=1e-9,
+                                            m_values=m_values,
+                                            t_values=t_values[s])
                 if not r["pass"]:
                     return {"pass": False,
                             "detail": f"lambda={lam}, s={s}, t={t}: "

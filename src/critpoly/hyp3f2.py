@@ -35,12 +35,25 @@ def eval_3f2(a1, a2, a3, b1, b2) -> Fraction:
         if b.denominator == 1 and 0 >= b > -n:
             raise DenominatorPole(
                 f"denominator parameter {b} hits a pole before index {n}")
-    total = term = Fraction(1)
-    for k in range(n):
-        term *= ((a1 + k) * (a2 + k) * (a3 + k)
-                 / ((b1 + k) * (b2 + k) * (k + 1)))
-        total += term
-    return total
+    # term ratio t_(k+1) / t_k = N(k) / D(k) with the parameters over their
+    # denominators: N(k) = B prod_i (p_i + k q_i), D(k) = A (k + 1)
+    # prod_j (r_j + k s_j), A and B the products of the a- and b-denominators
+    ps = [(a.numerator, a.denominator) for a in (a1, a2, a3)]
+    rs = [(b.numerator, b.denominator) for b in (b1, b2)]
+    big_a = a1.denominator * a2.denominator * a3.denominator
+    big_b = b1.denominator * b2.denominator
+    # nested Horner from the last term inwards,
+    # 1 + N(0)/D(0) (1 + N(1)/D(1) (... (1 + N(n-1)/D(n-1)))), on num / den;
+    # the pole check above keeps every D(k) nonzero
+    num = den = 1
+    for k in range(n - 1, -1, -1):
+        top, bottom = big_b, big_a * (k + 1)
+        for p, q in ps:
+            top *= p + k * q
+        for r, s in rs:
+            bottom *= r + k * s
+        num, den = den * bottom + top * num, den * bottom
+    return Fraction(num, den)
 
 
 def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:

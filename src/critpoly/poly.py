@@ -4,8 +4,17 @@ critical-line kernel with Descartes root isolation, the one real-root engine.
 Coefficients are Fractions in normal use. The same class also carries
 Poly coefficients (polynomials in the Gegenbauer parameter), so a handful
 of operations are written ring-generically. Division and gcd require
-Fraction coefficients. The critical-line substitution, the Descartes
-bisection and its root refinement run on plain integer lists.
+Fraction coefficients.
+
+These run on integers, with one division at the end:
+- the product of two polynomials with int or Fraction coefficients (each
+  cleared to integers over its common denominator, then convolved), and
+  with it Horner evaluation at a polynomial point and powers;
+- the rising factorial and generalized binomial of an int or Fraction;
+- the critical-line substitution, the Descartes bisection and its root
+  refinement, on plain integer lists.
+Long division updates one coefficient list in place. Products with Poly or
+float coefficients keep the generic loop.
 """
 from __future__ import annotations
 
@@ -113,6 +122,13 @@ class Poly:
         if isinstance(other, Poly) and other.variable == self.variable:
             if self.is_zero or other.is_zero:
                 return Poly.zero(self.variable)
+            x, y = _int_form(self.coeffs), _int_form(other.coeffs)
+            if x is not None and y is not None:
+                # rational coefficients: one integer convolution over the
+                # product of the two common denominators
+                den = x[1] * y[1]
+                return Poly(self.variable, [Fraction(c, den)
+                                            for c in _convolve(x[0], y[0])])
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -223,25 +239,38 @@ def poly_shift(p: Poly, a) -> Poly:
 def pochhammer(a, k: int):
     """Rising factorial a (a+1) ... (a+k-1); empty product for k = 0.
 
-    Works for Fraction, int, float and Poly arguments alike.
+    Works for Fraction, int, float and Poly arguments alike. For a = u/v
+    rational the product (u)(u + v)...(u + (k-1) v) is taken in integers
+    and divided by v^k once; an int argument gives an int for k >= 1.
     """
     if k < 0:
         raise ValueError("pochhammer needs k >= 0")
+    if k == 0:
+        return Poly.constant(a.variable, Fraction(1)) if isinstance(a, Poly) \
+            else Fraction(1)
+    if isinstance(a, (int, Fraction)):
+        u, v = a.numerator, a.denominator
+        num = 1
+        for j in range(k):
+            num *= u + j * v
+        return num if isinstance(a, int) else Fraction(num, v ** k)
     out = None
     for j in range(k):
         term = a + j
         out = term if out is None else out * term
-    if out is None:
-        return Poly.constant(a.variable, Fraction(1)) if isinstance(a, Poly) \
-            else Fraction(1)
     return out
 
 
 def gen_binom(a, k: int):
-    """Generalized binomial C(a, k) = (a-k+1)_k / k! for integer k >= 0."""
+    """Generalized binomial C(a, k) = (a-k+1)_k / k! for integer k >= 0;
+    an int for an int a and k >= 1, since k! divides any k consecutive
+    integers."""
     if k < 0:
         raise ValueError("gen_binom needs k >= 0")
-    return pochhammer(a - (k - 1), k) / factorial(k)
+    rising = pochhammer(a - (k - 1), k)
+    if isinstance(rising, int):
+        return rising // factorial(k)
+    return rising / factorial(k)
 
 
 def int_mul_linear(coeffs: list, a: int, b: int) -> list:
@@ -256,24 +285,47 @@ def int_mul_linear(coeffs: list, a: int, b: int) -> list:
             + [a * coeffs[-1]])
 
 
+def _int_form(coeffs):
+    """(ints, den) with coeffs[k] = ints[k] / den, den the lcm of the
+    denominators; None unless every coefficient is an int or a Fraction."""
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return None
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list, b: list) -> list:
+    """Integer coefficients of the product of the integer polynomials a and
+    b (constant term first), by the schoolbook convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Euclidean layer (Fraction coefficients only)
 # ---------------------------------------------------------------------------
 
 def divmod_poly(a: Poly, b: Poly):
+    """Quotient and remainder of a by b, by long division on a list of
+    coefficients updated in place: step k subtracts c x^k b from it."""
     if b.is_zero:
         raise ZeroPolynomial("division by zero polynomial")
     a._check_var(b)
-    q = Poly.zero(a.variable)
-    r = a
-    lb = b.leading
-    while not r.is_zero and r.degree >= b.degree:
-        k = r.degree - b.degree
-        c = r.leading / lb
-        t = Poly(a.variable, [Fraction(0)] * k + [c])
-        q = q + t
-        r = r - t * b
-    return q, r
+    r, bs = list(a.coeffs), b.coeffs
+    db = len(bs) - 1
+    # an int leading coefficient still divides exactly
+    lb = Fraction(bs[-1])
+    q = [Fraction(0)] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        if r[k + db]:
+            c = q[k] = r[k + db] / lb
+            for j in range(db):
+                r[k + j] -= c * bs[j]
+    return Poly(a.variable, q), Poly(a.variable, r[:db])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -288,15 +288,29 @@ def _within(err: float, tol: float, tail: float) -> bool:
     return math.isfinite(tail) and err <= tol + tail
 
 
+def mellin_values(lam, s: float, K: int) -> list:
+    """closed_form_value of M_k(lam, s) for k = 0..K, or of the first-kind
+    transforms T_k(s) when lam is None: the coefficients of the series that
+    genfun_check sums, which do not depend on t."""
+    if lam is None:
+        return [closed_form_value(mellin_T_closed(k), s)
+                for k in range(K + 1)]
+    lam_r = as_rat(lam)
+    return [closed_form_value(mellin_closed(k, lam_r), s)
+            for k in range(K + 1)]
+
+
 def genfun_check(lam: float, s: float, t: float, K: int = 40,
-                 tol: float = 1e-9) -> dict:
+                 tol: float = 1e-9, m_values=None, t_values=None) -> dict:
     """Compare the truncated transform series Sum_k M_k(s) t^k against every
     closed generating-function form that applies at this parameter point.
 
     The truncation error is bounded by a geometric tail estimate from the
     last computed term; each comparison must satisfy
     |series - closed| <= tol + tail bound, with a finite bound: a series
-    whose last term ratio is >= 1 fails.
+    whose last term ratio is >= 1 fails. ``m_values`` and ``t_values`` are
+    ``mellin_values(lam, s, K)`` and ``mellin_values(None, s, K)`` when the
+    caller has them already, as for several t at one (lam, s).
     """
     if abs(t) >= 0.25:
         raise ConvergenceMarginViolated(
@@ -305,11 +319,14 @@ def genfun_check(lam: float, s: float, t: float, K: int = 40,
         raise InvalidParameters(f"need s > 0, got {s}")
     if K < 2:
         raise InvalidParameters("K must be >= 2")
-    lam_r = as_rat(lam)
+    if m_values is None:
+        m_values = mellin_values(lam, s, K)
+    if t_values is None:
+        t_values = mellin_values(None, s, K)
+    if len(m_values) != K + 1 or len(t_values) != K + 1:
+        raise InvalidParameters(f"need K + 1 = {K + 1} transform values")
     t_m, s_m, lam_m = mp.mpf(t), mp.mpf(s), mp.mpf(lam)
-    series, tail = _series_sum(
-        [closed_form_value(mellin_closed(k, lam_r), s)
-         for k in range(K + 1)], t_m)
+    series, tail = _series_sum(m_values, t_m)
     checks = {"general": float(_genfun_rhs_general(lam_m, s_m, t_m))}
     if lam == 1:
         checks["lambda1"] = float(_genfun_rhs_lambda1(s_m, t_m))
@@ -317,10 +334,8 @@ def genfun_check(lam: float, s: float, t: float, K: int = 40,
             reexp, _ = _genfun_rhs_reexpanded(s_m, t_m, K)
             checks["reexpanded"] = float(reexp)
     # T family is parameter-free; checked at the same (s, t)
-    t_vals = [closed_form_value(mellin_T_closed(k), s)
-              for k in range(K + 1)]
     t_series, t_tail = _series_sum(
-        [t_vals[0]] + [2 * v for v in t_vals[1:]], t_m)
+        [t_values[0]] + [2 * v for v in t_values[1:]], t_m)
     t_closed = float(_genfun_rhs_T(s_m, t_m))
     series_f, tail_f = float(series), float(tail)
     report = {"lambda": lam, "s": s, "t": t, "K": K,

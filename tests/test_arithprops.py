@@ -1,6 +1,9 @@
 """Catalan normalizations, 2-adic valuations, and the number triangles."""
+from math import comb
+
 import pytest
 
+from critpoly import arithprops
 from critpoly.arithprops import (a_polynomial_checks, catalan,
                                  catalan_valuation_check, csv_rows,
                                  divisibility_characterization, factorize,
@@ -72,6 +75,13 @@ def test_triangle_rows():
         triangle("a", 0)
     with pytest.raises(InvalidParameters):
         triangle("c", 3)
+
+
+def test_triangle_entry_with_a_remainder_raises(monkeypatch):
+    # with C(k+j, 2j) off by one, b(3, 1) = 7 * 7 / 3 is no integer
+    monkeypatch.setattr(arithprops, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(AssertionError, match="got 49/3"):
+        triangle("b", 3)
 
 
 def test_divisibility_characterizations():

@@ -4,7 +4,9 @@ O(m^3) constructions, and the integer critical-line kernel, its reflection
 check, the Descartes certificate and its roots against the Gaussian-rational
 substitution, the composed reflection p(1-s) and the Sturm oracle in
 sturm_oracle.py; and the Bernstein-basis isolation and its quadratic
-refinement against the Taylor-shift bisection in taylor_oracle.py.
+refinement against the Taylor-shift bisection in taylor_oracle.py; and
+the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
+sum and long division against the Fraction loops in fraction_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -18,14 +20,17 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from critpoly import poly, quadrature
+import fraction_oracle
+from critpoly import hyp3f2, poly, quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
+from critpoly.errors import DenominatorPole, NonTerminating
 from critpoly.orthopoly import gegenbauer
-from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
-                           int_mul_linear, pochhammer, substitute_critical)
+from critpoly.poly import (LineIsolation, Poly, PositiveRoots, divmod_poly,
+                           gen_binom, int_mul_linear, pochhammer,
+                           substitute_critical)
 from critpoly.verify import (certify_critical_line, check_functional_equation,
                              reflection_sign)
 from sturm_oracle import sturm_root_data, sturm_roots
@@ -342,3 +347,124 @@ def test_reexpanded_genfun_matches_full_sum(s, t):
     s_m, t_m = quadrature.mp.mpf(s), quadrature.mp.mpf(t)
     got, _ = quadrature._genfun_rhs_reexpanded(s_m, t_m, 40)
     assert got == slow_genfun_rhs_reexpanded(s_m, t_m, 40)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction loops in fraction_oracle.py, on
+# one shared grid: rational coefficients mixing ints and Fractions (the
+# empty list is the zero polynomial), and Polys in lam as coefficients
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.one_of(st.integers(min_value=-12, max_value=12),
+                      st.fractions(min_value=-12, max_value=12,
+                                   max_denominator=9))
+
+
+def polys_of(coeffs, variable="x", max_size=6):
+    return st.lists(coeffs, max_size=max_size).map(
+        lambda cs: Poly(variable, cs))
+
+
+RATIONAL_POLYS = polys_of(RATIONALS)
+SHARED_POLYS = st.one_of(RATIONAL_POLYS,
+                         polys_of(polys_of(RATIONALS, "lam", 3), max_size=4))
+
+
+def typed(x):
+    """x with the type of every coefficient beside its value, so that an
+    int and the Fraction of the same value compare unequal."""
+    if isinstance(x, Poly):
+        return x.variable, tuple(typed(c) for c in x.coeffs)
+    return type(x), x
+
+
+def outcome(f, *args):
+    """f(*args) typed, or the type of the 3F2 error it raised."""
+    try:
+        return typed(f(*args))
+    except (DenominatorPole, NonTerminating) as exc:
+        return type(exc)
+
+
+def product_agrees(a, b) -> bool:
+    return typed(a * b) == typed(fraction_oracle.poly_mul(a, b))
+
+
+def as_fractions(p: Poly) -> Poly:
+    return Poly(p.variable, map(Fraction, p.coeffs))
+
+
+@given(SHARED_POLYS, SHARED_POLYS)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_schoolbook(a, b):
+    assert product_agrees(a, b)
+
+
+@given(st.one_of(RATIONALS, st.integers(min_value=-30, max_value=0),
+                 SHARED_POLYS),
+       st.integers(min_value=0, max_value=6))
+@example(-3, 5)      # a factor is zero
+@example(7, 0)       # the empty product
+@settings(max_examples=200, deadline=None)
+def test_pochhammer_matches_factor_by_factor(a, k):
+    assert typed(pochhammer(a, k)) == typed(fraction_oracle.pochhammer(a, k))
+
+
+@given(st.one_of(st.integers(min_value=-10, max_value=0), RATIONALS),
+       RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+@example(-3, Fraction(1, 2), 2, -1, 3)               # pole at index 1 < 3
+@example(Fraction(1, 2), Fraction(-3, 2), 2, 3, 4)  # never terminates
+@example(-6, Fraction(1, 2), Fraction(7, 3), -6, Fraction(5, 4))
+@settings(max_examples=300, deadline=None)
+def test_3f2_matches_term_ratio_sum(a1, a2, a3, b1, b2):
+    params = a1, a2, a3, b1, b2
+    assert outcome(hyp3f2.eval_3f2, *params) \
+        == outcome(fraction_oracle.eval_3f2, *params)
+
+
+def division_agrees(a, b) -> bool:
+    return ([typed(p) for p in divmod_poly(a, b)]
+            == [typed(p) for p in fraction_oracle.divmod_poly(a, b)])
+
+
+@given(RATIONAL_POLYS, RATIONAL_POLYS)
+@example(Poly("x", [1, 2]), Poly("x", [1, 0, 3]))           # deg a < deg b
+@example(Poly("x", [1, 2, 3]), Poly("x", [Fraction(2, 3)]))  # constant b
+@settings(max_examples=200, deadline=None)
+def test_divmod_matches_poly_building_division(a, b):
+    # over Fraction coefficients, which division needs: the oracle divides
+    # an int leading coefficient by an int one in floating point
+    a, b = as_fractions(a), as_fractions(b)
+    assume(not b.is_zero)
+    assert division_agrees(a, b)
+    assert division_agrees(a * b, b)
+    assert divmod_poly(a * b, b) == (a, Poly.zero("x"))
+
+
+def test_perturbed_convolution_coefficient_is_caught(monkeypatch):
+    a = Poly("x", [Fraction(1, 2), 3, Fraction(-2, 5)])
+    b = Poly("x", [2, Fraction(1, 3)])
+    assert product_agrees(a, b)
+    convolve = poly._convolve
+
+    def perturbed(x, y):
+        out = convolve(x, y)
+        out[len(out) // 2] += 1
+        return out
+
+    monkeypatch.setattr(poly, "_convolve", perturbed)
+    assert not product_agrees(a, b)
+
+
+def test_perturbed_horner_step_is_caught(monkeypatch):
+    # the kernel's innermost step, 1 + N(n-1)/D(n-1), taken as 1: it sees
+    # one term fewer than the oracle, which imported termination_index
+    # before the patch
+    params = -3, Fraction(1, 2), 2, Fraction(5, 2), 3
+    assert outcome(hyp3f2.eval_3f2, *params) \
+        == outcome(fraction_oracle.eval_3f2, *params)
+    index = hyp3f2.termination_index
+    monkeypatch.setattr(hyp3f2, "termination_index",
+                        lambda *a: index(*a) - 1)
+    assert outcome(hyp3f2.eval_3f2, *params) \
+        != outcome(fraction_oracle.eval_3f2, *params)

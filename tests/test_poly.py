@@ -1,6 +1,7 @@
 """Exact polynomial core: ring laws, real-root counting against the Sturm
 oracle, the critical-line substitution and Descartes isolation."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from critpoly import poly
 from critpoly.construct import p_beta
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, RatFun,
-                           gen_binom, half_shift, isolate_real_roots,
-                           pochhammer, real_root_data, refine_root,
-                           squarefree_part, substitute_critical)
+                           divmod_poly, gen_binom, half_shift,
+                           isolate_real_roots, pochhammer, real_root_data,
+                           refine_root, squarefree_part, substitute_critical)
 from sturm_oracle import sturm_root_data
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -255,6 +256,20 @@ def test_gen_binom_pochhammer_identity(k):
     a = Poly.var("a")
     lhs = gen_binom(a, k) * _factorial(k)
     assert lhs == pochhammer(a - (k - 1), k)
+
+
+def test_gen_binom_is_exact_for_int_arguments():
+    big = gen_binom(10 ** 20, 3)
+    assert big == comb(10 ** 20, 3) and isinstance(big, int)
+    assert gen_binom(5, 2) == 10 and isinstance(gen_binom(5, 2), int)
+    assert gen_binom(-4, 3) == -20
+
+
+def test_int_coefficients_divide_exactly():
+    # x^2 + 1 = (3x)(x/3) + 1, with 1/3 a Fraction, not 0.333...
+    q, r = divmod_poly(Poly("x", [1, 0, 1]), Poly("x", [0, 3]))
+    assert q.coeffs == (0, Fraction(1, 3)) and r.coeffs == (1,)
+    assert all(isinstance(c, Fraction) for c in q.coeffs)
 
 
 def _factorial(k):

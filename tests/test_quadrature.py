@@ -15,7 +15,7 @@ from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters,
                              ToleranceNotMet)
 from critpoly.quadrature import (closed_form_value, compare_mellin,
                                  compare_mellin_T, genfun_check,
-                                 lemma3a_check, log_gamma,
+                                 lemma3a_check, log_gamma, mellin_values,
                                  quad_mellin_T, quad_mellin_gegenbauer,
                                  transform_level_lemma1_check)
 from critpoly.verify import check_corollary2
@@ -105,6 +105,16 @@ def test_genfun_at_t_zero_is_seed():
     assert r["pass"]
     m0 = closed_form_value(mellin_closed(0, 1), 2.0)
     assert r["series"] == pytest.approx(m0, rel=1e-12)
+
+
+def test_genfun_check_takes_the_values_it_would_compute():
+    # the genfun suite's route: the series coefficients computed once for
+    # every t at one (lambda, s)
+    m, t = mellin_values(2.5, 3.0, 40), mellin_values(None, 3.0, 40)
+    assert genfun_check(2.5, 3.0, 0.05, m_values=m, t_values=t) \
+        == genfun_check(2.5, 3.0, 0.05)
+    with pytest.raises(InvalidParameters):
+        genfun_check(2.5, 3.0, 0.05, K=10, m_values=m, t_values=t)
 
 
 def test_genfun_divergent_tail_fails():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -556,8 +557,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about as much as a small command, and parsing
+# leaves it unchanged (every `append` option defaults to None), so every
+# call in a process shares one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     level = log.level
     handler = logging.StreamHandler(sys.stderr)

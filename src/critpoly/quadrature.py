@@ -22,6 +22,14 @@ _QUAD_DPS = 30
 mp = mpmath.MPContext()
 mp.dps = _QUAD_DPS
 
+# A Gauss-Jacobi node is seeded in float to within _SEED_WIDTH, from where
+# Newton's method takes two or three steps to reach a step below
+# _NEWTON_STEP, 256 units in the last place of a node near 1; it gets
+# _NEWTON_CAP.
+_SEED_WIDTH = 2.0 ** -50
+_NEWTON_STEP = mp.mpf(2) ** (8 - mp.prec)
+_NEWTON_CAP = 8
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -60,28 +68,132 @@ def _chebyshev_t_at(n: int, x):
     return b
 
 
+def _jacobi_recurrence(alpha, beta, m: int):
+    """Coefficients a_0..a_(m-1) and b_0..b_(m-1) of the monic polynomials
+    orthogonal for y^beta (1-y)^alpha on [0, 1], p_(-1) = 0, p_0 = 1,
+    p_(k+1)(y) = (y - a_k) p_k(y) - b_k p_(k-1)(y); b_0 = 0.
+
+    a_0 and b_1 are the mean and variance of Beta(beta + 1, alpha + 1): the
+    general formulas are 0/0 there at alpha + beta = 0 and -1."""
+    ab = alpha + beta
+    a = [(beta + 1) / (ab + 2)]
+    b = [mp.zero, (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))]
+    d = beta * beta - alpha * alpha
+    for k in range(1, m):
+        c = 2 * k + ab
+        a.append((1 + d / (c * (c + 2))) / 2)
+        if k > 1:
+            b.append(k * (k + alpha) * (k + beta) * (k + ab)
+                     / (c * c * (c - 1) * (c + 1)))
+    return a, b[:m]
+
+
+def _float_nodes(a, b) -> list:
+    """The eigenvalues of the Jacobi matrix (diagonal a, off-diagonal
+    sqrt(b_k)), which are the zeros of p_m, in float by bisection: J - x I
+    has as many negative pivots as J has eigenvalues below x."""
+    af, bf = [float(x) for x in a], [float(x) for x in b]
+
+    def below(x):
+        count, d = 0, 1.0
+        for ak, bk in zip(af, bf):
+            d = ak - x - bk / d
+            if d < 0:
+                count += 1
+            elif d == 0:
+                d = 1e-300
+        return count
+
+    # Gershgorin's discs hold every eigenvalue
+    e = [math.sqrt(x) for x in bf[1:]]
+    radii = [u + v for u, v in zip([0.0] + e, e + [0.0])]
+    lo = min(x - r for x, r in zip(af, radii))
+    hi = max(x + r for x, r in zip(af, radii))
+    nodes = []
+    for i in range(len(af)):
+        top = hi
+        while top - lo > _SEED_WIDTH:
+            mid = (lo + top) / 2
+            if below(mid) > i:
+                top = mid
+            else:
+                lo = mid
+        nodes.append((lo + top) / 2)
+    return nodes
+
+
+def _gauss_rule(a, b, mu0) -> list:
+    """The (node, weight) pairs of the Gauss rule whose nodes are the zeros
+    of p_m, m = len(a): each float seed is polished by Newton's method on p_m
+    and weighted by its Christoffel number mu0 / Sum_j p_j(y)^2 / (b_1..b_j).
+
+    A node that leaves (0, 1) or is still moving by _NEWTON_STEP after
+    _NEWTON_CAP steps raises ToleranceNotMet."""
+    rule = []
+    for y in _float_nodes(a, b):
+        y = mp.mpf(y)
+        for _ in range(_NEWTON_CAP):
+            if not 0 < y < 1:
+                raise ToleranceNotMet(
+                    f"Gauss-Jacobi node {mp.nstr(y, 5)} outside (0, 1)")
+            p_prev, p, dp_prev, dp = mp.one, y - a[0], mp.zero, mp.one
+            for k in range(1, len(a)):
+                t = y - a[k]
+                p_prev, p, dp_prev, dp = (p, t * p - b[k] * p_prev, dp,
+                                          p + t * dp - b[k] * dp_prev)
+            step = p / dp
+            y -= step
+            if abs(step) < _NEWTON_STEP:
+                break
+        else:
+            raise ToleranceNotMet(
+                f"Newton's method on the Gauss-Jacobi node near "
+                f"{mp.nstr(y, 5)} did not converge in {_NEWTON_CAP} steps")
+        p_prev, p, norm, christoffel = mp.one, y - a[0], mp.one, mp.one
+        for k in range(1, len(a)):
+            norm *= b[k]
+            christoffel += p * p / norm
+            p_prev, p = p, (y - a[k]) * p - b[k] * p_prev
+        rule.append((y, mu0 / christoffel))
+    return rule
+
+
+def _gauss_jacobi_rules(alpha, beta, m: int) -> tuple:
+    """The Gauss rules of m and m + 1 nodes for y^beta (1-y)^alpha on
+    [0, 1] (alpha, beta > -1 mpfs); the m-node rule takes a prefix of the
+    other's recurrence coefficients."""
+    a, b = _jacobi_recurrence(alpha, beta, m + 1)
+    mu0 = mp.beta(beta + 1, alpha + 1)
+    return _gauss_rule(a[:m], b[:m], mu0), _gauss_rule(a, b, mu0)
+
+
 def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of the stated
     degree (alpha, beta > -1).
 
-    The Gauss-Jacobi rules (Golub-Welsch) with m = degree//2 + 1 and m + 1
-    nodes are both exact for such an f, so they differ only by rounding;
-    their difference is the error estimate. An f of higher degree, or not a
-    polynomial at all, shows up as a difference above tolerance."""
-    # nodes x on [-1, 1] for (1-x)^alpha (1+x)^beta; y = (1+x)/2
-    scale = mp.mpf(2) ** -(alpha + beta + 1)
+    The Gauss-Jacobi rules with m = degree//2 + 1 and m + 1 nodes are both
+    exact for such an f, so they differ only by rounding; their difference
+    is the error estimate. An f of higher degree, or not a polynomial at
+    all, shows up as a difference above tolerance.
+
+    Each rule is built on [0, 1] from the weight's three-term recurrence:
+    nodes seeded in float by Sturm-count bisection on the Jacobi matrix and
+    polished by Newton's method on the orthogonal polynomial, weights as
+    Christoffel numbers (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM J. Sci. Comput.
+    35, 2013)."""
     values, count = [], 0
-    for m in (degree // 2 + 1, degree // 2 + 2):
-        xs, ws = mp.gauss_quadrature(m, "jacobi", alpha, beta)
-        terms = [w * f((1 + x) / 2) for x, w in zip(xs, ws)]
-        values.append(scale * mp.fsum(terms))
-        count += m
+    for rule in _gauss_jacobi_rules(mp.mpf(alpha), mp.mpf(beta),
+                                    degree // 2 + 1):
+        terms = [w * f(y) for y, w in rule]
+        values.append(mp.fsum(terms))
+        count += len(rule)
     value, err = float(values[1]), float(abs(values[1] - values[0]))
     if not err <= tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
             f"quadrature error estimate {err} exceeds {tol}")
     return QuadResult(value, err, count,
-                      float(scale * mp.fsum(abs(t) for t in terms)))
+                      float(mp.fsum(abs(t) for t in terms)))
 
 
 def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
@@ -134,14 +246,6 @@ def closed_form_value(form: MellinClosedForm, s) -> float:
     den = mp.gamma((s_m + mp.mpf(form.den_offset.numerator)
                     / form.den_offset.denominator) / 2)
     return float(c * g1 * num / den * _poly_at(form.factor, s_m))
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 (thin wrapper, kept as the single
-    point of entry the comparisons rely on)."""
-    if x <= 0:
-        raise InvalidParameters(f"log_gamma needs x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _comparison_row(n: int, lam, s: float, q: QuadResult,

@@ -270,6 +270,19 @@ def test_mellin_csv_reports_quadrature_work(capsys):
     assert all(float(r["rel_err"]) <= 1e-12 for r in rows)
 
 
+def test_calls_share_the_parser_but_no_parsed_values(capsys):
+    # the `append` options of one call must not carry into the next
+    argv = ["mellin", "--n", "1", "--n", "2", "--lambda", "1", "--s", "1",
+            "--s", "2", "--output", "csv"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 4
+    code, out = run(capsys, "mellin", "--n", "3", "--lambda", "1", "--s",
+                    "1.5", "--output", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and [(r["n"], r["s"]) for r in rows] == [("3", "1.5")]
+    assert cli._parser() is cli._parser()
+
+
 def test_triangle_row(capsys):
     code, out = run(capsys, "triangle", "--kind", "b", "--k", "2",
                     "--output", "json")

@@ -6,7 +6,9 @@ substitution, the composed reflection p(1-s) and the Sturm oracle in
 sturm_oracle.py; and the Bernstein-basis isolation and its quadratic
 refinement against the Taylor-shift bisection in taylor_oracle.py; and
 the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
-sum and long division against the Fraction loops in fraction_oracle.py.
+sum and long division against the Fraction loops in fraction_oracle.py; and
+the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
+eigen-solver in gauss_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -24,9 +26,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle
+import gauss_oracle
 from critpoly import hyp3f2, poly, quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
-from critpoly.errors import DenominatorPole, NonTerminating
+from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
 from critpoly.orthopoly import gegenbauer
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, divmod_poly,
                            gen_binom, int_mul_linear, pochhammer,
@@ -468,3 +471,107 @@ def test_perturbed_horner_step_is_caught(monkeypatch):
                         lambda *a: index(*a) - 1)
     assert outcome(hyp3f2.eval_3f2, *params) \
         != outcome(fraction_oracle.eval_3f2, *params)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules from the three-term recurrence against mpmath's
+# eigen-solver (gauss_oracle.py)
+# ---------------------------------------------------------------------------
+
+# alpha = lambda/2 - 3/4 for the tier-1 lambdas, and 1/2 for the T transform;
+# beta = (s - 2 + eps)/2 over the s of the quadrature tests and benchmark
+RULE_ALPHAS = sorted({lam / 2 - Fraction(3, 4) for lam in LAMBDAS
+                      + [Fraction(5, 2)]} | {Fraction(1, 2)})
+RULE_BETAS = [(s - 2 + eps) / 2
+              for s in map(Fraction, ("1/8", "1/2", "3/4", "1", "2", "5", "8",
+                                      "143"))
+              for eps in (0, 1)]
+# alpha + beta = 0 and -1, where the general a_0 and b_1 are 0/0
+RULE_EDGES = [(Fraction(1, 4), Fraction(-1, 4)),
+              (Fraction(-7, 8), Fraction(7, 8)),
+              (Fraction(0), Fraction(0)), (Fraction(-1, 4), Fraction(-3, 4)),
+              (Fraction(-7, 8), Fraction(-1, 8)),
+              (Fraction(-1, 2), Fraction(-1, 2))]
+RULE_MMAX = 7
+RULE_TOL = 1e-25
+
+
+def as_mpf(x):
+    return quadrature.mp.mpf(x.numerator) / x.denominator
+
+
+def rule_disagreements(alpha, beta, m) -> list:
+    """The nodes and weights of the m- and (m+1)-node rules of
+    _gauss_jacobi_rules that differ from the oracle's by more than
+    RULE_TOL relative."""
+    rules = quadrature._gauss_jacobi_rules(as_mpf(alpha), as_mpf(beta), m)
+    assert [len(rule) for rule in rules] == [m, m + 1]
+    bad = []
+    for rule in rules:
+        want = gauss_oracle.gauss_jacobi_rule(len(rule), alpha, beta)
+        for (y, w), (y0, w0) in zip(rule, want):
+            if not (abs(y - y0) <= RULE_TOL * y0
+                    and abs(w - w0) <= RULE_TOL * w0):
+                bad.append((len(rule), float(y0), float(y - y0),
+                            float(w - w0)))
+    return bad
+
+
+@pytest.mark.parametrize("alpha", RULE_ALPHAS, ids=str)
+def test_gauss_jacobi_rules_match_eigen_solver(alpha):
+    points = [(alpha, beta) for beta in RULE_BETAS] \
+        + [(a, b) for a, b in RULE_EDGES if a == alpha]
+    for a, b in points:
+        for m in range(1, RULE_MMAX + 1):
+            assert not rule_disagreements(a, b, m), (a, b, m)
+
+
+def perturb_recurrence(monkeypatch, which: int, k: int, change):
+    build = quadrature._jacobi_recurrence
+
+    def perturbed(alpha, beta, m):
+        coeffs = build(alpha, beta, m)
+        coeffs[which][k] = change(coeffs[which][k])
+        return coeffs
+
+    monkeypatch.setattr(quadrature, "_jacobi_recurrence", perturbed)
+
+
+def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
+    # b_3 nudged by one part in 10^20 gives the Gauss rules of another
+    # weight: they agree with each other on every polynomial of degree
+    # <= 7, so only the oracle sees it. a_3 moved by 1 puts the largest
+    # node above 1 (it is at least the largest diagonal entry), which the
+    # rule builder rejects.
+    alpha, beta, m = Fraction(1, 4), Fraction(3, 4), 4
+    assert not rule_disagreements(alpha, beta, m)
+    with monkeypatch.context() as patch:
+        perturb_recurrence(patch, 1, m - 1,
+                           lambda x: x * (1 + quadrature.mp.mpf(10) ** -20))
+        assert rule_disagreements(alpha, beta, m)
+    perturb_recurrence(monkeypatch, 0, m - 1, lambda x: x + 1)
+    with pytest.raises(ToleranceNotMet, match="outside"):
+        rule_disagreements(alpha, beta, m)
+    with pytest.raises(ToleranceNotMet, match="outside"):
+        quadrature._gauss_jacobi(lambda y: y ** (2 * m - 1), 2 * m - 1,
+                                 as_mpf(alpha), as_mpf(beta), 1e-12)
+
+
+def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
+    alpha, beta = as_mpf(Fraction(-1, 4)), as_mpf(Fraction(-3, 4))
+    q = quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-25)
+    assert q.value == pytest.approx(float(quadrature.mp.beta(beta + 2,
+                                                             alpha + 1)),
+                                    rel=1e-15)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_NEWTON_CAP", 0)
+        with pytest.raises(ToleranceNotMet, match="did not converge"):
+            quadrature._gauss_jacobi_rules(alpha, beta, 3)
+        with pytest.raises(ToleranceNotMet, match="did not converge"):
+            quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-12)
+    for seed in (1.5, 0.0, -0.25):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_float_nodes",
+                          lambda a, b, seed=seed: [seed] * len(a))
+            with pytest.raises(ToleranceNotMet, match="outside"):
+                quadrature._gauss_jacobi_rules(alpha, beta, 3)

@@ -15,7 +15,7 @@ from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters,
                              ToleranceNotMet)
 from critpoly.quadrature import (closed_form_value, compare_mellin,
                                  compare_mellin_T, genfun_check,
-                                 lemma3a_check, log_gamma, mellin_values,
+                                 lemma3a_check, mellin_values,
                                  quad_mellin_T, quad_mellin_gegenbauer,
                                  transform_level_lemma1_check)
 from critpoly.verify import check_corollary2
@@ -68,16 +68,6 @@ def test_quadrature_matches_closed_form_grid():
 def test_T_comparison_rows():
     row = compare_mellin_T(4, 2.5)
     assert row["rel_err"] <= 1e-10
-
-
-def test_log_gamma_accuracy():
-    with mp.workdps(50):
-        for i in range(1, 500):
-            x = 0.1 + i * 0.1
-            ref = float(mp.loggamma(x))
-            assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
-    with pytest.raises(InvalidParameters):
-        log_gamma(0.0)
 
 
 def test_closed_form_seed_values():

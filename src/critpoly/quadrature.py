@@ -1,6 +1,12 @@
 """Floating-point oracle: Gauss-Jacobi quadrature of the defining Mellin
 integrals (exact for their polynomial integrands), Gamma-form closed values,
-and the generating-function checks that cannot be made exact."""
+and the generating-function checks that cannot be made exact.
+
+The quadrature's per-node loops (Newton's method and the Christoffel sums of
+the rules, and the three-term recurrences of the integrands) run on Python
+integers in _FIXED_BITS-bit fixed point: a real v is held as the integer
+near v 2^_FIXED_BITS. mpf values enter and leave them once per rule
+coefficient, node and integrand value."""
 from __future__ import annotations
 
 import math
@@ -22,12 +28,16 @@ _QUAD_DPS = 30
 mp = mpmath.MPContext()
 mp.dps = _QUAD_DPS
 
-# A Gauss-Jacobi node is seeded in float to within _SEED_WIDTH, from where
-# Newton's method takes two or three steps to reach a step below
-# _NEWTON_STEP, 256 units in the last place of a node near 1; it gets
+# 64 guard bits above the 103 of mp.prec: a fixed-point value carries an
+# absolute error near 2^-_FIXED_BITS, so a node or integrand value down to
+# 2^-64 still has mp.prec correct bits when it is rounded to an mpf.
+_FIXED_BITS = mp.prec + 64
+
+# A Gauss-Jacobi node is bracketed in float to within _SEED_WIDTH, from
+# where Newton's method takes two or three steps to reach a step below
+# 2^(8 - mp.prec), 256 units in the last place of a node near 1; it gets
 # _NEWTON_CAP.
 _SEED_WIDTH = 2.0 ** -50
-_NEWTON_STEP = mp.mpf(2) ** (8 - mp.prec)
 _NEWTON_CAP = 8
 
 
@@ -49,23 +59,64 @@ def _poly_at(p: Poly, x):
     return acc
 
 
-def _gegenbauer_at(n: int, lam, x):
-    # three-term recurrence; stable enough for the n <= ~40 used here
-    if n == 0:
-        return mp.mpf(1)
-    a, b = mp.mpf(1), 2 * lam * x
-    for m in range(2, n + 1):
-        a, b = b, (2 * (lam + m - 1) * x * b - (2 * lam + m - 2) * a) / m
+def _man_exp(v) -> tuple:
+    """The signed integers man, exp with man 2^exp equal to the finite mpf
+    v."""
+    sign, man, exp, _ = v._mpf_
+    return -man if sign else man, exp
+
+
+def _fixed(v, w: int) -> int:
+    """The mpf v in w-bit fixed point, floor(v 2^w)."""
+    man, exp = _man_exp(v)
+    exp += w
+    return man << exp if exp >= 0 else man >> -exp
+
+
+def _fixed_str(v: int, w: int) -> str:
+    return mp.nstr(mp.mpf((v, -w)), 5)
+
+
+def _ratio(num: int, den: int, w: int) -> int:
+    """num / den in w-bit fixed point, rounded to nearest."""
+    return ((num << (w + 1)) // den + 1) >> 1
+
+
+def _recurrence_at(c1, c2, x: int, w: int) -> int:
+    """p_n(x) for p_0 = 1, p_k = c1_k x p_(k-1) - c2_k p_(k-2), p_(-1) = 0,
+    n = len(c1), with the constants, x and the value in w-bit fixed point."""
+    a, b, w2 = 0, 1 << w, 2 * w
+    for u, v in zip(c1, c2):
+        a, b = b, (u * x * b >> w2) - (v * a >> w)
     return b
 
 
-def _chebyshev_t_at(n: int, x):
-    if n == 0:
-        return mp.mpf(1)
-    a, b = mp.mpf(1), x
-    for _ in range(2, n + 1):
-        a, b = b, 2 * x * b - a
-    return b
+def _gegenbauer_constants(n: int, lam, w: int) -> tuple:
+    """c1_k = 2(lam + k - 1)/k and c2_k = (2 lam + k - 2)/k, k = 1..n, of the
+    C_n^lam recurrence: exact rationals in the binary mpf lam, each rounded
+    once to w-bit fixed point."""
+    man, exp = _man_exp(lam)
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    ks = range(1, n + 1)
+    return ([_ratio(2 * (num + (k - 1) * den), k * den, w) for k in ks],
+            [_ratio(2 * num + (k - 2) * den, k * den, w) for k in ks])
+
+
+def _gegenbauer_fixed(n: int, lam):
+    """x -> C_n^lam(x) in _FIXED_BITS-bit fixed point (lam an mpf), with
+    the recurrence constants computed once, here."""
+    w = _FIXED_BITS
+    c1, c2 = _gegenbauer_constants(n, lam, w)
+    return lambda x: _recurrence_at(c1, c2, x, w)
+
+
+def _chebyshev_t_fixed(n: int):
+    """x -> T_n(x) in _FIXED_BITS-bit fixed point: c1_1 = 1, c1_k = 2 and
+    c2_k = 1."""
+    w = _FIXED_BITS
+    one = 1 << w
+    c1, c2 = [one if k == 1 else 2 * one for k in range(1, n + 1)], [one] * n
+    return lambda x: _recurrence_at(c1, c2, x, w)
 
 
 def _jacobi_recurrence(alpha, beta, m: int):
@@ -89,9 +140,10 @@ def _jacobi_recurrence(alpha, beta, m: int):
 
 
 def _float_nodes(a, b) -> list:
-    """The eigenvalues of the Jacobi matrix (diagonal a, off-diagonal
-    sqrt(b_k)), which are the zeros of p_m, in float by bisection: J - x I
-    has as many negative pivots as J has eigenvalues below x."""
+    """Brackets (lo, hi), hi - lo <= _SEED_WIDTH, one around each eigenvalue
+    of the Jacobi matrix (diagonal a, off-diagonal sqrt(b_k)), which are the
+    zeros of p_m, by increasing node, in float by bisection: J - x I has as
+    many negative pivots as J has eigenvalues below x."""
     af, bf = [float(x) for x in a], [float(x) for x in b]
 
     def below(x):
@@ -109,7 +161,7 @@ def _float_nodes(a, b) -> list:
     radii = [u + v for u, v in zip([0.0] + e, e + [0.0])]
     lo = min(x - r for x, r in zip(af, radii))
     hi = max(x + r for x, r in zip(af, radii))
-    nodes = []
+    brackets = []
     for i in range(len(af)):
         top = hi
         while top - lo > _SEED_WIDTH:
@@ -118,43 +170,73 @@ def _float_nodes(a, b) -> list:
                 top = mid
             else:
                 lo = mid
-        nodes.append((lo + top) / 2)
-    return nodes
+        brackets.append((lo, top))
+    return brackets
 
 
 def _gauss_rule(a, b, mu0) -> list:
-    """The (node, weight) pairs of the Gauss rule whose nodes are the zeros
-    of p_m, m = len(a): each float seed is polished by Newton's method on p_m
-    and weighted by its Christoffel number mu0 / Sum_j p_j(y)^2 / (b_1..b_j).
+    """The (node, weight) pairs, as mpfs, of the Gauss rule whose nodes are
+    the zeros of p_m, m = len(a): each node is seeded at the middle of its
+    float bracket and polished by Newton's method on p_m, and weighted by
+    its Christoffel number mu0 / Sum_j p_j(y)^2 / (b_1..b_j).
 
-    A node that leaves (0, 1) or is still moving by _NEWTON_STEP after
-    _NEWTON_CAP steps raises ToleranceNotMet."""
-    rule = []
-    for y in _float_nodes(a, b):
-        y = mp.mpf(y)
+    Both loops run in _FIXED_BITS-bit fixed point on q_k = 4^k p_k, which
+    stay of order 1 on [0, 1] (b_k tends to 1/16) where p_k shrinks like
+    4^-k: q_(k+1) = 4 (y - a_k) q_k - 16 b_k q_(k-1), and
+    p_j^2 / (b_1..b_j) = q_j^2 / (16 b_1..16 b_j).
+
+    ToleranceNotMet is raised for a node that leaves (0, 1), that is still
+    moving by 2^(8 - mp.prec) after _NEWTON_CAP steps, that ends outside
+    its bracket (widened by _SEED_WIDTH on each side for the rounding of
+    the float count) or that is not above the node before it."""
+    w = _FIXED_BITS
+    one = 1 << w
+    af = [_fixed(x, w) for x in a]
+    b16 = [_fixed(16 * x, w) for x in b]
+    coeffs = list(zip(af[1:], b16[1:]))  # (a_k, 16 b_k), 0 < k < m
+    inv_norms, norm = [], one  # 1 / (16 b_1..16 b_j), 0 < j < m
+    for _, bk in coeffs:
+        norm = norm * bk >> w
+        inv_norms.append((one << w) // norm)
+    rule, prev = [], 0
+    for lo, hi in _float_nodes(a, b):
+        y = int(math.ldexp((lo + hi) / 2, w))
         for _ in range(_NEWTON_CAP):
-            if not 0 < y < 1:
+            if not 0 < y < one:
                 raise ToleranceNotMet(
-                    f"Gauss-Jacobi node {mp.nstr(y, 5)} outside (0, 1)")
-            p_prev, p, dp_prev, dp = mp.one, y - a[0], mp.zero, mp.one
-            for k in range(1, len(a)):
-                t = y - a[k]
-                p_prev, p, dp_prev, dp = (p, t * p - b[k] * p_prev, dp,
-                                          p + t * dp - b[k] * dp_prev)
-            step = p / dp
+                    f"Gauss-Jacobi node {_fixed_str(y, w)} outside (0, 1)")
+            q_prev, q, dq_prev, dq = one, (y - af[0]) << 2, 0, 4 << w
+            for ak, bk in coeffs:
+                t = (y - ak) << 2
+                q_prev, q, dq_prev, dq = (
+                    q, (t * q - bk * q_prev) >> w,
+                    dq, (q << 2) + ((t * dq - bk * dq_prev) >> w))
+            step = (q << w) // dq
             y -= step
-            if abs(step) < _NEWTON_STEP:
+            if abs(step) << (mp.prec - 8) < one:
                 break
         else:
             raise ToleranceNotMet(
                 f"Newton's method on the Gauss-Jacobi node near "
-                f"{mp.nstr(y, 5)} did not converge in {_NEWTON_CAP} steps")
-        p_prev, p, norm, christoffel = mp.one, y - a[0], mp.one, mp.one
-        for k in range(1, len(a)):
-            norm *= b[k]
-            christoffel += p * p / norm
-            p_prev, p = p, (y - a[k]) * p - b[k] * p_prev
-        rule.append((y, mu0 / christoffel))
+                f"{_fixed_str(y, w)} did not converge in {_NEWTON_CAP} steps")
+        if not (int(math.ldexp(lo - _SEED_WIDTH, w)) <= y
+                <= int(math.ldexp(hi + _SEED_WIDTH, w))):
+            raise ToleranceNotMet(
+                f"Gauss-Jacobi node {_fixed_str(y, w)} left its bracket "
+                f"[{lo!r}, {hi!r}]")
+        if not y > prev:
+            raise ToleranceNotMet(
+                f"Gauss-Jacobi node {_fixed_str(y, w)} is not above the "
+                f"node before it, {_fixed_str(prev, w)}")
+        q_prev, q, christoffel = one, (y - af[0]) << 2, one
+        for (ak, bk), inv in zip(coeffs, inv_norms):
+            christoffel += (q * q >> w) * inv >> w
+            q_prev, q = q, (((y - ak) << 2) * q - bk * q_prev) >> w
+        # the rule leaves in mpf: one conversion of the node and one of the
+        # Christoffel number's reciprocal, times mu0, per node
+        rule.append((mp.mpf((y, -w)),
+                     mu0 * mp.mpf(((one << w) // christoffel, -w))))
+        prev = y
     return rule
 
 
@@ -177,14 +259,15 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     all, shows up as a difference above tolerance.
 
     Each rule is built on [0, 1] from the weight's three-term recurrence:
-    nodes seeded in float by Sturm-count bisection on the Jacobi matrix and
-    polished by Newton's method on the orthogonal polynomial, weights as
-    Christoffel numbers (Gautschi, Orthogonal Polynomials: Computation and
-    Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM J. Sci. Comput.
-    35, 2013)."""
+    nodes bracketed in float by Sturm-count bisection on the Jacobi matrix
+    and polished by Newton's method on the orthogonal polynomial in
+    fixed point, weights as Christoffel numbers (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004, sec. 3.1; Hale and
+    Townsend, SIAM J. Sci. Comput. 35, 2013)."""
     values, count = [], 0
     for rule in _gauss_jacobi_rules(mp.mpf(alpha), mp.mpf(beta),
                                     degree // 2 + 1):
+        # one mpf product per node: f takes and returns mpfs
         terms = [w * f(y) for y, w in rule]
         values.append(mp.fsum(terms))
         count += len(rule)
@@ -196,19 +279,32 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
                       float(mp.fsum(abs(t) for t in terms)))
 
 
+def _mellin_integrand(g, eps: int):
+    """P(y) = g(sqrt y) / (2 sqrt(y)^eps) at an mpf y, for g a map from
+    x to g(x) in _FIXED_BITS-bit fixed point."""
+    w = _FIXED_BITS
+
+    def P(y):
+        # y arrives as the rule's mpf node and P(y) leaves as an mpf for the
+        # rule's weight and fsum: one conversion each way per node
+        x = math.isqrt(_fixed(y, w) << w)
+        v = g(x)
+        if eps:
+            v = (v << w) // x
+        return mp.mpf((v, -w - 1))
+
+    return P
+
+
 def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
     """Int_0^1 x^(s-1) (1-x^2)^alpha g(x) dx for g a polynomial of the stated
-    degree and parity: in y = x^2 it is Int_0^1 y^beta (1-y)^alpha P(y) dy,
+    degree and parity, given as a map from x to g(x) in _FIXED_BITS-bit
+    fixed point: in y = x^2 it is Int_0^1 y^beta (1-y)^alpha P(y) dy,
     beta = (s - 2 + eps)/2, eps = degree mod 2, P(y) = g(sqrt y) / (2
     sqrt(y)^eps) of degree floor(degree/2)."""
     eps = degree % 2
-
-    def P(y):
-        x = mp.sqrt(y)
-        return g(x) / (2 * x) if eps else g(x) / 2
-
-    return _gauss_jacobi(P, degree // 2, alpha, (mp.mpf(s) - 2 + eps) / 2,
-                         tol)
+    return _gauss_jacobi(_mellin_integrand(g, eps), degree // 2, alpha,
+                         (mp.mpf(s) - 2 + eps) / 2, tol)
 
 
 def _check_s(n: int, s: float) -> None:
@@ -225,15 +321,15 @@ def quad_mellin_gegenbauer(n: int, lam: float, s: float,
         raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
     _check_s(n, s)
     lam_m = mp.mpf(lam)
-    return _mellin_even_weight(lambda x: _gegenbauer_at(n, lam_m, x), n,
+    return _mellin_even_weight(_gegenbauer_fixed(n, lam_m), n,
                                lam_m / 2 - mp.mpf(3) / 4, s, tol)
 
 
 def quad_mellin_T(n: int, s: float, tol: float = 1e-12) -> QuadResult:
     """Int_0^1 x^(s-1) T_n(x) (1-x^2)^(1/2) dx, the same way."""
     _check_s(n, s)
-    return _mellin_even_weight(lambda x: _chebyshev_t_at(n, x), n,
-                               mp.mpf(1) / 2, s, tol)
+    return _mellin_even_weight(_chebyshev_t_fixed(n), n, mp.mpf(1) / 2, s,
+                               tol)
 
 
 def closed_form_value(form: MellinClosedForm, s) -> float:
@@ -469,10 +565,12 @@ def transform_level_lemma1_check(m: int, n: int, s: float,
     if not s > 0:
         raise InvalidParameters(f"need s > 0, got {s}")
 
+    # degree mn - 1, parity mn - 1; U_k = C_k^1
+    u_outer, t_n = _gegenbauer_fixed(m - 1, mp.one), _chebyshev_t_fixed(n)
+    u_inner, w = _gegenbauer_fixed(n - 1, mp.one), _FIXED_BITS
+
     def g(x):
-        # degree mn - 1, parity mn - 1; U_k = C_k^1
-        return _gegenbauer_at(m - 1, 1, _chebyshev_t_at(n, x)) \
-            * _gegenbauer_at(n - 1, 1, x)
+        return u_outer(t_n(x)) * u_inner(x) >> w
 
     lhs = _mellin_even_weight(g, m * n - 1, -mp.mpf(1) / 4, s, tol)
     rhs = quad_mellin_gegenbauer(m * n - 1, 1.0, s, tol)

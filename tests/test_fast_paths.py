@@ -8,7 +8,9 @@ refinement against the Taylor-shift bisection in taylor_oracle.py; and
 the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
 sum and long division against the Fraction loops in fraction_oracle.py; and
 the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
-eigen-solver in gauss_oracle.py.
+eigen-solver, and their fixed-point Newton and Christoffel loops and the
+fixed-point integrand recurrences against the mpf loops, in
+gauss_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -572,6 +574,132 @@ def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
     for seed in (1.5, 0.0, -0.25):
         with monkeypatch.context() as patch:
             patch.setattr(quadrature, "_float_nodes",
-                          lambda a, b, seed=seed: [seed] * len(a))
+                          lambda a, b, seed=seed: [(seed, seed)] * len(a))
             with pytest.raises(ToleranceNotMet, match="outside"):
                 quadrature._gauss_jacobi_rules(alpha, beta, 3)
+
+
+def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
+    # every node seeded in the first node's bracket: Newton's method
+    # polishes each seed to the same node, which is not a rule
+    alpha, beta = as_mpf(Fraction(1, 4)), as_mpf(Fraction(3, 4))
+    brackets = quadrature._float_nodes
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_float_nodes",
+                      lambda a, b: [brackets(a, b)[0]] * len(a))
+        with pytest.raises(ToleranceNotMet, match="not above"):
+            quadrature._gauss_jacobi_rules(alpha, beta, 3)
+    # a bracket moved off its node by 2^-20: the seed is still polished to
+    # that node, which then lies outside the bracket it was given
+
+    def moved(a, b):
+        (lo, hi), *rest = brackets(a, b)
+        return [(lo + 2.0 ** -20, hi + 2.0 ** -20)] + rest
+
+    monkeypatch.setattr(quadrature, "_float_nodes", moved)
+    with pytest.raises(ToleranceNotMet, match="left its bracket"):
+        quadrature._gauss_jacobi_rules(alpha, beta, 3)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point loops of the rules and integrands against the mpf loops
+# they replaced (gauss_oracle.py)
+# ---------------------------------------------------------------------------
+
+# relative to the node, the weight or the largest integrand value of the
+# row; the mpf loops themselves round to about 3e-29 here
+FIXED_TOL = 1e-28
+INTEGRAND_NMAX = 24
+INTEGRAND_GRID = [Fraction(j, 16) for j in range(1, 16)] \
+    + [Fraction(1, 1024), Fraction(1023, 1024)]
+
+
+def fixed_rule_disagreements(alpha, beta, m) -> list:
+    """The nodes and weights of the m- and (m+1)-node rules of
+    _gauss_jacobi_rules that differ from the mpf loops' by more than
+    FIXED_TOL relative, or the error that stopped the fixed-point build."""
+    alpha, beta = as_mpf(alpha), as_mpf(beta)
+    try:
+        rules = quadrature._gauss_jacobi_rules(alpha, beta, m)
+    except ToleranceNotMet as exc:
+        return [str(exc)]
+    bad = []
+    for rule, want in zip(rules,
+                          gauss_oracle.mpf_gauss_jacobi_rules(alpha, beta, m)):
+        assert len(rule) == len(want)
+        for (y, w), (y0, w0) in zip(rule, want):
+            if not (abs(y - y0) <= FIXED_TOL * y0
+                    and abs(w - w0) <= FIXED_TOL * w0):
+                bad.append((len(rule), float(y0), float(y - y0),
+                            float(w - w0)))
+    return bad
+
+
+def fixed_integrand_disagreements(lam, n) -> list:
+    """The points of INTEGRAND_GRID where the Mellin integrand
+    P(y) = g(sqrt y) / (2 sqrt(y)^(n mod 2)) of C_n^lam (T_n when lam is
+    None) differs in fixed point from the mpf recurrence's by more than
+    FIXED_TOL times the row's largest |P|."""
+    if lam is None:
+        fixed = quadrature._chebyshev_t_fixed(n)
+        slow = lambda x: gauss_oracle.chebyshev_t_at(n, x)  # noqa: E731
+    else:
+        # the binary lambda that quad_mellin_gegenbauer reads
+        lam_m = quadrature.mp.mpf(float(lam))
+        fixed = quadrature._gegenbauer_fixed(n, lam_m)
+        slow = lambda x: gauss_oracle.gegenbauer_at(n, lam_m, x)  # noqa: E731
+    got = quadrature._mellin_integrand(fixed, n % 2)
+    want = gauss_oracle.mellin_integrand(slow, n % 2)
+    values = [(y, got(as_mpf(y)), want(as_mpf(y))) for y in INTEGRAND_GRID]
+    scale = max(abs(v0) for _, _, v0 in values)
+    return [(y, float((v - v0) / scale)) for y, v, v0 in values
+            if not abs(v - v0) <= FIXED_TOL * scale]
+
+
+def rule_grid_disagreements():
+    """Generates (alpha, beta, m, disagreements) over the rule grid."""
+    for alpha in RULE_ALPHAS:
+        for beta in RULE_BETAS:
+            for m in range(1, RULE_MMAX + 1):
+                bad = fixed_rule_disagreements(alpha, beta, m)
+                if bad:
+                    yield alpha, beta, m, bad
+
+
+def integrand_grid_disagreements():
+    """Generates (lambda, n, disagreements) over the integrand grid."""
+    for lam in LAMBDAS + [None]:
+        for n in range(INTEGRAND_NMAX + 1):
+            bad = fixed_integrand_disagreements(lam, n)
+            if bad:
+                yield lam, n, bad
+
+
+def test_fixed_point_loops_match_mpf_loops():
+    assert not list(rule_grid_disagreements())
+    assert not list(integrand_grid_disagreements())
+
+
+def test_perturbed_fixed_point_constant_is_caught(monkeypatch):
+    # c1_2 of every Gegenbauer row moved by 2^-90 relative
+    build = quadrature._gegenbauer_constants
+
+    def perturbed(n, lam, w):
+        c1, c2 = build(n, lam, w)
+        if n >= 2:
+            c1[1] += c1[1] >> 90
+        return c1, c2
+
+    monkeypatch.setattr(quadrature, "_gegenbauer_constants", perturbed)
+    bad = list(integrand_grid_disagreements())
+    assert {lam for lam, _, _ in bad} == set(LAMBDAS)
+    assert all(n >= 2 for _, n, _ in bad)
+
+
+def test_fixed_point_below_working_precision_is_caught(monkeypatch):
+    # 8 bits under mp.prec, Newton's method cannot reach its step bound and
+    # the integrands lose the last digits the mpf loops keep
+    monkeypatch.setattr(quadrature, "_FIXED_BITS", quadrature.mp.prec - 8)
+    assert any("did not converge" in str(bad)
+               for *_, bad in rule_grid_disagreements())
+    assert any(integrand_grid_disagreements())

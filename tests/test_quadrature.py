@@ -261,9 +261,11 @@ def test_error_estimate_rejects_wrong_integrands():
         gj(lambda y: quadrature.mp.sqrt(y), 1, 0, 0, 1e-12)
     with pytest.raises(ToleranceNotMet):  # stated degree too low
         gj(lambda y: y ** 5, 1, 0, 0, 1e-12)
-    with pytest.raises(ToleranceNotMet):  # parity differs from the degree's
-        quadrature._mellin_even_weight(lambda x: x ** 3 + x ** 2, 3,
-                                       -0.25, 2.0, 1e-12)
+    # parity differs from the degree's; g maps fixed-point x to x^3 + x^2
+    w = quadrature._FIXED_BITS
+    with pytest.raises(ToleranceNotMet):
+        quadrature._mellin_even_weight(
+            lambda x: (x ** 3 >> 2 * w) + (x ** 2 >> w), 3, -0.25, 2.0, 1e-12)
 
 
 def test_oracles_ignore_the_global_precision(monkeypatch):

@@ -29,9 +29,11 @@ mp = mpmath.MPContext()
 mp.dps = _QUAD_DPS
 
 # 64 guard bits above the 103 of mp.prec: a fixed-point value carries an
-# absolute error near 2^-_FIXED_BITS, so a node or integrand value down to
-# 2^-64 still has mp.prec correct bits when it is rounded to an mpf.
-_FIXED_BITS = mp.prec + 64
+# absolute error near 2^-_FIXED_BITS, so a value down to 2^-_GUARD_BITS
+# still has mp.prec correct bits when it is rounded to an mpf. The rules
+# check the quantities they divide by against that floor.
+_GUARD_BITS = 64
+_FIXED_BITS = mp.prec + _GUARD_BITS
 
 # A Gauss-Jacobi node is bracketed in float to within _SEED_WIDTH, from
 # where Newton's method takes two or three steps to reach a step below
@@ -178,26 +180,37 @@ def _gauss_rule(a, b, mu0) -> list:
     """The (node, weight) pairs, as mpfs, of the Gauss rule whose nodes are
     the zeros of p_m, m = len(a): each node is seeded at the middle of its
     float bracket and polished by Newton's method on p_m, and weighted by
-    its Christoffel number mu0 / Sum_j p_j(y)^2 / (b_1..b_j).
+    its Christoffel number mu0 / Sum_j pt_j(y)^2.
 
-    Both loops run in _FIXED_BITS-bit fixed point on q_k = 4^k p_k, which
-    stay of order 1 on [0, 1] (b_k tends to 1/16) where p_k shrinks like
-    4^-k: q_(k+1) = 4 (y - a_k) q_k - 16 b_k q_(k-1), and
-    p_j^2 / (b_1..b_j) = q_j^2 / (16 b_1..16 b_j).
+    Both loops run in _FIXED_BITS-bit fixed point on the orthonormal
+    polynomials pt_j = p_j / sqrt(b_1..b_j), pt_0 = 1,
+    pt_(k+1) = ((y - a_k) pt_k - sqrt(b_k) pt_(k-1)) / sqrt(b_(k+1)),
+    whose last step, taken with sqrt(b_m) = 1, gives sqrt(b_m) pt_m, a
+    multiple of p_m with the same Newton steps. The p_j shrink like 4^-j
+    on [0, 1], faster for large alpha or beta; the pt_j keep their bits at
+    any alpha, beta and m: at a node the Christoffel sum is at least
+    pt_0^2 = 1, and by Christoffel-Darboux the derivative of
+    sqrt(b_m) pt_m is at least the square root of that sum.
 
-    ToleranceNotMet is raised for a node that leaves (0, 1), that is still
+    ToleranceNotMet is raised when a sqrt(b_k) or that derivative falls
+    below 2^-_GUARD_BITS, and for a node that leaves (0, 1), that is still
     moving by 2^(8 - mp.prec) after _NEWTON_CAP steps, that ends outside
     its bracket (widened by _SEED_WIDTH on each side for the rounding of
     the float count) or that is not above the node before it."""
     w = _FIXED_BITS
-    one = 1 << w
-    af = [_fixed(x, w) for x in a]
-    b16 = [_fixed(16 * x, w) for x in b]
-    coeffs = list(zip(af[1:], b16[1:]))  # (a_k, 16 b_k), 0 < k < m
-    inv_norms, norm = [], one  # 1 / (16 b_1..16 b_j), 0 < j < m
-    for _, bk in coeffs:
-        norm = norm * bk >> w
-        inv_norms.append((one << w) // norm)
+    one, floor = 1 << w, 1 << (w - _GUARD_BITS)
+    # sqrt(b_k), 0 <= k <= m, with sqrt(b_0) = 0 and sqrt(b_m) taken as 1;
+    # b_k is read to 2w bits, so each root has an absolute error of 2^-w
+    # and mp.prec correct bits down to the floor
+    roots = [0] + [math.isqrt(_fixed(x, 2 * w)) for x in b[1:]] + [one]
+    for k, r in enumerate(roots[1:-1], 1):
+        if r < floor:
+            raise ToleranceNotMet(
+                f"Gauss-Jacobi recurrence coefficient sqrt(b_{k}) = "
+                f"{_fixed_str(r, w)} is below 2^-{_GUARD_BITS}")
+    # (a_k, 1 / sqrt(b_(k+1)), sqrt(b_k) / sqrt(b_(k+1))), 0 <= k < m
+    steps = [(_fixed(ak, w), (one << w) // r1, (r0 << w) // r1)
+             for ak, r0, r1 in zip(a, roots, roots[1:])]
     rule, prev = [], 0
     for lo, hi in _float_nodes(a, b):
         y = int(math.ldexp((lo + hi) / 2, w))
@@ -205,13 +218,17 @@ def _gauss_rule(a, b, mu0) -> list:
             if not 0 < y < one:
                 raise ToleranceNotMet(
                     f"Gauss-Jacobi node {_fixed_str(y, w)} outside (0, 1)")
-            q_prev, q, dq_prev, dq = one, (y - af[0]) << 2, 0, 4 << w
-            for ak, bk in coeffs:
-                t = (y - ak) << 2
-                q_prev, q, dq_prev, dq = (
-                    q, (t * q - bk * q_prev) >> w,
-                    dq, (q << 2) + ((t * dq - bk * dq_prev) >> w))
-            step = (q << w) // dq
+            pt_prev, pt, d_prev, d = 0, one, 0, 0
+            for ak, u, v in steps:
+                t = u * (y - ak) >> w
+                pt_prev, pt, d_prev, d = (
+                    pt, (t * pt - v * pt_prev) >> w,
+                    d, (u * pt + t * d - v * d_prev) >> w)
+            if abs(d) < floor:
+                raise ToleranceNotMet(
+                    f"Gauss-Jacobi derivative {_fixed_str(d, w)} at "
+                    f"{_fixed_str(y, w)} is below 2^-{_GUARD_BITS}")
+            step = (pt << w) // d
             y -= step
             if abs(step) << (mp.prec - 8) < one:
                 break
@@ -228,14 +245,14 @@ def _gauss_rule(a, b, mu0) -> list:
             raise ToleranceNotMet(
                 f"Gauss-Jacobi node {_fixed_str(y, w)} is not above the "
                 f"node before it, {_fixed_str(prev, w)}")
-        q_prev, q, christoffel = one, (y - af[0]) << 2, one
-        for (ak, bk), inv in zip(coeffs, inv_norms):
-            christoffel += (q * q >> w) * inv >> w
-            q_prev, q = q, (((y - ak) << 2) * q - bk * q_prev) >> w
-        # the rule leaves in mpf: one conversion of the node and one of the
-        # Christoffel number's reciprocal, times mu0, per node
-        rule.append((mp.mpf((y, -w)),
-                     mu0 * mp.mpf(((one << w) // christoffel, -w))))
+        pt_prev, pt, christoffel = 0, one, 0
+        for ak, u, v in steps[:-1]:
+            christoffel += pt * pt >> w
+            pt_prev, pt = pt, ((u * (y - ak) >> w) * pt - v * pt_prev) >> w
+        christoffel += pt * pt >> w
+        # the rule leaves in mpf: one conversion of the node, and mu0 over
+        # the Christoffel sum, which can be large at a node of small weight
+        rule.append((mp.mpf((y, -w)), mu0 / mp.mpf((christoffel, -w))))
         prev = y
     return rule
 

@@ -610,14 +610,27 @@ def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
 # row; the mpf loops themselves round to about 3e-29 here
 FIXED_TOL = 1e-28
 INTEGRAND_NMAX = 24
+# the rules of rows far outside the benchmark's s <= 143: the T zeros
+# s = n^2 - 1 at n = 24 and 40 (alpha = 1/2, beta = 573/2 and 1597/2,
+# m = 7 and 11), T at n = 80, s = 1599 (m = 21), and lambda = 600 at
+# n = 23 and 24, s = 2 (alpha = 1197/4, beta = 1/2 and 0, m = 6 and 7)
+LARGE_RULES = [(Fraction(1, 2), Fraction(573, 2), 7),
+               (Fraction(1, 2), Fraction(1597, 2), 11),
+               (Fraction(1, 2), Fraction(1597, 2), 21),
+               (Fraction(1197, 4), Fraction(1, 2), 6),
+               (Fraction(1197, 4), Fraction(0), 7)]
+# at beta = 1597/2 the mpf loops are up to 3.3e-28 from an 80-digit
+# eigen-solver, the fixed-point loops up to 7e-29
+LARGE_TOL = 1e-27
+INTEGRAND_LAMBDAS = LAMBDAS + [Fraction(600)]
 INTEGRAND_GRID = [Fraction(j, 16) for j in range(1, 16)] \
     + [Fraction(1, 1024), Fraction(1023, 1024)]
 
 
-def fixed_rule_disagreements(alpha, beta, m) -> list:
+def fixed_rule_disagreements(alpha, beta, m, tol=FIXED_TOL) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
-    _gauss_jacobi_rules that differ from the mpf loops' by more than
-    FIXED_TOL relative, or the error that stopped the fixed-point build."""
+    _gauss_jacobi_rules that differ from the mpf loops' by more than tol
+    relative, or the error that stopped the fixed-point build."""
     alpha, beta = as_mpf(alpha), as_mpf(beta)
     try:
         rules = quadrature._gauss_jacobi_rules(alpha, beta, m)
@@ -628,8 +641,7 @@ def fixed_rule_disagreements(alpha, beta, m) -> list:
                           gauss_oracle.mpf_gauss_jacobi_rules(alpha, beta, m)):
         assert len(rule) == len(want)
         for (y, w), (y0, w0) in zip(rule, want):
-            if not (abs(y - y0) <= FIXED_TOL * y0
-                    and abs(w - w0) <= FIXED_TOL * w0):
+            if not (abs(y - y0) <= tol * y0 and abs(w - w0) <= tol * w0):
                 bad.append((len(rule), float(y0), float(y - y0),
                             float(w - w0)))
     return bad
@@ -657,18 +669,20 @@ def fixed_integrand_disagreements(lam, n) -> list:
 
 
 def rule_grid_disagreements():
-    """Generates (alpha, beta, m, disagreements) over the rule grid."""
-    for alpha in RULE_ALPHAS:
-        for beta in RULE_BETAS:
-            for m in range(1, RULE_MMAX + 1):
-                bad = fixed_rule_disagreements(alpha, beta, m)
-                if bad:
-                    yield alpha, beta, m, bad
+    """Generates (alpha, beta, m, disagreements) over the rule grid and
+    LARGE_RULES."""
+    points = [(alpha, beta, m, FIXED_TOL) for alpha in RULE_ALPHAS
+              for beta in RULE_BETAS for m in range(1, RULE_MMAX + 1)]
+    for alpha, beta, m, tol in points + [p + (LARGE_TOL,)
+                                         for p in LARGE_RULES]:
+        bad = fixed_rule_disagreements(alpha, beta, m, tol)
+        if bad:
+            yield alpha, beta, m, bad
 
 
 def integrand_grid_disagreements():
     """Generates (lambda, n, disagreements) over the integrand grid."""
-    for lam in LAMBDAS + [None]:
+    for lam in INTEGRAND_LAMBDAS + [None]:
         for n in range(INTEGRAND_NMAX + 1):
             bad = fixed_integrand_disagreements(lam, n)
             if bad:
@@ -692,7 +706,7 @@ def test_perturbed_fixed_point_constant_is_caught(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gegenbauer_constants", perturbed)
     bad = list(integrand_grid_disagreements())
-    assert {lam for lam, _, _ in bad} == set(LAMBDAS)
+    assert {lam for lam, _, _ in bad} == set(INTEGRAND_LAMBDAS)
     assert all(n >= 2 for _, n, _ in bad)
 
 
@@ -703,3 +717,20 @@ def test_fixed_point_below_working_precision_is_caught(monkeypatch):
     assert any("did not converge" in str(bad)
                for *_, bad in rule_grid_disagreements())
     assert any(integrand_grid_disagreements())
+
+
+def test_quantities_below_the_guard_bits_are_caught(monkeypatch):
+    # the Legendre weight has a_k = 1/2, so p_2 has its minimum at 1/2,
+    # where a seed gives Newton's method a derivative of 0
+    zero = as_mpf(Fraction(0))
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_float_nodes",
+                      lambda a, b: [(0.5, 0.5)] * len(a))
+        with pytest.raises(ToleranceNotMet, match="derivative"):
+            quadrature._gauss_jacobi_rules(zero, zero, 2)
+    # sqrt(b_2) = 2^-65 would keep fewer than mp.prec bits in fixed point
+    perturb_recurrence(monkeypatch, 1, 2,
+                       lambda x: quadrature.mp.mpf(2) ** -130)
+    with pytest.raises(ToleranceNotMet, match=r"sqrt\(b_2\)"):
+        quadrature._gauss_jacobi_rules(as_mpf(Fraction(1, 4)),
+                                       as_mpf(Fraction(3, 4)), 3)

@@ -163,162 +163,142 @@ def cmd_roots(args, parser) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _suite_forms(nmax: int, seed: int) -> dict:
+def _suite(cases):
+    """A suite's row from its generator of (case, ok) pairs: at the first
+    false ok, pass False with the number of cases run and a detail naming
+    the case; otherwise pass True with that number, merged with any dict the
+    generator returns."""
+    @functools.wraps(cases)
+    def run(nmax: int, seed: int) -> dict:
+        pairs, checks = cases(nmax, seed), 0
+        while True:
+            try:
+                case, ok = next(pairs)
+            except StopIteration as done:
+                return {"pass": True, "checks": checks, **(done.value or {})}
+            checks += 1
+            if not ok:
+                return {"pass": False, "checks": checks,
+                        "detail": f"{case} fails"}
+    return run
+
+
+@_suite
+def _suite_forms(nmax: int, seed: int):
     """Golden values; then S41, HYP, S21 and RECUR against S32 and the
     reflection of S32 (hence of every form), up to the largest index at
     which the gould suite builds a hat polynomial."""
-    count = 0
     for n, coeffs in GOLDEN.items():
         want = [format_rat(c) for c in coeffs]
         for built in (construct.p_s41(n, 1), construct.p_s32(n, 1),
                       construct.p_s21_chebyshev(n),
                       construct.p_chebyshev_recursive(n)):
-            if built.to_json()["coeffs"] != want:
-                return {"pass": False, "detail": f"golden mismatch at n={n}"}
-        count += 4
+            yield f"golden value at n={n}", built.to_json()["coeffs"] == want
     for n in range(max(nmax, 2 * min(nmax, GOULD_NMAX) + 1) + 1):
         for lam in LAMBDA_SET:
             a, b = construct.p_s41(n, lam), construct.p_s32(n, lam)
-            if a.poly != b.poly:
-                return {"pass": False,
-                        "detail": f"S41 != S32 at n={n}, lambda={lam}"}
-            if not verify.check_hat_ratio(construct.p_hyp(n, lam).poly,
-                                          n, lam):
-                return {"pass": False,
-                        "detail": f"HYP != 2 S32 at n={n}, lambda={lam}"}
-            if not verify.check_functional_equation(b.poly, n):
-                return {"pass": False,
-                        "detail": f"reflection fails at n={n}, lambda={lam}"}
-            count += 3
-        if construct.p_s21_chebyshev(n).poly != construct.p_s32(n, 1).poly:
-            return {"pass": False, "detail": f"S21 != S32 at n={n}"}
-        if (construct.p_chebyshev_recursive(n).poly
-                != construct.p_s21_chebyshev(n).poly):
-            return {"pass": False, "detail": f"RECUR != S21 at n={n}"}
-        count += 2
-    return {"pass": True, "checks": count}
+            yield f"S41 = S32 at n={n}, lambda={lam}", a.poly == b.poly
+            yield (f"HYP = 2 S32 at n={n}, lambda={lam}",
+                   verify.check_hat_ratio(construct.p_hyp(n, lam).poly,
+                                          n, lam))
+            yield (f"reflection at n={n}, lambda={lam}",
+                   verify.check_functional_equation(b.poly, n))
+        yield (f"S21 = S32 at n={n}",
+               construct.p_s21_chebyshev(n).poly == construct.p_s32(n, 1).poly)
+        yield (f"RECUR = S21 at n={n}",
+               construct.p_chebyshev_recursive(n).poly
+               == construct.p_s21_chebyshev(n).poly)
 
 
-def _suite_funceq(nmax: int, seed: int) -> dict:
-    count = 0
+@_suite
+def _suite_funceq(nmax: int, seed: int):
     for n in range(nmax + 1):
         for lam in LAMBDA_SET:
-            if not verify.check_functional_equation(
-                    construct.p_s32(n, lam).poly, n):
-                return {"pass": False,
-                        "detail": f"funceq fails at n={n}, lambda={lam}"}
-            if n >= 1 and not verify.check_fq1(n, lam):
-                return {"pass": False,
-                        "detail": f"fq1 fails at n={n}, lambda={lam}"}
-            count += 2
+            yield (f"reflection at n={n}, lambda={lam}",
+                   verify.check_functional_equation(
+                       construct.p_s32(n, lam).poly, n))
+            yield (f"fq1 at n={n}, lambda={lam}",
+                   n == 0 or verify.check_fq1(n, lam))
         for beta in BETA_SET:
-            if not verify.check_functional_equation(
-                    construct.p_beta(n, beta).poly, n):
-                return {"pass": False,
-                        "detail": f"beta funceq fails at n={n}, beta={beta}"}
-            count += 1
-    return {"pass": True, "checks": count}
+            yield (f"beta reflection at n={n}, beta={beta}",
+                   verify.check_functional_equation(
+                       construct.p_beta(n, beta).poly, n))
 
 
-def _suite_diffeq(nmax: int, seed: int) -> dict:
-    count = 0
+@_suite
+def _suite_diffeq(nmax: int, seed: int):
     for n in range(nmax + 1):
         for lam in LAMBDA_SET:
-            if not verify.check_difference_equation(
-                    construct.p_s32(n, lam).poly, n, lam):
-                return {"pass": False,
-                        "detail": f"difference eq fails at n={n}, "
-                                  f"lambda={lam}"}
-            if not verify.check_central_difference(
-                    construct.p_hyp(n, lam).poly, n, lam):
-                return {"pass": False,
-                        "detail": f"central relation fails at n={n}, "
-                                  f"lambda={lam}"}
-            count += 2
-    return {"pass": True, "checks": count}
+            yield (f"difference equation at n={n}, lambda={lam}",
+                   verify.check_difference_equation(
+                       construct.p_s32(n, lam).poly, n, lam))
+            yield (f"central relation at n={n}, lambda={lam}",
+                   verify.check_central_difference(
+                       construct.p_hyp(n, lam).poly, n, lam))
 
 
-def _suite_recur(nmax: int, seed: int) -> dict:
-    count = 0
+@_suite
+def _suite_recur(nmax: int, seed: int):
     for n in range(min(nmax, 12) + 1):
         for lam in LAMBDA_SET:
             rep = verify.check_M_recurrences(n, lam, S_SAMPLES)
             for name, r in rep.items():
-                ok = r.get("pass", True) and r.get("zero_polynomial", True)
-                if not ok:
-                    return {"pass": False,
-                            "detail": f"{name} fails at n={n}, lambda={lam}"}
-                count += 1
-    return {"pass": True, "checks": count}
+                yield (f"{name} at n={n}, lambda={lam}",
+                       r.get("pass", True) and r.get("zero_polynomial", True))
 
 
-def _suite_gould(nmax: int, seed: int) -> dict:
-    count = 0
-    small = min(nmax, GOULD_NMAX)
-    for n in range(small + 1):
+@_suite
+def _suite_gould(nmax: int, seed: int):
+    for n in range(min(nmax, GOULD_NMAX) + 1):
         for lam in LAMBDA_SET:
-            if not verify.check_gould_sum_forms(n, lam, S_SAMPLES)["pass"]:
-                return {"pass": False,
-                        "detail": f"sum forms fail at n={n}, lambda={lam}"}
-            if not verify.check_integer_s_sums(n, lam, 6)["pass"]:
-                return {"pass": False,
-                        "detail": f"integer-s sums fail at n={n}, "
-                                  f"lambda={lam}"}
-            count += 2
+            yield (f"sum forms at n={n}, lambda={lam}",
+                   verify.check_gould_sum_forms(n, lam, S_SAMPLES)["pass"])
+            yield (f"integer-s sums at n={n}, lambda={lam}",
+                   verify.check_integer_s_sums(n, lam, 6)["pass"])
     closures = verify.check_gould_closures(nmax, LAMBDA_SET)
-    if not closures["pass"]:
-        return {"pass": False, "detail": f"closures: {closures['failures'][:3]}"}
-    count += nmax * len(LAMBDA_SET)
+    yield f"closures {closures['failures'][:3]}", closures["pass"]
     for n in range(nmax + 1):
         for lam in LAMBDA_SET:
             for parity, s in (("even", 1), ("odd", 2)):
-                if (construct.s32_bare_sum(n, lam, s, parity)
-                        != construct.s32_bare_closed_form(n, lam, parity)):
-                    return {"pass": False,
-                            "detail": f"bare {parity} sum fails at n={n}, "
-                                      f"lambda={lam}"}
-                count += 1
-    return {"pass": True, "checks": count}
+                yield (f"bare {parity} sum at n={n}, lambda={lam}",
+                       construct.s32_bare_sum(n, lam, s, parity)
+                       == construct.s32_bare_closed_form(n, lam, parity))
 
 
-def _suite_q(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_q(nmax: int, seed: int):
     grid = [Fraction(3, 2), Fraction(2), Fraction(10), Fraction(1000)]
-    count = 0
     for n in range(1, nmax + 1):
         for lam in LAMBDA_SET:
-            if not verify.check_q_forms(construct.q_rational(n, lam).fun,
-                                        n, lam):
-                return {"pass": False,
-                        "detail": f"q forms differ at n={n}, lambda={lam}"}
-            r = verify.check_q_range(n, lam, grid)
-            if not r["pass"]:
-                return {"pass": False,
-                        "detail": f"q range fails at n={n}, lambda={lam}"}
-            count += 2
-    return {"pass": True, "checks": count}
+            yield (f"q forms at n={n}, lambda={lam}",
+                   verify.check_q_forms(construct.q_rational(n, lam).fun,
+                                        n, lam))
+            yield (f"q range at n={n}, lambda={lam}",
+                   verify.check_q_range(n, lam, grid)["pass"])
 
 
-def _suite_hyp3f2(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_hyp3f2(nmax: int, seed: int):
     r = appendix_transform_suite(trials=200, nmax=min(nmax, 8), seed=seed)
-    return {"pass": r["all_pass"], "trials": r["trials"],
-            "detail": r["failures"][:3] if r["failures"] else ""}
+    yield f"appendix transforms {r['failures'][:3]}", r["all_pass"]
+    return {"trials": r["trials"]}
 
 
-def _suite_corollary2(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_corollary2(nmax: int, seed: int):
     samples = [Fraction(3, 10), Fraction(5, 2), Fraction(17, 6)]
     worst = 0.0
     for n in range(min(nmax, 8) + 1):
         r = verify.check_corollary2(n, samples)
-        if not r["pass"]:
-            return {"pass": False, "detail": f"fails at n={n}"}
+        yield f"corollary 2 at n={n}", r["pass"]
         worst = max(worst, r["worst_rel_err"])
-    return {"pass": True, "worst_rel_err": worst}
+    return {"worst_rel_err": worst}
 
 
-def _suite_genfun(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_genfun(nmax: int, seed: int):
     """The generating-function series, after checking the closed forms they
     sum: HYP = 2 S32 with reflection, and the T-factor zero sets."""
-    count = 0
     # the series coefficients do not depend on t, and the T family not on
     # lambda either: each is computed once for the points that share it
     t_values = {s: quadrature.mellin_values(None, s, GENFUN_K)
@@ -327,82 +307,71 @@ def _suite_genfun(nmax: int, seed: int) -> dict:
         lam_r = as_rat(lam)
         for k in range(GENFUN_K + 1):
             hat = construct.p_hyp(k, lam_r).poly
-            if not (verify.check_hat_ratio(hat, k, lam_r)
-                    and verify.check_functional_equation(hat, k)):
-                return {"pass": False,
-                        "detail": f"hat polynomial fails at n={k}, "
-                                  f"lambda={lam}"}
-            count += 2
+            yield (f"HYP = 2 S32 at n={k}, lambda={lam}",
+                   verify.check_hat_ratio(hat, k, lam_r))
+            yield (f"reflection at n={k}, lambda={lam}",
+                   verify.check_functional_equation(hat, k))
         for s in GENFUN_S:
             m_values = quadrature.mellin_values(lam, s, GENFUN_K)
             for t in (0.05, 0.1):
                 r = quadrature.genfun_check(lam, s, t, K=GENFUN_K, tol=1e-9,
                                             m_values=m_values,
                                             t_values=t_values[s])
-                if not r["pass"]:
-                    return {"pass": False,
-                            "detail": f"lambda={lam}, s={s}, t={t}: "
-                                      f"{r['errors']}"}
-                count += 1
+                yield (f"series at lambda={lam}, s={s}, t={t} "
+                       f"(errors {r['errors']})", r["pass"])
     for k in range(2, GENFUN_K + 1):
-        if not verify.check_T_zero_set(construct.mellin_T_closed(k).factor,
-                                       k):
-            return {"pass": False, "detail": f"T zero set fails at n={k}"}
-        count += 1
-    return {"pass": True, "checks": count}
+        yield (f"T zero set at n={k}",
+               verify.check_T_zero_set(construct.mellin_T_closed(k).factor,
+                                       k))
 
 
-def _suite_quad(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_quad(nmax: int, seed: int):
     small = min(nmax, 8)
     worst = 0.0
     for n in range(small + 1):
         for lam in (0.5, 1.0, 2.5):
             for s in (0.5, 2.0, 3.7):
-                r = quadrature.compare_mellin(n, lam, s)
-                worst = max(worst, r["rel_err"])
-                if r["rel_err"] > 1e-10:
-                    return {"pass": False,
-                            "detail": f"n={n}, lambda={lam}, s={s}: "
-                                      f"rel_err={r['rel_err']}"}
+                rel_err = quadrature.compare_mellin(n, lam, s)["rel_err"]
+                worst = max(worst, rel_err)
+                yield (f"quadrature at n={n}, lambda={lam}, s={s} "
+                       f"(rel_err={rel_err})", rel_err <= 1e-10)
     for n in range(2, small + 1):
-        q = quadrature.quad_mellin_T(n, float(n * n - 1))
-        if abs(q.value) > 1e-11:
-            return {"pass": False,
-                    "detail": f"T zero at n={n}: |M|={abs(q.value)}"}
+        m = abs(quadrature.quad_mellin_T(n, float(n * n - 1)).value)
+        yield f"T zero at n={n}, s={n * n - 1} (|M|={m})", m <= 1e-11
     for m, n in ((2, 2), (3, 2), (2, 3)):
-        r = quadrature.transform_level_lemma1_check(m, n, 2.0)
-        if not r["pass"]:
-            return {"pass": False, "detail": f"composition m={m}, n={n}"}
+        yield (f"composition at m={m}, n={n}",
+               quadrature.transform_level_lemma1_check(m, n, 2.0)["pass"])
     for m in range(5):
         for n in range(5):
-            if not quadrature.lemma3a_check(m, n, 1.3)["pass"]:
-                return {"pass": False, "detail": f"shift m={m}, n={n}"}
-    return {"pass": True, "worst_rel_err": worst}
+            yield (f"shift at m={m}, n={n}",
+                   quadrature.lemma3a_check(m, n, 1.3)["pass"])
+    return {"worst_rel_err": worst}
 
 
-def _suite_props(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_props(nmax: int, seed: int):
     for n in range(1, min(nmax, 10) + 1):
         for s in (1, 2, 3, 7, 20, 40):
-            if not arithprops.odd_factor_check(n, s)["pass"]:
-                return {"pass": False, "detail": f"odd factors n={n}, s={s}"}
-            if not arithprops.reduced_odd_forms(n, s)["pass"]:
-                return {"pass": False, "detail": f"reduced n={n}, s={s}"}
-    if not arithprops.catalan_valuation_check(20)["pass"]:
-        return {"pass": False, "detail": "Catalan 2-adic valuation"}
-    return {"pass": True}
+            yield (f"odd factors at n={n}, s={s}",
+                   arithprops.odd_factor_check(n, s)["pass"])
+            yield (f"reduced odd forms at n={n}, s={s}",
+                   arithprops.reduced_odd_forms(n, s)["pass"])
+    yield ("Catalan 2-adic valuation",
+           arithprops.catalan_valuation_check(20)["pass"])
 
 
-def _suite_triangles(nmax: int, seed: int) -> dict:
+@_suite
+def _suite_triangles(nmax: int, seed: int):
     for kind, kmax in (("b", 199), ("a", 200)):
         r = arithprops.divisibility_characterization(kind, kmax)
-        if not r["pass"]:
-            return {"pass": False,
-                    "detail": f"{kind}-triangle mismatch at {r['mismatches'][:3]}"}
+        yield (f"{kind}-triangle primality test for k <= {kmax} "
+               f"(mismatches at k={r['mismatches'][:3]})", r["pass"])
     r = arithprops.a_polynomial_checks(16)
-    if not r["pass"]:
-        return {"pass": False, "detail": str(r)}
+    for name in ("recurrence", "gegenbauer_combination", "b_row_match"):
+        yield f"A_k {name}", r[name]
     rep = identity_suite(max(6, min(nmax, 10)))
-    return {"pass": True, "identity_checks": sum(rep.values())}
+    return {"identity_checks": sum(rep.values())}
 
 
 SUITES = {
@@ -501,27 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="FILE")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("poly", help="construct a critical polynomial")
-    p.add_argument("--family", choices=["gegenbauer", "beta", "chebyshev"],
-                   default="gegenbauer")
-    p.add_argument("--lambda", dest="lam", type=_rat_flag, default=None)
-    p.add_argument("--beta", type=_rat_flag, default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--form", choices=["s41", "s32", "s21", "hyp", "recur"],
-                   default=None)
-    common(p)
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("roots", help="certify and list critical-line zeros")
-    p.add_argument("--family", choices=["gegenbauer", "beta", "chebyshev"],
-                   default="gegenbauer")
-    p.add_argument("--lambda", dest="lam", type=_rat_flag, default=None)
-    p.add_argument("--beta", type=_rat_flag, default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--form", choices=["s41", "s32", "s21", "hyp", "recur"],
-                   default=None)
-    common(p)
-    p.set_defaults(func=cmd_roots)
+    for name, func, text in (
+            ("poly", cmd_poly, "construct a critical polynomial"),
+            ("roots", cmd_roots, "certify and list critical-line zeros")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--family", choices=["gegenbauer", "beta", "chebyshev"],
+                       default="gegenbauer")
+        p.add_argument("--lambda", dest="lam", type=_rat_flag, default=None)
+        p.add_argument("--beta", type=_rat_flag, default=None)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--form", choices=["s41", "s32", "s21", "hyp", "recur"],
+                       default=None)
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")

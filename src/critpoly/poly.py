@@ -670,6 +670,14 @@ class LineIsolation:
 # real roots of a rational polynomial, on the same engine
 # ---------------------------------------------------------------------------
 
+def _interval(sign: int, box) -> tuple:
+    """A box (lo, hi, e) of the positive roots of sf(sign x) as the
+    ascending pair of Fractions that bounds the roots of sf it holds."""
+    lo, hi, e = box
+    return tuple(sorted((Fraction(sign * lo, 1 << e),
+                         Fraction(sign * hi, 1 << e))))
+
+
 class RealRootData:
     """The distinct real roots of v, isolated by Descartes bisection of
     sf(x) and sf(-x), with sf the squarefree part of v cleared to integers
@@ -695,9 +703,8 @@ class RealRootData:
         self.work = sum(roots.nodes for _, roots in self.sides)
         self.intervals = sorted(
             [(Fraction(0), Fraction(0))] * self.zero_root
-            + [tuple(sorted((Fraction(sign * lo, 1 << e),
-                             Fraction(sign * hi, 1 << e))))
-               for sign, roots in self.sides for lo, hi, e in roots.boxes])
+            + [_interval(sign, box)
+               for sign, roots in self.sides for box in roots.boxes])
         self.distinct_real_roots = len(self.intervals)
 
     def all_roots_real(self) -> bool:
@@ -731,24 +738,15 @@ def isolate_real_roots(p: Poly):
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
     """The root of p in a pair from ``isolate_real_roots``: lo when
-    lo == hi, otherwise the midpoint of (lo, hi) bisected, with the exact
-    sign of the squarefree part of p, until its width is below 2^-56 of
-    max(1, |lo|, |hi|) (or a bisection point is the root)."""
+    lo == hi, otherwise the box of ``RealRootData(p)`` that gave the pair,
+    refined by ``PositiveRoots.refine``."""
     if lo == hi:
         return float(lo)
-    sf = squarefree_part(p)
-    # the sign of sf just right of lo, which may be a (simple) root of sf
-    s_lo = _sign(sf(lo)) or _sign(sf.derivative()(lo))
-    while (hi - lo) * 2 ** 56 > max(1, abs(lo), abs(hi)):
-        mid = (lo + hi) / 2
-        s_mid = _sign(sf(mid))
-        if s_mid == 0:
-            return float(mid)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return float((lo + hi) / 2)
+    for sign, roots in RealRootData(p).sides:
+        for box in roots.boxes:
+            if _interval(sign, box) == (lo, hi):
+                return sign * float(roots.refine(box))
+    raise ValueError(f"({lo}, {hi}) is not an isolating interval of {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +786,16 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def _coerce(self, other) -> "RatFun":
+        """other, a RatFun, Poly or number, as a RatFun in this variable."""
+        if isinstance(other, RatFun):
+            return other
+        if isinstance(other, Poly):
+            return RatFun.from_poly(other)
+        return RatFun.constant(self.num.variable, other)
+
     def __add__(self, other):
-        o = other if isinstance(other, RatFun) else RatFun.from_poly(
-            other if isinstance(other, Poly)
-            else Poly.constant(self.num.variable, as_rat(other)))
+        o = self._coerce(other)
         return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -800,25 +804,19 @@ class RatFun:
         return RatFun(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-(other if isinstance(other, RatFun)
-                         else RatFun.from_poly(other) if isinstance(other, Poly)
-                         else RatFun.constant(self.num.variable, other)))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = other if isinstance(other, RatFun) else RatFun.from_poly(
-            other if isinstance(other, Poly)
-            else Poly.constant(self.num.variable, as_rat(other)))
+        o = self._coerce(other)
         return RatFun(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if isinstance(other, RatFun) else RatFun.from_poly(
-            other if isinstance(other, Poly)
-            else Poly.constant(self.num.variable, as_rat(other)))
+        o = self._coerce(other)
         if o.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return RatFun(self.num * o.den, self.den * o.num)

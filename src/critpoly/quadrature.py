@@ -366,7 +366,12 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
     c = closed_form_value(form, s)
     abs_err = abs(q.value - c)
     # relative to the size of the quadrature's terms, which stays positive
-    # at a zero of the polynomial factor, where |c| cannot serve
+    # at a zero of the polynomial factor, where |c| cannot serve, unless
+    # every term underflows the float range
+    if not q.magnitude > 0:
+        raise ToleranceNotMet(
+            f"the quadrature terms at n={n}, lambda={lam}, s={s} underflow "
+            f"to magnitude {q.magnitude}: no relative error")
     rel_err = abs_err / q.magnitude
     return {"n": n, "lambda": lam, "s": s, "quadrature": q.value,
             "closed_form": c, "abs_err": abs_err, "rel_err": rel_err,

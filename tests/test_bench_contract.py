@@ -6,6 +6,7 @@ imports are read from bench/spans.py and bench/workloads.py themselves
 rather than copied here."""
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -48,6 +49,17 @@ def test_cli_names_the_benchmark_reads():
     assert isinstance(cli.SUITES, dict) and cli.SUITES
     workers = cli._max_workers()
     assert isinstance(workers, int) and not isinstance(workers, bool)
+
+
+def test_each_suite_call_returns_its_row():
+    # the benchmark times each SUITES call as the suite's time, so the call
+    # must run the checks itself rather than hand back a generator
+    for name, suite in cli.SUITES.items():
+        assert not inspect.isgeneratorfunction(suite), name
+        row = suite(3, 0)
+        assert isinstance(row, dict) and row["pass"], (name, row)
+        checks = row["checks"]
+        assert type(checks) is int and checks > 0, (name, row)
 
 
 def test_quadrature_counts_its_evaluations():

@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from critpoly import cli, orthopoly, poly, verify
+from critpoly import arithprops, cli, orthopoly, poly, quadrature, verify
 from critpoly.cli import main
 from critpoly.construct import p_beta
 from sturm_oracle import sturm_roots
@@ -238,6 +239,68 @@ def test_broken_identity_fails_verify_under_optimize():
     assert proc.returncode == 1, proc.stderr
     row = json.loads(proc.stdout)[0]
     assert row["pass"] is False and "b_row_substitution" in row["detail"]
+
+
+# one check per suite, replaced by a stand-in that fails at one case only:
+# (suite, module, check, stand-in, the detail the row must carry)
+AT_N2_LAMBDA_3_2 = "at n=2, lambda=3/2 fails"
+FAIL_ONE_CASE = [
+    ("forms", verify, "check_hat_ratio",
+     lambda p, n, lam: (n, lam) != (2, Fraction(3, 2)),
+     "HYP = 2 S32 " + AT_N2_LAMBDA_3_2),
+    ("funceq", verify, "check_fq1",
+     lambda n, lam: (n, lam) != (2, Fraction(3, 2)),
+     "fq1 " + AT_N2_LAMBDA_3_2),
+    ("diffeq", verify, "check_central_difference",
+     lambda p, n, lam: (n, lam) != (2, Fraction(3, 2)),
+     "central relation " + AT_N2_LAMBDA_3_2),
+    ("recur", verify, "check_M_recurrences",
+     lambda n, lam, s: {"duplication_series":
+                        {"pass": (n, lam) != (2, Fraction(3, 2))}},
+     "duplication_series " + AT_N2_LAMBDA_3_2),
+    ("gould", verify, "check_integer_s_sums",
+     lambda n, lam, m: {"pass": (n, lam) != (2, Fraction(3, 2))},
+     "integer-s sums " + AT_N2_LAMBDA_3_2),
+    ("q", verify, "check_q_range",
+     lambda n, lam, grid: {"pass": (n, lam) != (2, Fraction(3, 2))},
+     "q range " + AT_N2_LAMBDA_3_2),
+    ("hyp3f2", cli, "appendix_transform_suite",
+     lambda trials, nmax, seed: {
+         "all_pass": False, "trials": trials,
+         "failures": [{"identity": 3, "params": "n=2 a=1/2 b=1 c=3 d=5"}]},
+     "'params': 'n=2 a=1/2 b=1 c=3 d=5'"),
+    ("corollary2", verify, "check_corollary2",
+     lambda n, samples: {"pass": n != 2, "worst_rel_err": 0.0},
+     "corollary 2 at n=2 fails"),
+    ("genfun", quadrature, "genfun_check",
+     lambda lam, s, t, **kw: {"pass": (lam, s, t) != (0.5, 2.0, 0.1),
+                              "errors": {}},
+     "series at lambda=0.5, s=2.0, t=0.1 (errors {}) fails"),
+    ("quad", quadrature, "compare_mellin",
+     lambda n, lam, s: {"rel_err": 1.0 if (n, lam, s) == (2, 1.0, 3.7)
+                        else 0.0},
+     "quadrature at n=2, lambda=1.0, s=3.7 (rel_err=1.0) fails"),
+    ("props", arithprops, "odd_factor_check",
+     lambda n, s: {"pass": (n, s) != (2, 7)}, "odd factors at n=2, s=7 fails"),
+    ("triangles", arithprops, "divisibility_characterization",
+     lambda kind, kmax: {"pass": kind == "b", "mismatches": [] if kind == "b"
+                         else [12]},
+     "a-triangle primality test for k <= 200 (mismatches at k=[12]) fails"),
+]
+
+
+def test_every_suite_has_a_negative_control():
+    assert [case[0] for case in FAIL_ONE_CASE] == list(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite, module, check, stand_in, detail",
+                         FAIL_ONE_CASE, ids=[c[0] for c in FAIL_ONE_CASE])
+def test_a_failing_check_names_its_case(monkeypatch, suite, module, check,
+                                        stand_in, detail):
+    monkeypatch.setattr(module, check, stand_in)
+    row = cli.SUITES[suite](4, 0)
+    assert row["pass"] is False and type(row["checks"]) is int
+    assert detail in row["detail"], row
 
 
 def test_verify_deterministic(capsys):

@@ -155,6 +155,13 @@ def test_isolate_and_refine():
         assert got == pytest.approx(sorted(set(roots)), abs=1e-12)
 
 
+def test_refine_root_takes_only_isolating_intervals():
+    p = _poly_from_roots([-3, 0, 5])
+    lo, hi = isolate_real_roots(p)[-1]
+    with pytest.raises(ValueError, match="not an isolating interval"):
+        refine_root(p, lo, hi + 1)
+
+
 def test_positive_roots_isolates_and_refines():
     # w = (x - 1/3)(x - 2/3)(x - 7)(x + 5)(x^2 + 1)
     w = Poly("x", [Fraction(1)])
@@ -292,6 +299,25 @@ def test_ratfun_reduces():
     q = RatFun(num, den)
     assert q.num.degree == 1 and q.den.degree == 1
     assert q(Fraction(5)) == Fraction(4, 2)
+
+
+def test_ratfun_arithmetic_takes_ratfuns_polys_and_numbers():
+    s = Poly.var("s")
+    q = RatFun(s + 1, s - 2)
+    one = RatFun.constant("s", 1)
+    for other in (RatFun(s, s + 3), s * s - 5, Fraction(7, 3), 2):
+        for x in (Fraction(1, 3), Fraction(5), Fraction(-4, 7)):
+            want_q, want_o = q(x), (other(x) if callable(other) else other)
+            assert (q + other)(x) == want_q + want_o
+            assert (q - other)(x) == want_q - want_o
+            assert (q * other)(x) == want_q * want_o
+            assert (q / other)(x) == want_q / want_o
+    # a number on the left goes through the reflected operators
+    assert (2 + q)(Fraction(5)) == (2 * q)(Fraction(5)) == 4
+    assert (2 - q)(Fraction(5)) == 0 and (3 / q)(Fraction(5)) == Fraction(3, 2)
+    assert q - q == 0 and q / q == one
+    with pytest.raises(ZeroDivisionError):
+        q / 0
 
 
 def test_exact_division_raises_on_remainder():

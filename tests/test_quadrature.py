@@ -247,6 +247,13 @@ def test_rel_err_at_a_zero_of_the_closed_form():
     assert row["abs_err"] <= 1e-10 < row["rel_err"]
 
 
+def test_underflowing_terms_raise_tolerance_not_met():
+    # every term |w_i P(y_i)| of this rule underflows to 0.0 as a float, so
+    # the row has no scale to measure a relative error against
+    with pytest.raises(ToleranceNotMet, match="underflow"):
+        compare_mellin(40, 2000, 1e4)
+
+
 def test_gauss_jacobi_exact_for_stated_degree():
     # Int_0^1 y^5 dy and Int_0^1 y^(1/2) (1-y) y^2 dy = B(7/2, 2)
     q = quadrature._gauss_jacobi(lambda y: y ** 5, 5, 0, 0, 1e-25)

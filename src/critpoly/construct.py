@@ -74,28 +74,25 @@ class CriticalPolynomial:
 # binomial-sum forms
 # ---------------------------------------------------------------------------
 
+def gould_term(m: int, r: int, eps: int, x):
+    """(-1)^(m-r) 2^(2r-1+eps) C(m+r+eps, 2r+eps) C((x-2+eps)/2 + r, r), the
+    factor that every Gould-type sum form of index 2m + eps shares; x is a
+    Fraction or a Poly (an int x would halve to a float)."""
+    return (Fraction((-1) ** (m - r) * 2 ** (2 * r + eps), 2)
+            * comb(m + r + eps, 2 * r + eps) * gen_binom((x - 2 + eps) / 2 + r, r))
+
+
 def p_s41(n: int, lam) -> CriticalPolynomial:
     """Four-binomial-numerator sum form (no s-dependent denominators)."""
     lam = as_rat(lam)
     _check_lambda(lam)
     m, eps = n // 2, n % 2
     out = Poly.zero("s")
-    if eps == 0:
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(2) ** (2 * r - 1)
-                         * gen_binom(m + r + lam - 1, m + r) * comb(m + r, 2 * r)
-                         * gen_binom((S - 2) / 2 + r, r)
-                         * gen_binom(m + (S + lam) / 2 - Fraction(3, 4), m - r)
-                         / comb(m, r))
-        out = factorial(m) * factorial(2 * m) * out
-    else:
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(4) ** r
-                         * gen_binom(m + r + lam, m + r + 1) * comb(m + r + 1, 2 * r + 1)
-                         * gen_binom((S - 1) / 2 + r, r)
-                         * gen_binom(m + (S + 1 + lam) / 2 - Fraction(3, 4), m - r)
-                         / comb(m, r))
-        out = factorial(m) * factorial(2 * m + 1) * out
+    for r in range(m + 1):
+        out = out + (gould_term(m, r, eps, S)
+                     * (gen_binom(m + r + lam - 1 + eps, m + r + eps) / comb(m, r))
+                     * gen_binom(m + (S + lam + eps) / 2 - Fraction(3, 4), m - r))
+    out = factorial(m) * factorial(2 * m + eps) * out
     return CriticalPolynomial(n, "gegenbauer", lam, "S41", out, "paper_S")
 
 
@@ -118,21 +115,12 @@ def _p_s32(n: int, lam: Fraction) -> CriticalPolynomial:
 def p_s21_chebyshev(n: int) -> CriticalPolynomial:
     """Two-numerator/one-denominator sum; the lambda = 1 simplification."""
     m, eps = n // 2, n % 2
+    a = S / 2 - Fraction(1, 4) + Fraction(eps, 2)
     out = Poly.zero("s")
-    if eps == 0:
-        a = S / 2 - Fraction(1, 4)
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(2) ** (2 * r - 1)
-                         * comb(m + r, 2 * r) * gen_binom((S - 2) / 2 + r, r)
-                         * factorial(r) * pochhammer(a + r + 1, m - r))
-        out = factorial(2 * m) * out
-    else:
-        a = S / 2 + Fraction(1, 4)
-        for r in range(m + 1):
-            out = out + (Fraction((-1) ** (m - r)) * Fraction(4) ** r
-                         * comb(m + r + 1, 2 * r + 1) * gen_binom((S - 1) / 2 + r, r)
-                         * factorial(r) * pochhammer(a + r + 1, m - r))
-        out = factorial(2 * m + 1) * out
+    for r in range(m + 1):
+        out = out + (gould_term(m, r, eps, S) * factorial(r)
+                     * pochhammer(a + r + 1, m - r))
+    out = factorial(2 * m + eps) * out
     return CriticalPolynomial(n, "gegenbauer", Fraction(1), "S21", out,
                               "paper_S")
 
@@ -231,43 +219,30 @@ def q_rational(n: int, lam) -> NormalizedRational:
     normalization is ``verify.check_q_forms``."""
     lam = as_rat(lam)
     _check_lambda(lam)
-    m = n // 2
+    if n == 0:
+        raise UndefinedIndex("q is undefined at n = 0")
+    m, eps = n // 2, n % 2
     p = p_s32(n, lam).poly
-    if n % 2 == 0:
-        if n == 0:
-            raise UndefinedIndex("q is undefined at n = 0")
-        den_binom = (lam * factorial(m - 1) * factorial(2 * m)
-                     * gen_binom(2 * m + 2 * lam - 1, 2 * m - 1)
-                     * gen_binom(m + (S + lam) / 2 - Fraction(3, 4), m))
-        return NormalizedRational(n, lam, RatFun(2 * p, den_binom))
-    den_binom = (lam * factorial(m) * factorial(2 * m)
-                 * gen_binom(2 * m + 2 * lam, 2 * m)
-                 * gen_binom(m + (S + lam) / 2 - Fraction(1, 4), m))
-    return NormalizedRational(n, lam, RatFun(p, den_binom))
+    den_binom = (lam * factorial(m - 1 + eps) * factorial(2 * m)
+                 * gen_binom(n + 2 * lam - 1, n - 1)
+                 * gen_binom(m + (S + lam + eps) / 2 - Fraction(3, 4), m))
+    return NormalizedRational(n, lam, RatFun(2 ** (1 - eps) * p, den_binom))
 
 
 def s32_bare_sum(n: int, lam, s, parity: str) -> Fraction:
     """The bare three-over-two binomial sum, without the normalizing
     prefactor: index 2n for parity 'even', 2n+1 for parity 'odd'."""
     lam, s = as_rat(lam), as_rat(s)
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    eps = int(parity == "odd")
     total = Fraction(0)
     try:
-        if parity == "even":
-            for r in range(n + 1):
-                total += (Fraction((-1) ** (n - r)) * Fraction(2) ** (2 * r - 1)
-                          * gen_binom(n + r + lam - 1, r) * comb(n + r, 2 * r)
-                          * gen_binom((s - 2) / 2 + r, r)
-                          / (comb(n + r, r)
-                             * gen_binom((s + lam) / 2 - Fraction(3, 4) + r, r)))
-        elif parity == "odd":
-            for r in range(n + 1):
-                total += (Fraction((-1) ** (n - r)) * Fraction(4) ** r
-                          * gen_binom(n + r + lam, r) * comb(n + r + 1, 2 * r + 1)
-                          * gen_binom((s - 1) / 2 + r, r)
-                          / (comb(n + r + 1, r)
-                             * gen_binom((s + lam) / 2 - Fraction(1, 4) + r, r)))
-        else:
-            raise ValueError("parity must be 'even' or 'odd'")
+        for r in range(n + 1):
+            total += (gould_term(n, r, eps, s)
+                      * gen_binom(n + r + lam - 1 + eps, r)
+                      / (comb(n + r + eps, r) * gen_binom(
+                          (s + lam + eps) / 2 - Fraction(3, 4) + r, r)))
     except ZeroDivisionError:
         raise PoleInDenominator(
             f"denominator binomial vanishes at s={s}, lambda={lam}") from None

@@ -105,6 +105,8 @@ class Poly:
         if isinstance(other, Poly):
             raise VariableMismatch(
                 f"cannot add polynomials in {self.variable!r} and {other.variable!r}")
+        if isinstance(other, RatFun):
+            return NotImplemented
         return self + Poly.constant(self.variable, other)
 
     __radd__ = __add__
@@ -134,6 +136,8 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
             return Poly(self.variable, out)
+        if isinstance(other, RatFun):
+            return NotImplemented
         # Poly in another variable acts as a scalar coefficient
         return Poly(self.variable, [c * other for c in self.coeffs])
 
@@ -145,6 +149,8 @@ class Poly:
             if not r.is_zero:
                 raise ValueError("inexact polynomial division")
             return q
+        if isinstance(scalar, RatFun):
+            return NotImplemented
         return Poly(self.variable, [c / scalar for c in self.coeffs])
 
     def __pow__(self, k: int):
@@ -186,8 +192,20 @@ class Poly:
         return acc
 
     def shift(self, a) -> "Poly":
-        """p(var + a), exactly."""
-        return poly_shift(self, a)
+        """p(var + a) for a rational a = u/v and int or Fraction
+        coefficients, on integers: with P = den p cleared to integers and
+        q(y) = v^d P(a y), p(x + a) = q(x/a + 1) / (v^d den), so one Taylor
+        shift by 1 of q, whose coefficient k is then divided by
+        u^k v^(d-k) den, does it."""
+        a = as_rat(a)
+        if not a:
+            return self
+        (ints, den), u, v = _int_form(self.coeffs), a.numerator, a.denominator
+        d = len(ints) - 1
+        r = _taylor_shift1([c * u ** k * v ** (d - k)
+                            for k, c in enumerate(ints)])
+        return Poly(self.variable, [Fraction(c, u ** k * v ** (d - k) * den)
+                                    for k, c in enumerate(r)])
 
     def derivative(self) -> "Poly":
         return Poly(self.variable,
@@ -222,14 +240,6 @@ class Poly:
     @staticmethod
     def from_json(obj: dict) -> "Poly":
         return Poly(obj["variable"], [parse_rat(c) for c in obj["coeffs"]])
-
-
-def poly_shift(p: Poly, a) -> Poly:
-    """Return p(var + a)."""
-    point = Poly(p.variable, [as_rat(a) if not isinstance(a, Poly) else a,
-                              Fraction(1)])
-    out = p(point)
-    return out if isinstance(out, Poly) else Poly.constant(p.variable, out)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +832,7 @@ class RatFun:
         return RatFun(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
-        return RatFun.constant(self.num.variable, other) / self \
-            if not isinstance(other, (RatFun, Poly)) else NotImplemented
+        return self._coerce(other) / self
 
     def __call__(self, point):
         d = self.den(point)

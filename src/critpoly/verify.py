@@ -17,8 +17,8 @@ from math import comb, factorial
 
 import mpmath
 
-from .construct import (S, CriticalPolynomial, p_beta, p_hyp, p_s32,
-                        q_rational)
+from .construct import (S, CriticalPolynomial, gould_term, p_beta, p_hyp,
+                        p_s32, q_rational)
 from .errors import GammaPole
 from .hyp3f2 import eval_3f2
 from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
@@ -301,21 +301,16 @@ def check_M_recurrences(n: int, lam, s_samples) -> dict:
 
 
 def _check_quarter_shift(n: int, hat: Poly, s_samples) -> dict:
-    """Even/odd series with the quarter-shifted parameters: for n = 2k,
-    hat_p(s) = (2k)! 4^k (s/2)_k F; for n = 2k+1 the half-shifted analogue."""
-    k = n // 2
+    """Even/odd series with the quarter-shifted parameters: for n = 2k + eps,
+    hat_p(s) = n! 2^n ((s+eps)/2)_k
+    3F2(1/2-k-eps, 1/4-k-(s+eps)/2, -k; 1-k-(s+eps)/2, -n; 1)."""
+    k, eps = n // 2, n % 2
     oks = []
     for s in s_samples:
-        if n % 2 == 0:
-            f = eval_3f2(Fraction(1, 2) - k, -k - s / 2 + Fraction(1, 4), -k,
-                         1 - s / 2 - k, -2 * k)
-            val = factorial(2 * k) * Fraction(4) ** k * pochhammer(s / 2, k) * f
-        else:
-            f = eval_3f2(-Fraction(1, 2) - k, -k - s / 2 - Fraction(1, 4), -k,
-                         (1 - s) / 2 - k, -1 - 2 * k)
-            val = (2 * factorial(2 * k + 1) * Fraction(4) ** k
-                   * pochhammer((s + 1) / 2, k) * f)
-        oks.append(val == hat(s))
+        h = (s + eps) / 2
+        f = eval_3f2(Fraction(1, 2) - k - eps, Fraction(1, 4) - k - h, -k,
+                     1 - h - k, -n)
+        oks.append(factorial(n) * 2 ** n * pochhammer(h, k) * f == hat(s))
     return {"pass": all(oks), "samples": len(oks)}
 
 
@@ -351,96 +346,63 @@ def _check_duplication(n: int, hat: Poly, s_samples) -> dict:
 
 
 def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
-    """The four-over-two and three-over-one sum forms of M_{2n} / M_{2n+1},
-    divided through by M_0: both must equal
-    hat_p(s) / (n'! ((s+lam+eps)/2 + 1/4)_{n}) exactly."""
+    """The four-over-two and three-over-one sum forms of M_{2n+eps}, divided
+    through by M_0: both must equal
+    hat_p(s) / ((2n+eps)! ((s+lam+eps)/2 + 1/4)_{n}) exactly, and so must
+    the 3F2 form."""
     lam = as_rat(lam)
     s_samples = [as_rat(s) for s in s_samples]
     results = {"even": [], "odd": []}
     for s in s_samples:
-        # even index 2n
-        hat = p_hyp(2 * n, lam).poly
-        rhs = hat(s) / (factorial(2 * n)
-                        * pochhammer((s + lam) / 2 + Fraction(1, 4), n))
-        s42 = Fraction(0)
-        s31 = Fraction(0)
-        top = gen_binom(n + (s + lam) / 2 - Fraction(3, 4), n)
-        for r in range(n + 1):
-            common = (Fraction((-1) ** (n - r)) * Fraction(4) ** r
-                      * gen_binom(n + r + lam - 1, n + r) * comb(n + r, 2 * r)
-                      * gen_binom((s - 2) / 2 + r, r))
-            s42 += (common * gen_binom(n + (s + lam) / 2 - Fraction(3, 4), n - r)
-                    / (comb(n, r) * top))
-            s31 += common / gen_binom((s + lam) / 2 - Fraction(3, 4) + r, r)
-        f = eval_3f2(-n, lam + n, s / 2, Fraction(1, 2),
-                     lam / 2 + s / 2 + Fraction(1, 4))
-        hyp = Fraction((-1) ** n) * gen_binom(lam + n - 1, n) * f
-        results["even"].append(s42 == rhs and s31 == rhs and hyp == rhs)
-        # odd index 2n+1
-        hat = p_hyp(2 * n + 1, lam).poly
-        rhs = hat(s) / (factorial(2 * n + 1)
-                        * pochhammer((s + 1 + lam) / 2 + Fraction(1, 4), n))
-        s42 = Fraction(0)
-        s31 = Fraction(0)
-        top = gen_binom(n + (s + lam) / 2 - Fraction(1, 4), n)
-        for r in range(n + 1):
-            common = (Fraction((-1) ** (n - r)) * 2 * Fraction(4) ** r
-                      * gen_binom(n + r + lam, n + r + 1) * comb(n + r + 1, 2 * r + 1)
-                      * gen_binom((s - 1) / 2 + r, r))
-            s42 += (common * gen_binom(n + (s + lam) / 2 - Fraction(1, 4), n - r)
-                    / (comb(n, r) * top))
-            s31 += common / gen_binom((s + lam) / 2 - Fraction(1, 4) + r, r)
-        f = eval_3f2(-n, lam + n + 1, s / 2 + Fraction(1, 2), Fraction(3, 2),
-                     (lam + s) / 2 + Fraction(3, 4))
-        hyp = (Fraction((-1) ** n) * 2 * (n + 1) * gen_binom(lam + n, n + 1) * f)
-        results["odd"].append(s42 == rhs and s31 == rhs and hyp == rhs)
+        for eps, parity in enumerate(("even", "odd")):
+            a = (s + lam + eps) / 2 - Fraction(3, 4)
+            hat = p_hyp(2 * n + eps, lam).poly
+            rhs = hat(s) / (factorial(2 * n + eps) * pochhammer(a + 1, n))
+            s42 = Fraction(0)
+            s31 = Fraction(0)
+            top = gen_binom(n + a, n)
+            for r in range(n + 1):
+                common = (2 * gould_term(n, r, eps, s)
+                          * gen_binom(n + r + lam - 1 + eps, n + r + eps))
+                s42 += common * gen_binom(n + a, n - r) / (comb(n, r) * top)
+                s31 += common / gen_binom(a + r, r)
+            f = eval_3f2(-n, lam + n + eps, (s + eps) / 2,
+                         Fraction(1, 2) + eps, a + 1)
+            hyp = ((-1) ** n * (2 * n + 2) ** eps
+                   * gen_binom(lam + n - 1 + eps, n + eps) * f)
+            results[parity].append(s42 == rhs and s31 == rhs and hyp == rhs)
     results["pass"] = all(results["even"]) and all(results["odd"])
     return results
 
 
 def check_integer_s_sums(n: int, lam, s1_max: int = 12) -> dict:
-    """At even/odd integer arguments the Gamma-ratios become exact
-    rationals; the four-over-three sum forms must then reproduce the
-    closed-form transform values exactly."""
+    """At even/odd integer arguments s = 2 s1 + eps the Gamma-ratios become
+    exact rationals; the four-over-three sum forms must then reproduce the
+    closed-form transform values exactly, over M_0(2k), k = s1 + eps."""
     lam = as_rat(lam)
-    hat_even = p_hyp(2 * n, lam).poly
-    hat_odd = p_hyp(2 * n + 1, lam).poly
+    hats = [p_hyp(2 * n + eps, lam).poly for eps in (0, 1)]
     quarter = lam / 2 + Fraction(1, 4)
     oks = []
     for s1 in range(1, s1_max + 1):
-        # even argument s = 2 s1: M_0(2 s1) = (s1-1)! / (2 (lam/2+1/4)_{s1})
-        m0 = Fraction(factorial(s1 - 1), 2) / pochhammer(quarter, s1)
-        # the printed prefactors 1/2s and lambda/(s+1) read s as s1
-        oks.append(m0 == Fraction(1, 2 * s1) / gen_binom(quarter + s1 - 1, s1))
-        closed_even = (m0 * hat_even(Fraction(2 * s1))
-                       / (factorial(2 * n) * pochhammer(s1 + quarter, n)))
-        total = Fraction(0)
-        for r in range(n + 1):
-            total += (Fraction((-1) ** (n - r)) * Fraction(4) ** r
-                      * gen_binom(n + r + lam - 1, n + r) * comb(n + r, 2 * r)
-                      * comb(s1 - 1 + r, r)
-                      * gen_binom(n + s1 + quarter - 1, n - r)
-                      / (comb(n, n - r)
-                         * gen_binom(s1 + quarter - 1, s1)
-                         * gen_binom(n + s1 + quarter - 1, n)))
-        oks.append(total / (2 * s1) == closed_even)
-        # odd argument s = 2 s1 + 1: closed form over M_0(2 s1 + 2)
-        s = Fraction(2 * s1 + 1)
-        m0_next = Fraction(factorial(s1), 2) / pochhammer(quarter, s1 + 1)
-        closed_odd = (m0_next * hat_odd(s)
-                      / (factorial(2 * n + 1)
-                         * pochhammer(s1 + 1 + quarter, n)))
-        total = Fraction(0)
-        for r in range(n + 1):
-            total += (Fraction((-1) ** (n - r)) * 2 * Fraction(4) ** r
-                      * gen_binom(n + r + lam, n + r + 1)
-                      * comb(n + r + 1, 2 * r + 1) * comb(s1 + r, r)
-                      * gen_binom(n + s1 + quarter, n - r)
-                      / (comb(n, r) * gen_binom(s1 + quarter, s1 + 1)
-                         * gen_binom(n + s1 + quarter, n)))
-        # the r = 0 term already carries the factor 2*lam, so the matching
-        # prefactor is 1/(2(s1+1)) = M_0(2 s1 + 2) over its binomial part
-        oks.append(total / (2 * (s1 + 1)) == closed_odd)
+        for eps, hat in enumerate(hats):
+            k = s1 + eps
+            # M_0(2k) = (k-1)! / (2 (lam/2+1/4)_k)
+            m0 = Fraction(factorial(k - 1), 2) / pochhammer(quarter, k)
+            # the printed prefactors 1/2s and lambda/(s+1) read s as s1
+            oks.append(m0 == Fraction(1, 2 * k) / gen_binom(quarter + k - 1, k))
+            closed = (m0 * hat(Fraction(2 * s1 + eps))
+                      / (factorial(2 * n + eps) * pochhammer(k + quarter, n)))
+            den = (gen_binom(k + quarter - 1, k)
+                   * gen_binom(n + k + quarter - 1, n))
+            total = Fraction(0)
+            for r in range(n + 1):
+                total += (2 * gould_term(n, r, eps, Fraction(2 * s1 + eps))
+                          * gen_binom(n + r + lam - 1 + eps, n + r + eps)
+                          * gen_binom(n + k + quarter - 1, n - r)
+                          / (comb(n, r) * den))
+            # at odd s the r = 0 term already carries the factor 2*lam, so
+            # the matching prefactor is 1/(2k) = M_0(2k) over its binomial part
+            oks.append(total / (2 * k) == closed)
     return {"pass": all(oks), "checks": len(oks)}
 
 
@@ -453,23 +415,17 @@ def check_gould_closures(nmax: int, lam_samples) -> dict:
     leading-coefficient statement lim q(s) = 1."""
     failures = []
     for lam in map(as_rat, lam_samples):
-        for n in range(1, nmax + 1):
-            total = sum(Fraction((-1) ** (n - r)) * Fraction(2) ** (2 * r - 1)
-                        * gen_binom(n + r + lam - 1, r) * comb(n + r, 2 * r)
-                        / comb(n + r, r) for r in range(n + 1))
-            want = (Fraction(1, 2) * gen_binom(2 * n + 2 * lam - 1, 2 * n - 1)
-                    / gen_binom(n + lam - 1, n - 1))
-            if total != want:
-                failures.append(("even", n, str(lam)))
-        for n in range(0, nmax + 1):
-            total = sum(Fraction((-1) ** (n - r)) * Fraction(4) ** r
-                        * gen_binom(n + r + lam, r) * comb(n + r + 1, 2 * r + 1)
-                        / comb(n + r + 1, r) for r in range(n + 1))
-            want = (Fraction(n + 1, 2 * n + 1)
-                    * gen_binom(2 * n + 2 * lam, 2 * n)
-                    / gen_binom(n + lam, n))
-            if total != want:
-                failures.append(("odd", n, str(lam)))
+        for eps, parity in enumerate(("even", "odd")):
+            for n in range(1 - eps, nmax + 1):
+                # at x = 2 - eps the last binomial of gould_term is C(r, r) = 1
+                total = sum(gould_term(n, r, eps, Fraction(2 - eps))
+                            * gen_binom(n + r + lam - 1 + eps, r)
+                            / comb(n + r + eps, r) for r in range(n + 1))
+                want = ((Fraction(n + 1, 2 * n + 1) if eps else Fraction(1, 2))
+                        * gen_binom(2 * n + 2 * lam - 1 + eps, 2 * n - 1 + eps)
+                        / gen_binom(n + lam - 1 + eps, n - 1 + eps))
+                if total != want:
+                    failures.append((parity, n, str(lam)))
         for n in range(1, nmax + 1):
             q = q_rational(n, lam).fun
             if q.num.leading / q.den.leading != 1:

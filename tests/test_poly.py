@@ -2,6 +2,7 @@
 oracle, the critical-line substitution and Descartes isolation."""
 from fractions import Fraction
 from math import comb
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,28 @@ def test_horner_matches_naive(p, x):
 @settings(max_examples=60, deadline=None)
 def test_shift_is_argument_translation(p, x):
     assert p.shift(1)(x) == p(x + 1)
+
+
+def composed_shift(p: Poly, a) -> Poly:
+    """p(var + a) by Horner composition over Poly objects, the route that
+    the integer Taylor shift of ``Poly.shift`` replaced."""
+    out = p(Poly(p.variable, [Fraction(a), Fraction(1)]))
+    return out if isinstance(out, Poly) else Poly.constant(p.variable, out)
+
+
+@given(polys, st.sampled_from([-2, 1, 2, 4, Fraction(1, 2),
+                               Fraction(-3, 7)]))
+@settings(max_examples=120, deadline=None)
+def test_shift_matches_composition(p, a):
+    assert p.shift(a) == composed_shift(p, a)
+
+
+def test_shift_of_zero_polynomial_and_by_zero():
+    p = Poly("s", [Fraction(3, 4), Fraction(-1), 2])
+    for a in (-2, 1, 2, 4):
+        assert Poly.zero("s").shift(a) == composed_shift(Poly.zero("s"), a) \
+            == Poly.zero("s")
+    assert p.shift(0) == p and p.shift(4).shift(-4) == p
 
 
 @given(polys)
@@ -318,6 +341,18 @@ def test_ratfun_arithmetic_takes_ratfuns_polys_and_numbers():
     assert q - q == 0 and q / q == one
     with pytest.raises(ZeroDivisionError):
         q / 0
+
+
+def test_poly_operators_defer_to_ratfun():
+    # a Poly on the left must not take a RatFun as a scalar coefficient
+    s = Poly.var("s")
+    p, q = s * s - 5, RatFun(s + 1, s - 2)
+    x = Fraction(1, 3)
+    for op in (add, sub, mul, truediv):
+        for out, want in ((op(p, q), op(p(x), q(x))),
+                          (op(q, p), op(q(x), p(x)))):
+            assert isinstance(out, RatFun)
+            assert out(x) == want
 
 
 def test_exact_division_raises_on_remainder():

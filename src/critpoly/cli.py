@@ -8,10 +8,8 @@ import functools
 import io
 import json
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import arithprops, construct, quadrature, verify
@@ -38,15 +36,9 @@ log = logging.getLogger("critpoly")
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("CRITPOLY_THREADS", "")
-    fallback = min(4, os.cpu_count() or 1)
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            log.warning("CRITPOLY_THREADS=%r is not an integer; using %d "
-                        "workers", raw, fallback)
-    return fallback
+    """The CLI runs every suite and row in the calling thread, one after
+    another; only `bench/run.py` still reads this name."""
+    return 1
 
 
 def _rat_flag(text: str) -> Fraction:
@@ -203,11 +195,10 @@ def _suite_forms(nmax: int, seed: int):
                                           n, lam))
             yield (f"reflection at n={n}, lambda={lam}",
                    verify.check_functional_equation(b.poly, n))
-        yield (f"S21 = S32 at n={n}",
-               construct.p_s21_chebyshev(n).poly == construct.p_s32(n, 1).poly)
+        s21 = construct.p_s21_chebyshev(n).poly
+        yield f"S21 = S32 at n={n}", s21 == construct.p_s32(n, 1).poly
         yield (f"RECUR = S21 at n={n}",
-               construct.p_chebyshev_recursive(n).poly
-               == construct.p_s21_chebyshev(n).poly)
+               construct.p_chebyshev_recursive(n).poly == s21)
 
 
 @_suite
@@ -384,7 +375,7 @@ SUITES = {
 
 
 def _run_suite(name: str, nmax: int, seed: int) -> dict:
-    """One suite's row, timed in the worker that runs it."""
+    """One suite's row, with the seconds that suite took."""
     start = time.perf_counter()
     try:
         row = SUITES[name](nmax, seed)
@@ -396,13 +387,10 @@ def _run_suite(name: str, nmax: int, seed: int) -> dict:
 
 def cmd_verify(args, parser) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        futures = {name: pool.submit(_run_suite, name, args.nmax, args.seed)
-                   for name in names}
-        results = {name: futures[name].result() for name in names}
-    payload = [{"suite": name, **results[name]} for name in names]
+    payload = [{"suite": name, **_run_suite(name, args.nmax, args.seed)}
+               for name in names]
     _emit(payload, args)
-    return 0 if all(r["pass"] for r in results.values()) else 1
+    return 0 if all(r["pass"] for r in payload) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +399,13 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_mellin(args, parser) -> int:
     ns = args.n if args.n else list(range(args.nmax + 1))
-    rows = []
     if args.family == "T":
-        jobs = [(n, None, s) for n in ns for s in args.s]
+        rows = [quadrature.compare_mellin_T(n, s, args.tol)
+                for n in ns for s in args.s]
     else:
         lams = args.lam or [Fraction(1)]
-        jobs = [(n, lam, s) for n in ns for lam in lams for s in args.s]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        if args.family == "T":
-            futs = [pool.submit(quadrature.compare_mellin_T, n, s, args.tol)
-                    for n, _, s in jobs]
-        else:
-            futs = [pool.submit(quadrature.compare_mellin, n, lam, s,
-                                args.tol) for n, lam, s in jobs]
-        rows = [f.result() for f in futs]
+        rows = [quadrature.compare_mellin(n, lam, s, args.tol)
+                for n in ns for lam in lams for s in args.s]
     _emit(rows, args)
     return 0 if all(r["rel_err"] <= 1e-10 for r in rows) else 1
 

@@ -28,16 +28,16 @@ from .rat import as_rat, format_rat
 
 S = Poly.var("s")
 
-# Entries kept by each memoized builder (key (n, parameter), or n for S21
-# and the T-factor recurrence). `verify --suite all --nmax 10` asks for 64
-# distinct S32 keys, 151 HYP, 173 beta (S32 and HYP build through it), 41
-# T factors and 14 S21, so every repeat there is a hit.
+# Entries kept by each of the two memos: the beta kernel, keyed (n, beta),
+# which p_s32 and p_hyp scale, and the T-factor recurrence, keyed n.
+# `verify --suite all --nmax 10` asks for 173 distinct beta keys and 41 T
+# factors, so every repeat there is a hit.
 MEMO_SIZE = 256
 
 
 def clear_caches() -> None:
     """Forget every memoized build, so that the next call builds cold."""
-    for memo in (_p_s32, _p_hyp, _p_beta, _T_factor, p_s21_chebyshev):
+    for memo in (_p_beta, _T_factor):
         memo.cache_clear()
 
 
@@ -98,20 +98,14 @@ def p_s41(n: int, lam) -> CriticalPolynomial:
 
 def p_s32(n: int, lam) -> CriticalPolynomial:
     """Three-numerator/two-denominator sum form, built as (2 lam)_n / 2
-    times the beta kernel at beta = 3/4 - lam/2. Memoized on (n, lam)."""
+    times the memoized beta kernel at beta = 3/4 - lam/2."""
     lam = as_rat(lam)
     _check_lambda(lam)
-    return _p_s32(n, lam)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _p_s32(n: int, lam: Fraction) -> CriticalPolynomial:
     out = (_p_beta(n, Fraction(3, 4) - lam / 2).poly
            * (pochhammer(2 * lam, n) / 2))
     return CriticalPolynomial(n, "gegenbauer", lam, "S32", out, "paper_S")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def p_s21_chebyshev(n: int) -> CriticalPolynomial:
     """Two-numerator/one-denominator sum; the lambda = 1 simplification."""
     m, eps = n // 2, n % 2
@@ -130,16 +124,11 @@ def p_hyp(n: int, lam) -> CriticalPolynomial:
 
     Builds hat-p_n(s) = n! (2 lam)_n sum_k c_k ((s+eps)/2)_{m-k} with
     c_k = (-1)^k (lam/2 + 1/4)_k / (4^k k! (lam + 1/2)_k (n-2k)!); this is
-    exactly twice the canonical polynomial (``verify.check_hat_ratio``).
-    Memoized on (n, lam).
+    exactly twice the canonical polynomial (``verify.check_hat_ratio``),
+    built as (2 lam)_n times the memoized beta kernel.
     """
     lam = as_rat(lam)
     _check_lambda(lam)
-    return _p_hyp(n, lam)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _p_hyp(n: int, lam: Fraction) -> CriticalPolynomial:
     out = _p_beta(n, Fraction(3, 4) - lam / 2).poly * pochhammer(2 * lam, n)
     return CriticalPolynomial(n, "gegenbauer", lam, "HYP", out, "thm4_hat")
 

@@ -353,11 +353,12 @@ def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
     lam = as_rat(lam)
     s_samples = [as_rat(s) for s in s_samples]
     results = {"even": [], "odd": []}
+    hats = [p_hyp(2 * n + eps, lam).poly for eps in (0, 1)]
     for s in s_samples:
         for eps, parity in enumerate(("even", "odd")):
             a = (s + lam + eps) / 2 - Fraction(3, 4)
-            hat = p_hyp(2 * n + eps, lam).poly
-            rhs = hat(s) / (factorial(2 * n + eps) * pochhammer(a + 1, n))
+            rhs = (hats[eps](s)
+                   / (factorial(2 * n + eps) * pochhammer(a + 1, n)))
             s42 = Fraction(0)
             s31 = Fraction(0)
             top = gen_binom(n + a, n)

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -61,19 +62,6 @@ def test_poly_beta_family(capsys):
     doc = json.loads(out)
     assert doc["beta"] == "0"
     assert len(doc["coeffs"]) == 2
-
-
-def test_invalid_thread_count_is_logged(monkeypatch, caplog):
-    monkeypatch.setenv("CRITPOLY_THREADS", "abc")
-    fallback = min(4, os.cpu_count() or 1)
-    with caplog.at_level("WARNING", logger="critpoly"):
-        assert cli._max_workers() == fallback
-    assert [r.name for r in caplog.records] == ["critpoly"]
-    assert "'abc'" in caplog.text and f"using {fallback} workers" in caplog.text
-    monkeypatch.setenv("CRITPOLY_THREADS", "3")
-    caplog.clear()
-    assert cli._max_workers() == 3
-    assert not caplog.records
 
 
 def test_float_flag_rejected():
@@ -212,6 +200,51 @@ def test_verify_rows_carry_their_suite_time(capsys, monkeypatch):
     row = next(csv.DictReader(io.StringIO(out)))
     assert list(row) == ["suite", "pass", "checks", "elapsed_s"]
     assert 0.05 <= float(row["elapsed_s"]) < 5
+
+
+def test_verify_runs_its_suites_in_order_in_the_calling_thread(
+        capsys, monkeypatch):
+    ran = []
+    names = list(cli.SUITES)
+    middle = names[len(names) // 2]
+
+    def stub(name):
+        def suite(nmax, seed):
+            ran.append((threading.get_ident(), name))
+            if name == middle:
+                raise RuntimeError("boom")
+            return {"pass": True, "checks": 1}
+        return suite
+
+    for name in names:
+        monkeypatch.setitem(cli.SUITES, name, stub(name))
+    code, out = run(capsys, "verify", "--suite", "all", "--output", "json")
+    assert code == 1
+    assert ran == [(threading.get_ident(), name) for name in names]
+    rows = json.loads(out)
+    assert [row["suite"] for row in rows] == names
+    assert [row["pass"] for row in rows] == [name != middle for name in names]
+    assert rows[names.index(middle)]["detail"] == "RuntimeError: boom"
+
+
+def test_mellin_runs_its_rows_in_order_in_the_calling_thread(
+        capsys, monkeypatch):
+    ran = []
+
+    def row(n, lam, s, tol):
+        ran.append((threading.get_ident(), n, lam, s))
+        return {"n": n, "s": s, "rel_err": 1.0 if (n, s) == (1, 2.0) else 0.0}
+
+    monkeypatch.setattr(quadrature, "compare_mellin", row)
+    code, out = run(capsys, "mellin", "--nmax", "2", "--lambda", "1",
+                    "--lambda", "3/2", "--s", "1", "--s", "2",
+                    "--output", "json")
+    assert code == 1
+    want = [(n, lam, s) for n in range(3)
+            for lam in (Fraction(1), Fraction(3, 2)) for s in (1.0, 2.0)]
+    assert ran == [(threading.get_ident(), *job) for job in want]
+    assert [(r["n"], r["s"]) for r in json.loads(out)] == [
+        (n, s) for n, _, s in want]
 
 
 def test_broken_identity_fails_verify(capsys, monkeypatch):

@@ -5,8 +5,8 @@ and the generating-function checks that cannot be made exact.
 The quadrature's per-node loops (Newton's method and the Christoffel sums of
 the rules, and the three-term recurrences of the integrands) run on Python
 integers in _FIXED_BITS-bit fixed point: a real v is held as the integer
-near v 2^_FIXED_BITS. mpf values enter and leave them once per rule
-coefficient, node and integrand value."""
+near v 2^_FIXED_BITS. The rules start from exact integer ratios, and a
+quadrature leaves in mpf once per rule, as its integer sum times mu0."""
 from __future__ import annotations
 
 import math
@@ -35,11 +35,13 @@ mp.dps = _QUAD_DPS
 _GUARD_BITS = 64
 _FIXED_BITS = mp.prec + _GUARD_BITS
 
-# A Gauss-Jacobi node is bracketed in float to within _SEED_WIDTH, from
-# where Newton's method takes two or three steps to reach a step below
-# 2^(8 - mp.prec), 256 units in the last place of a node near 1; it gets
-# _NEWTON_CAP.
-_SEED_WIDTH = 2.0 ** -50
+# A Gauss-Jacobi node is bracketed in float to within _SEED_WIDTH on each
+# side, from where Newton's method takes two or three steps to reach a step
+# below 2^(8 - mp.prec), 256 units in the last place of a node near 1; it
+# gets _NEWTON_CAP. The half-width sits above the rounding of the float
+# Sturm counts that certify a bracket: at 2^-51 they often disagree with a
+# node found to float precision, at 2^-44 they hold.
+_SEED_WIDTH = 2.0 ** -44
 _NEWTON_CAP = 8
 
 
@@ -47,7 +49,9 @@ _NEWTON_CAP = 8
 class QuadResult:
     """``magnitude`` is the rule's sum of |w_i P(y_i)|, the size of the
     terms that make up ``value``: rounding errors scale with it, and it is
-    positive where ``value`` vanishes."""
+    positive where ``value`` vanishes. Both are rounded from the larger
+    rule's fixed-point sums, ``error_estimate`` from the exact difference
+    of the two rules' sums."""
     value: float
     error_estimate: float
     evaluations: int
@@ -61,18 +65,12 @@ def _poly_at(p: Poly, x):
     return acc
 
 
-def _man_exp(v) -> tuple:
-    """The signed integers man, exp with man 2^exp equal to the finite mpf
-    v."""
+def _dyadic(v) -> tuple:
+    """The integers num, den, den a power of 2, with num / den equal to the
+    finite mpf v."""
     sign, man, exp, _ = v._mpf_
-    return -man if sign else man, exp
-
-
-def _fixed(v, w: int) -> int:
-    """The mpf v in w-bit fixed point, floor(v 2^w)."""
-    man, exp = _man_exp(v)
-    exp += w
-    return man << exp if exp >= 0 else man >> -exp
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 def _fixed_str(v: int, w: int) -> str:
@@ -97,8 +95,7 @@ def _gegenbauer_constants(n: int, lam, w: int) -> tuple:
     """c1_k = 2(lam + k - 1)/k and c2_k = (2 lam + k - 2)/k, k = 1..n, of the
     C_n^lam recurrence: exact rationals in the binary mpf lam, each rounded
     once to w-bit fixed point."""
-    man, exp = _man_exp(lam)
-    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    num, den = _dyadic(lam)
     ks = range(1, n + 1)
     return ([_ratio(2 * (num + (k - 1) * den), k * den, w) for k in ks],
             [_ratio(2 * num + (k - 2) * den, k * den, w) for k in ks])
@@ -122,68 +119,112 @@ def _chebyshev_t_fixed(n: int):
 
 
 def _jacobi_recurrence(alpha, beta, m: int):
-    """Coefficients a_0..a_(m-1) and b_0..b_(m-1) of the monic polynomials
-    orthogonal for y^beta (1-y)^alpha on [0, 1], p_(-1) = 0, p_0 = 1,
+    """Coefficients a_0..a_(m-1) and b_0..b_(m-1), as exact integer ratios
+    (num, den), of the monic polynomials orthogonal for y^beta (1-y)^alpha
+    on [0, 1] (alpha, beta binary mpfs), p_(-1) = 0, p_0 = 1,
     p_(k+1)(y) = (y - a_k) p_k(y) - b_k p_(k-1)(y); b_0 = 0.
 
     a_0 and b_1 are the mean and variance of Beta(beta + 1, alpha + 1): the
     general formulas are 0/0 there at alpha + beta = 0 and -1."""
-    ab = alpha + beta
-    a = [(beta + 1) / (ab + 2)]
-    b = [mp.zero, (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))]
-    d = beta * beta - alpha * alpha
+    (na, da), (nb, db) = _dyadic(alpha), _dyadic(beta)
+    d = max(da, db)
+    # alpha = A/d, beta = B/d, alpha + beta = S/d
+    A, B = na * (d // da), nb * (d // db)
+    S = A + B
+    a = [(B + d, S + 2 * d)]
+    b = [(0, 1), ((A + d) * (B + d) * d, (S + 2 * d) ** 2 * (S + 3 * d))]
     for k in range(1, m):
-        c = 2 * k + ab
-        a.append((1 + d / (c * (c + 2))) / 2)
+        # c = 2k + alpha + beta = C/d
+        C, K = 2 * k * d + S, k * d
+        a.append((C * (C + 2 * d) + B * B - A * A, 2 * C * (C + 2 * d)))
         if k > 1:
-            b.append(k * (k + alpha) * (k + beta) * (k + ab)
-                     / (c * c * (c - 1) * (c + 1)))
+            b.append((K * (K + A) * (K + B) * (K + S),
+                      C * C * (C - d) * (C + d)))
     return a, b[:m]
 
 
+def _sturm_count(a, b, x: float) -> int:
+    """The number of eigenvalues below x of the Jacobi matrix J (diagonal a,
+    off-diagonal sqrt(b_k), floats): J - x I has as many negative pivots."""
+    count, d = 0, 1.0
+    for ak, bk in zip(a, b):
+        d = ak - x - bk / d
+        if d < 0:
+            count += 1
+        elif d == 0:
+            d = 1e-300
+    return count
+
+
 def _float_nodes(a, b) -> list:
-    """Brackets (lo, hi), hi - lo <= _SEED_WIDTH, one around each eigenvalue
-    of the Jacobi matrix (diagonal a, off-diagonal sqrt(b_k)), which are the
-    zeros of p_m, by increasing node, in float by bisection: J - x I has as
-    many negative pivots as J has eigenvalues below x."""
-    af, bf = [float(x) for x in a], [float(x) for x in b]
-
-    def below(x):
-        count, d = 0, 1.0
-        for ak, bk in zip(af, bf):
-            d = ak - x - bk / d
-            if d < 0:
-                count += 1
-            elif d == 0:
-                d = 1e-300
-        return count
-
+    """Brackets (lo, hi), hi - lo <= 2 _SEED_WIDTH, one around each
+    eigenvalue of the Jacobi matrix (diagonal a, off-diagonal sqrt(b_k),
+    floats), which are the zeros of p_m, by increasing node: one bisection
+    tree on Sturm counts, from the Gershgorin bounds, splits only the
+    intervals that hold more than one eigenvalue."""
+    e = [math.sqrt(x) for x in b[1:]]
+    # (a_k, sqrt(b_k), sqrt(b_(k+1))) with sqrt(b_0) = 0, sqrt(b_m) = 1
+    steps = list(zip(a, [0.0] + e, e + [1.0]))
     # Gershgorin's discs hold every eigenvalue
-    e = [math.sqrt(x) for x in bf[1:]]
     radii = [u + v for u, v in zip([0.0] + e, e + [0.0])]
-    lo = min(x - r for x, r in zip(af, radii))
-    hi = max(x + r for x, r in zip(af, radii))
-    brackets = []
-    for i in range(len(af)):
-        top = hi
-        while top - lo > _SEED_WIDTH:
-            mid = (lo + top) / 2
-            if below(mid) > i:
-                top = mid
-            else:
-                lo = mid
-        brackets.append((lo, top))
+    lo = min(x - r for x, r in zip(a, radii))
+    hi = max(x + r for x, r in zip(a, radii))
+    brackets, todo = [], [(lo, hi, 0, len(a))]
+    while todo:
+        lo, hi, below_lo, below_hi = todo.pop()
+        if below_hi - below_lo == 1:
+            brackets.append(_isolated_node(a, b, steps, below_lo, lo, hi))
+        elif hi - lo <= 2 * _SEED_WIDTH:
+            # nodes closer than a bracket, which _gauss_rule rejects
+            brackets += [(lo, hi)] * (below_hi - below_lo)
+        elif below_hi > below_lo:
+            mid = (lo + hi) / 2
+            count = min(max(_sturm_count(a, b, mid), below_lo), below_hi)
+            todo += [(mid, hi, count, below_hi), (lo, mid, below_lo, count)]
     return brackets
 
 
-def _gauss_rule(a, b, mu0) -> list:
-    """The (node, weight) pairs, as mpfs, of the Gauss rule whose nodes are
-    the zeros of p_m, m = len(a): each node is seeded at the middle of its
-    float bracket and polished by Newton's method on p_m, and weighted by
-    its Christoffel number mu0 / Sum_j pt_j(y)^2.
+def _isolated_node(a, b, steps, i: int, lo: float, hi: float) -> tuple:
+    """The bracket of the i-th eigenvalue, the only one in [lo, hi]: Newton's
+    method on the float orthonormal recurrence (steps, as in _gauss_rule),
+    kept in [lo, hi] by the sign (-1)^(m-i) of p_m below the node, and two
+    Sturm counts to certify the bracket of half-width _SEED_WIDTH around
+    its result; bisection on counts when they do not."""
+    below = (-1.0) ** (len(a) - i)
+    y, l, h = (lo + hi) / 2, lo, hi
+    for _ in range(64):
+        p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
+        for ak, r0, r1 in steps:
+            t = y - ak
+            p_prev, p, d_prev, d = (p, (t * p - r0 * p_prev) / r1,
+                                    d, (p + t * d - r0 * d_prev) / r1)
+        step = p / d if d else math.inf
+        if abs(step) <= 2.0 ** -40:  # it leaves an error near step^2
+            y -= step
+            break
+        l, h = (y, h) if p * below > 0 else (l, y)
+        y = y - step if l <= y - step <= h else (l + h) / 2
+    if _holds(a, b, i, y - _SEED_WIDTH, y + _SEED_WIDTH):
+        return y - _SEED_WIDTH, y + _SEED_WIDTH
+    while hi - lo > 2 * _SEED_WIDTH:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _sturm_count(a, b, mid) > i else (mid, hi)
+    return lo, hi
 
-    Both loops run in _FIXED_BITS-bit fixed point on the orthonormal
-    polynomials pt_j = p_j / sqrt(b_1..b_j), pt_0 = 1,
+
+def _holds(a, b, i: int, lo: float, hi: float) -> bool:
+    """Whether two Sturm counts put the i-th eigenvalue alone in [lo, hi)."""
+    return _sturm_count(a, b, lo) == i and _sturm_count(a, b, hi) == i + 1
+
+
+def _gauss_rule(a, b) -> list:
+    """The (node, Christoffel sum) pairs, in _FIXED_BITS-bit fixed point,
+    of the Gauss rule whose nodes are the zeros of p_m, m = len(a), for the
+    recurrence ratios a and b: each node is seeded at the middle of its
+    float bracket and polished by Newton's method on p_m; its weight is mu0
+    over its sum Sum_j pt_j(y)^2. Each ratio is rounded once to fixed point
+    (a_k, and sqrt(b_k) by isqrt) and once to float. Both loops run on the
+    orthonormal polynomials pt_j = p_j / sqrt(b_1..b_j), pt_0 = 1,
     pt_(k+1) = ((y - a_k) pt_k - sqrt(b_k) pt_(k-1)) / sqrt(b_(k+1)),
     whose last step, taken with sqrt(b_m) = 1, gives sqrt(b_m) pt_m, a
     multiple of p_m with the same Newton steps. The p_j shrink like 4^-j
@@ -202,17 +243,17 @@ def _gauss_rule(a, b, mu0) -> list:
     # sqrt(b_k), 0 <= k <= m, with sqrt(b_0) = 0 and sqrt(b_m) taken as 1;
     # b_k is read to 2w bits, so each root has an absolute error of 2^-w
     # and mp.prec correct bits down to the floor
-    roots = [0] + [math.isqrt(_fixed(x, 2 * w)) for x in b[1:]] + [one]
+    roots = [0] + [math.isqrt((p << 2 * w) // q) for p, q in b[1:]] + [one]
     for k, r in enumerate(roots[1:-1], 1):
         if r < floor:
             raise ToleranceNotMet(
                 f"Gauss-Jacobi recurrence coefficient sqrt(b_{k}) = "
                 f"{_fixed_str(r, w)} is below 2^-{_GUARD_BITS}")
     # (a_k, 1 / sqrt(b_(k+1)), sqrt(b_k) / sqrt(b_(k+1))), 0 <= k < m
-    steps = [(_fixed(ak, w), (one << w) // r1, (r0 << w) // r1)
-             for ak, r0, r1 in zip(a, roots, roots[1:])]
+    steps = [(_ratio(p, q, w), (one << w) // r1, (r0 << w) // r1)
+             for (p, q), r0, r1 in zip(a, roots, roots[1:])]
     rule, prev = [], 0
-    for lo, hi in _float_nodes(a, b):
+    for lo, hi in _float_nodes([p / q for p, q in a], [p / q for p, q in b]):
         y = int(math.ldexp((lo + hi) / 2, w))
         for _ in range(_NEWTON_CAP):
             if not 0 < y < one:
@@ -249,66 +290,64 @@ def _gauss_rule(a, b, mu0) -> list:
         for ak, u, v in steps[:-1]:
             christoffel += pt * pt >> w
             pt_prev, pt = pt, ((u * (y - ak) >> w) * pt - v * pt_prev) >> w
-        christoffel += pt * pt >> w
-        # the rule leaves in mpf: one conversion of the node, and mu0 over
-        # the Christoffel sum, which can be large at a node of small weight
-        rule.append((mp.mpf((y, -w)), mu0 / mp.mpf((christoffel, -w))))
+        rule.append((y, christoffel + (pt * pt >> w)))
         prev = y
     return rule
 
 
 def _gauss_jacobi_rules(alpha, beta, m: int) -> tuple:
     """The Gauss rules of m and m + 1 nodes for y^beta (1-y)^alpha on
-    [0, 1] (alpha, beta > -1 mpfs); the m-node rule takes a prefix of the
-    other's recurrence coefficients."""
+    [0, 1] (alpha, beta > -1 binary mpfs), as _gauss_rule gives them; the
+    m-node rule takes a prefix of the other's recurrence ratios."""
     a, b = _jacobi_recurrence(alpha, beta, m + 1)
-    mu0 = mp.beta(beta + 1, alpha + 1)
-    return _gauss_rule(a[:m], b[:m], mu0), _gauss_rule(a, b, mu0)
+    return _gauss_rule(a[:m], b[:m]), _gauss_rule(a, b)
 
 
 def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of the stated
-    degree (alpha, beta > -1).
+    degree (alpha, beta > -1), given as a map from y to f(y) in
+    _FIXED_BITS-bit fixed point.
 
     The Gauss-Jacobi rules with m = degree//2 + 1 and m + 1 nodes are both
     exact for such an f, so they differ only by rounding; their difference
     is the error estimate. An f of higher degree, or not a polynomial at
     all, shows up as a difference above tolerance.
 
-    Each rule is built on [0, 1] from the weight's three-term recurrence:
-    nodes bracketed in float by Sturm-count bisection on the Jacobi matrix
-    and polished by Newton's method on the orthogonal polynomial in
-    fixed point, weights as Christoffel numbers (Gautschi, Orthogonal
-    Polynomials: Computation and Approximation, 2004, sec. 3.1; Hale and
-    Townsend, SIAM J. Sci. Comput. 35, 2013)."""
-    values, count = [], 0
-    for rule in _gauss_jacobi_rules(mp.mpf(alpha), mp.mpf(beta),
-                                    degree // 2 + 1):
-        # one mpf product per node: f takes and returns mpfs
-        terms = [w * f(y) for y, w in rule]
-        values.append(mp.fsum(terms))
+    Each rule is built on [0, 1] from the weight's three-term recurrence in
+    exact integer ratios: nodes bracketed in float by one bisection tree on
+    Sturm counts and polished by Newton's method on the orthogonal
+    polynomial in fixed point (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM
+    J. Sci. Comput. 35, 2013). Each rule's sum of f(y) over the Christoffel
+    sums runs on integers and is scaled once by mu0 = B(beta + 1,
+    alpha + 1); the error estimate comes from the integer difference of
+    the two sums."""
+    w = _FIXED_BITS
+    alpha, beta = mp.mpf(alpha), mp.mpf(beta)
+    sums, count = [], 0
+    for rule in _gauss_jacobi_rules(alpha, beta, degree // 2 + 1):
+        terms = [(f(y) << w) // christoffel for y, christoffel in rule]
+        sums.append(sum(terms))
         count += len(rule)
-    value, err = float(values[1]), float(abs(values[1] - values[0]))
+    mu0 = mp.beta(beta + 1, alpha + 1)
+    value = float(mu0 * mp.mpf((sums[1], -w)))
+    err = float(mu0 * mp.mpf((abs(sums[1] - sums[0]), -w)))
     if not err <= tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
             f"quadrature error estimate {err} exceeds {tol}")
     return QuadResult(value, err, count,
-                      float(mp.fsum(abs(t) for t in terms)))
+                      float(mu0 * mp.mpf((sum(map(abs, terms)), -w))))
 
 
 def _mellin_integrand(g, eps: int):
-    """P(y) = g(sqrt y) / (2 sqrt(y)^eps) at an mpf y, for g a map from
-    x to g(x) in _FIXED_BITS-bit fixed point."""
+    """y -> P(y) = g(sqrt y) / (2 sqrt(y)^eps) in _FIXED_BITS-bit fixed
+    point, for g a map from x to g(x) in the same fixed point."""
     w = _FIXED_BITS
 
     def P(y):
-        # y arrives as the rule's mpf node and P(y) leaves as an mpf for the
-        # rule's weight and fsum: one conversion each way per node
-        x = math.isqrt(_fixed(y, w) << w)
+        x = math.isqrt(y << w)
         v = g(x)
-        if eps:
-            v = (v << w) // x
-        return mp.mpf((v, -w - 1))
+        return ((v << w) // x if eps else v) >> 1
 
     return P
 

@@ -4,12 +4,18 @@
   (Golub-Welsch on the Jacobi matrix of the weight on [-1, 1]), mapped to
   [0, 1] at the precision of critpoly.quadrature: the reference that the
   rules quadrature builds from the three-term recurrence are compared with.
+- jacobi_recurrence, float_nodes: the weight's recurrence coefficients in
+  mpf arithmetic at that precision, and one bisection on float Sturm counts
+  per node, restarted at the Gershgorin bound, as quadrature built them
+  before it took exact integer ratios and one bisection tree per rule; the
+  references for those.
 - mpf_gauss_jacobi_rules, gegenbauer_at, chebyshev_t_at, mellin_integrand:
   the same recurrence route with its per-node loops (Newton's method, the
   Christoffel sums and the integrands' three-term recurrences) in mpf
   arithmetic at that precision, as quadrature ran them before they moved
   to fixed-point integers; the reference for the fixed-point loops."""
 import functools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -35,15 +41,73 @@ def gauss_jacobi_rule(m: int, alpha: Fraction, beta: Fraction) -> tuple:
     return tuple(sorted(((1 + x) / 2, scale * w) for x, w in zip(xs, ws)))
 
 
+def jacobi_recurrence(alpha, beta, m: int):
+    """Coefficients a_0..a_(m-1) and b_0..b_(m-1) of the monic polynomials
+    orthogonal for y^beta (1-y)^alpha on [0, 1] (alpha, beta mpfs),
+    p_(-1) = 0, p_0 = 1, p_(k+1)(y) = (y - a_k) p_k(y) - b_k p_(k-1)(y);
+    b_0 = 0.
+
+    a_0 and b_1 are the mean and variance of Beta(beta + 1, alpha + 1): the
+    general formulas are 0/0 there at alpha + beta = 0 and -1."""
+    ab = alpha + beta
+    a = [(beta + 1) / (ab + 2)]
+    b = [quadrature.mp.zero,
+         (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))]
+    d = beta * beta - alpha * alpha
+    for k in range(1, m):
+        c = 2 * k + ab
+        a.append((1 + d / (c * (c + 2))) / 2)
+        if k > 1:
+            b.append(k * (k + alpha) * (k + beta) * (k + ab)
+                     / (c * c * (c - 1) * (c + 1)))
+    return a, b[:m]
+
+
+def float_nodes(a, b) -> list:
+    """Brackets (lo, hi), hi - lo <= 2^-50, one around each eigenvalue of
+    the Jacobi matrix (diagonal a, off-diagonal sqrt(b_k)), which are the
+    zeros of p_m, by increasing node, in float by bisection: J - x I has as
+    many negative pivots as J has eigenvalues below x. Each node's
+    bisection starts again at the Gershgorin bound."""
+    af, bf = [float(x) for x in a], [float(x) for x in b]
+
+    def below(x):
+        count, d = 0, 1.0
+        for ak, bk in zip(af, bf):
+            d = ak - x - bk / d
+            if d < 0:
+                count += 1
+            elif d == 0:
+                d = 1e-300
+        return count
+
+    # Gershgorin's discs hold every eigenvalue
+    e = [math.sqrt(x) for x in bf[1:]]
+    radii = [u + v for u, v in zip([0.0] + e, e + [0.0])]
+    lo = min(x - r for x, r in zip(af, radii))
+    hi = max(x + r for x, r in zip(af, radii))
+    brackets = []
+    for i in range(len(af)):
+        top = hi
+        while top - lo > 2.0 ** -50:
+            mid = (lo + top) / 2
+            if below(mid) > i:
+                top = mid
+            else:
+                lo = mid
+        brackets.append((lo, top))
+    return brackets
+
+
 def mpf_gauss_rule(a, b, mu0) -> list:
     """The (node, weight) pairs of the Gauss rule whose nodes are the zeros
-    of p_m, m = len(a): the middle of each of quadrature's float brackets
+    of p_m, m = len(a): the middle of each of float_nodes' brackets
     polished by Newton's method on p_m and weighted by its Christoffel
     number mu0 / Sum_j p_j(y)^2 / (b_1..b_j), all in mpf."""
     mp = quadrature.mp
     step_max = mp.mpf(2) ** (8 - mp.prec)
     rule = []
-    for lo, hi in quadrature._float_nodes(a, b):
+    for lo, hi in float_nodes(a, b):
         y = mp.mpf((lo + hi) / 2)
         for _ in range(quadrature._NEWTON_CAP):
             if not 0 < y < 1:
@@ -73,9 +137,8 @@ def mpf_gauss_rule(a, b, mu0) -> list:
 
 def mpf_gauss_jacobi_rules(alpha, beta, m: int) -> tuple:
     """The m- and (m+1)-node rules of quadrature._gauss_jacobi_rules (alpha
-    and beta mpfs) from the same recurrence coefficients, by
-    mpf_gauss_rule."""
-    a, b = quadrature._jacobi_recurrence(alpha, beta, m + 1)
+    and beta mpfs) from jacobi_recurrence, by mpf_gauss_rule."""
+    a, b = jacobi_recurrence(alpha, beta, m + 1)
     mu0 = quadrature.mp.beta(beta + 1, alpha + 1)
     return mpf_gauss_rule(a[:m], b[:m], mu0), mpf_gauss_rule(a, b, mu0)
 

@@ -8,9 +8,10 @@ refinement against the Taylor-shift bisection in taylor_oracle.py; and
 the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
 sum and long division against the Fraction loops in fraction_oracle.py; and
 the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
-eigen-solver, and their fixed-point Newton and Christoffel loops and the
-fixed-point integrand recurrences against the mpf loops, in
-gauss_oracle.py.
+eigen-solver, their fixed-point Newton and Christoffel loops and the
+fixed-point integrand recurrences against the mpf loops, and their integer
+recurrence ratios and bracket tree against the mpf recurrence and the
+per-node bisection, in gauss_oracle.py.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
@@ -23,6 +24,7 @@ function summing its odd series at k = 0 too.
 from fractions import Fraction
 from math import comb, factorial
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -502,11 +504,22 @@ def as_mpf(x):
     return quadrature.mp.mpf(x.numerator) / x.denominator
 
 
+def mpf_rules(alpha, beta, m: int) -> list:
+    """The rules of _gauss_jacobi_rules(alpha, beta, m) (alpha, beta mpfs)
+    as (node, weight) mpfs: the fixed-point node, and
+    B(beta + 1, alpha + 1) over the fixed-point Christoffel sum."""
+    mp, w = quadrature.mp, quadrature._FIXED_BITS
+    mu0 = mp.beta(beta + 1, alpha + 1)
+    return [[(mp.mpf((y, -w)), mu0 / mp.mpf((christoffel, -w)))
+             for y, christoffel in rule]
+            for rule in quadrature._gauss_jacobi_rules(alpha, beta, m)]
+
+
 def rule_disagreements(alpha, beta, m) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
     _gauss_jacobi_rules that differ from the oracle's by more than
     RULE_TOL relative."""
-    rules = quadrature._gauss_jacobi_rules(as_mpf(alpha), as_mpf(beta), m)
+    rules = mpf_rules(as_mpf(alpha), as_mpf(beta), m)
     assert [len(rule) for rule in rules] == [m, m + 1]
     bad = []
     for rule in rules:
@@ -529,6 +542,8 @@ def test_gauss_jacobi_rules_match_eigen_solver(alpha):
 
 
 def perturb_recurrence(monkeypatch, which: int, k: int, change):
+    """Patches _jacobi_recurrence so that change maps the ratio (num, den)
+    of a_k (which = 0) or b_k (which = 1) to another ratio."""
     build = quadrature._jacobi_recurrence
 
     def perturbed(alpha, beta, m):
@@ -546,17 +561,23 @@ def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
     # node above 1 (it is at least the largest diagonal entry), which the
     # rule builder rejects.
     alpha, beta, m = Fraction(1, 4), Fraction(3, 4), 4
+    # y^7 in fixed point, integrated by the rules of 4 and 5 nodes
+    w = quadrature._FIXED_BITS
+    top = lambda y: y ** (2 * m - 1) >> (2 * m - 2) * w  # noqa: E731
     assert not rule_disagreements(alpha, beta, m)
     with monkeypatch.context() as patch:
         perturb_recurrence(patch, 1, m - 1,
-                           lambda x: x * (1 + quadrature.mp.mpf(10) ** -20))
+                           lambda r: (r[0] * (10 ** 20 + 1), r[1] * 10 ** 20))
         assert rule_disagreements(alpha, beta, m)
-    perturb_recurrence(monkeypatch, 0, m - 1, lambda x: x + 1)
+        q = quadrature._gauss_jacobi(top, 2 * m - 1, as_mpf(alpha),
+                                     as_mpf(beta), 1e-25)
+        assert q.error_estimate <= 1e-25
+    perturb_recurrence(monkeypatch, 0, m - 1, lambda r: (r[0] + r[1], r[1]))
     with pytest.raises(ToleranceNotMet, match="outside"):
         rule_disagreements(alpha, beta, m)
     with pytest.raises(ToleranceNotMet, match="outside"):
-        quadrature._gauss_jacobi(lambda y: y ** (2 * m - 1), 2 * m - 1,
-                                 as_mpf(alpha), as_mpf(beta), 1e-12)
+        quadrature._gauss_jacobi(top, 2 * m - 1, as_mpf(alpha), as_mpf(beta),
+                                 1e-12)
 
 
 def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
@@ -633,7 +654,7 @@ def fixed_rule_disagreements(alpha, beta, m, tol=FIXED_TOL) -> list:
     relative, or the error that stopped the fixed-point build."""
     alpha, beta = as_mpf(alpha), as_mpf(beta)
     try:
-        rules = quadrature._gauss_jacobi_rules(alpha, beta, m)
+        rules = mpf_rules(alpha, beta, m)
     except ToleranceNotMet as exc:
         return [str(exc)]
     bad = []
@@ -662,7 +683,11 @@ def fixed_integrand_disagreements(lam, n) -> list:
         slow = lambda x: gauss_oracle.gegenbauer_at(n, lam_m, x)  # noqa: E731
     got = quadrature._mellin_integrand(fixed, n % 2)
     want = gauss_oracle.mellin_integrand(slow, n % 2)
-    values = [(y, got(as_mpf(y)), want(as_mpf(y))) for y in INTEGRAND_GRID]
+    # the grid is dyadic, so each y is exact in fixed point
+    w = quadrature._FIXED_BITS
+    values = [(y, quadrature.mp.mpf((got((y.numerator << w) // y.denominator),
+                                      -w)), want(as_mpf(y)))
+              for y in INTEGRAND_GRID]
     scale = max(abs(v0) for _, _, v0 in values)
     return [(y, float((v - v0) / scale)) for y, v, v0 in values
             if not abs(v - v0) <= FIXED_TOL * scale]
@@ -729,8 +754,111 @@ def test_quantities_below_the_guard_bits_are_caught(monkeypatch):
         with pytest.raises(ToleranceNotMet, match="derivative"):
             quadrature._gauss_jacobi_rules(zero, zero, 2)
     # sqrt(b_2) = 2^-65 would keep fewer than mp.prec bits in fixed point
-    perturb_recurrence(monkeypatch, 1, 2,
-                       lambda x: quadrature.mp.mpf(2) ** -130)
+    perturb_recurrence(monkeypatch, 1, 2, lambda r: (1, 1 << 130))
     with pytest.raises(ToleranceNotMet, match=r"sqrt\(b_2\)"):
         quadrature._gauss_jacobi_rules(as_mpf(Fraction(1, 4)),
                                        as_mpf(Fraction(3, 4)), 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer recurrence ratios and the bracket tree against the mpf
+# recurrence and the per-node bisection they replaced (gauss_oracle.py)
+# ---------------------------------------------------------------------------
+
+BRACKET_SIZES = list(range(1, RULE_MMAX + 1)) + [21, 60, 200]
+# the weights of the larger bracket sizes: the T weight at beta = 3/2 and
+# 1597/2, lambda = 600 at s = 2, and an edge of RULE_EDGES
+BRACKET_WEIGHTS = [(Fraction(1, 2), Fraction(3, 2)),
+                   (Fraction(1197, 4), Fraction(0)),
+                   (Fraction(1, 2), Fraction(1597, 2)),
+                   (Fraction(-1, 4), Fraction(-3, 4))]
+
+
+def float_recurrence(alpha, beta, m: int) -> tuple:
+    """The recurrence ratios of _jacobi_recurrence, each rounded to float
+    as _gauss_rule rounds them for _float_nodes."""
+    a, b = quadrature._jacobi_recurrence(as_mpf(alpha), as_mpf(beta), m)
+    return [p / q for p, q in a], [p / q for p, q in b]
+
+
+def test_integer_recurrence_matches_mpf_recurrence():
+    # the mpf recurrence runs at twice the rules' precision: at theirs, its
+    # own rounding reaches 1.7e-30 relative at alpha = 1197/4, where
+    # 1 + d/(c(c + 2)) in a_k cancels to about 0.02
+    ctx = mpmath.MPContext()
+    ctx.prec = 2 * quadrature.mp.prec
+    points = [(alpha, beta, RULE_MMAX + 1) for alpha in RULE_ALPHAS
+              for beta in RULE_BETAS] \
+        + [(alpha, beta, RULE_MMAX + 1) for alpha, beta in RULE_EDGES] \
+        + [(alpha, beta, m + 1) for alpha, beta, m in LARGE_RULES]
+    for alpha, beta, m in points:
+        a, b = quadrature._jacobi_recurrence(as_mpf(alpha), as_mpf(beta), m)
+        want_a, want_b = gauss_oracle.jacobi_recurrence(
+            ctx.mpf(alpha.numerator) / alpha.denominator,
+            ctx.mpf(beta.numerator) / beta.denominator, m)
+        assert len(a) == len(b) == m and b[0][0] == 0
+        for (p, q), x in zip(a + b[1:], want_a + want_b[1:]):
+            assert abs(ctx.mpf(p) / q - x) <= ctx.mpf(2) ** -100 * abs(x), \
+                (alpha, beta, m)
+
+
+@pytest.mark.parametrize("m", BRACKET_SIZES)
+def test_bracket_tree_holds_the_per_node_bisection_nodes(m):
+    points = [(alpha, beta) for alpha in RULE_ALPHAS for beta in RULE_BETAS] \
+        if m <= RULE_MMAX else BRACKET_WEIGHTS
+    for alpha, beta in points:
+        want = gauss_oracle.float_nodes(*gauss_oracle.jacobi_recurrence(
+            as_mpf(alpha), as_mpf(beta), m))
+        got = quadrature._float_nodes(*float_recurrence(alpha, beta, m))
+        assert len(got) == m
+        for (lo, hi), (lo0, hi0) in zip(got, want):
+            assert hi - lo <= 2 * quadrature._SEED_WIDTH
+            assert lo <= (lo0 + hi0) / 2 <= hi, (alpha, beta, m)
+
+
+@pytest.mark.parametrize("m", [3, 5, 21])
+def test_a_node_at_the_first_split_point(monkeypatch, m):
+    # at alpha = beta every a_k is 1/2, so the Gershgorin bounds are
+    # symmetric about 1/2, the tree's first split point, and the middle
+    # node of an odd rule sits exactly there
+    count, points = quadrature._sturm_count, []
+
+    def spy(a, b, x):
+        points.append(x)
+        return count(a, b, x)
+
+    monkeypatch.setattr(quadrature, "_sturm_count", spy)
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(-1, 4)):
+        points.clear()
+        lo, hi = quadrature._float_nodes(*float_recurrence(alpha, alpha,
+                                                           m))[m // 2]
+        assert points[0] == 0.5 and lo < 0.5 < hi
+        assert not rule_disagreements(alpha, alpha, m), (alpha, m)
+    row = quadrature.compare_mellin(12, Fraction(5, 2), 1.0)
+    assert row["rel_err"] <= 1e-12, row
+
+
+def test_uncertified_brackets_fall_back_to_bisection(monkeypatch):
+    alpha, beta, m = Fraction(1, 4), Fraction(3, 4), 6
+    a, b = float_recurrence(alpha, beta, m)
+    want = gauss_oracle.float_nodes(*gauss_oracle.jacobi_recurrence(
+        as_mpf(alpha), as_mpf(beta), m))
+    certified = quadrature._float_nodes(a, b)
+    holds, count = quadrature._holds, quadrature._sturm_count
+    with monkeypatch.context() as patch:
+        # the certifying counts off by one: no bracket of Newton's method
+        # is taken, and bisection finds each node instead
+        patch.setattr(quadrature, "_holds", lambda a, b, i, lo, hi:
+                      holds(a, b, i + 1, lo, hi))
+        got = quadrature._float_nodes(a, b)
+        assert all(x != y for x, y in zip(got, certified))
+        for (lo, hi), (lo0, hi0) in zip(got, want):
+            assert hi - lo <= 2 * quadrature._SEED_WIDTH
+            assert lo <= (lo0 + hi0) / 2 <= hi
+        assert not rule_disagreements(alpha, beta, m - 1)
+    # every count off by one, the tree's too: no rule at all
+    monkeypatch.setattr(quadrature, "_sturm_count",
+                        lambda a, b, x: count(a, b, x) + 1)
+    for k in range(2, RULE_MMAX + 1):
+        with pytest.raises(ToleranceNotMet):
+            quadrature._gauss_jacobi_rules(as_mpf(alpha), as_mpf(beta), k)

@@ -255,22 +255,23 @@ def test_underflowing_terms_raise_tolerance_not_met():
 
 
 def test_gauss_jacobi_exact_for_stated_degree():
-    # Int_0^1 y^5 dy and Int_0^1 y^(1/2) (1-y) y^2 dy = B(7/2, 2)
-    q = quadrature._gauss_jacobi(lambda y: y ** 5, 5, 0, 0, 1e-25)
+    # Int_0^1 y^5 dy and Int_0^1 y^(1/2) (1-y) y^2 dy = B(7/2, 2); the
+    # integrands map fixed-point y to fixed-point f(y)
+    w = quadrature._FIXED_BITS
+    q = quadrature._gauss_jacobi(lambda y: y ** 5 >> 4 * w, 5, 0, 0, 1e-25)
     assert q.value == pytest.approx(1 / 6, rel=1e-15)
     assert q.evaluations == 3 + 4
-    q = quadrature._gauss_jacobi(lambda y: y * y, 2, 1, 0.5, 1e-25)
+    q = quadrature._gauss_jacobi(lambda y: y * y >> w, 2, 1, 0.5, 1e-25)
     assert q.value == pytest.approx(float(mp.beta(3.5, 2)), rel=1e-15)
 
 
 def test_error_estimate_rejects_wrong_integrands():
-    gj = quadrature._gauss_jacobi
-    with pytest.raises(ToleranceNotMet):  # not a polynomial
-        gj(lambda y: quadrature.mp.sqrt(y), 1, 0, 0, 1e-12)
+    gj, w = quadrature._gauss_jacobi, quadrature._FIXED_BITS
+    with pytest.raises(ToleranceNotMet):  # not a polynomial: sqrt(y)
+        gj(lambda y: math.isqrt(y << w), 1, 0, 0, 1e-12)
     with pytest.raises(ToleranceNotMet):  # stated degree too low
-        gj(lambda y: y ** 5, 1, 0, 0, 1e-12)
+        gj(lambda y: y ** 5 >> 4 * w, 1, 0, 0, 1e-12)
     # parity differs from the degree's; g maps fixed-point x to x^3 + x^2
-    w = quadrature._FIXED_BITS
     with pytest.raises(ToleranceNotMet):
         quadrature._mellin_even_weight(
             lambda x: (x ** 3 >> 2 * w) + (x ** 2 >> w), 3, -0.25, 2.0, 1e-12)

@@ -141,14 +141,22 @@ def cmd_roots(args, parser) -> int:
     p = _build(args, parser)
     start = time.perf_counter()
     cert = verify.certify_critical_line(p)
-    roots = cert.isolation.roots()
+    # a Favard certificate isolates nothing: the roots come from Descartes
+    # on the bare polynomial, and their count cross-checks the certificate
+    listing = cert
+    if cert.isolation is None:
+        listing = verify.certify_critical_line(p.poly)
+    roots = listing.isolation.roots()
+    passed = cert.passed and len(roots) == cert.distinct_real_roots
     log.debug("roots of %s: %d isolation nodes, %d refinement evaluations, "
-              "%.3f s", cert.subject, cert.work, cert.isolation.refine_work,
-              time.perf_counter() - start)
-    payload = {**cert.to_json(), "refine_work": cert.isolation.refine_work,
+              "%.3f s", cert.subject, listing.work,
+              listing.isolation.refine_work, time.perf_counter() - start)
+    payload = {**cert.to_json(), "pass": passed,
+               "isolation_method": listing.method,
+               "refine_work": listing.isolation.refine_work,
                "roots": [f"1/2 + {t}i" for t in roots]}
     _emit(payload, args)
-    return 0 if cert.passed else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,18 @@ def _split_parity(a: list):
     return odd
 
 
+def line_reduction(p: Poly):
+    """(odd, w): p(1/2 + it) is a positive multiple of t^odd w(t^2), times
+    1 or i, with w an integer polynomial of content 1; w_j is
+    (-1)^j a_(2j+odd) of ``half_shift`` over their gcd. MixedCoefficients
+    when p(1/2 + it) is neither real nor imaginary."""
+    a, _ = half_shift(p)
+    odd = _split_parity(a)
+    w = [c if j % 2 == 0 else -c for j, c in enumerate(a[odd::2])]
+    g = gcd(*w)
+    return odd, [c // g for c in w]
+
+
 def substitute_critical(p: Poly):
     """Expand p(1/2 + i t) and split off the overall real/imaginary unit.
 
@@ -638,8 +650,8 @@ class PositiveRoots:
 class LineIsolation:
     """The zeros of p(1/2 + it) through its parity reduction.
 
-    p(1/2 + it) is a positive multiple of t^odd w(t^2), times 1 or i, with
-    w an integer polynomial of content 1. When ``fallback`` is None,
+    p(1/2 + it) is a positive multiple of t^odd w(t^2), times 1 or i
+    (``line_reduction``). When ``fallback`` is None,
     ``positive`` isolates deg w distinct positive roots of w (so w(0) != 0),
     and v(t) has 2 deg w + odd distinct real roots: all its roots are real
     and simple. Otherwise ``fallback`` names why no such proof was found.
@@ -651,11 +663,7 @@ class LineIsolation:
         if p.is_zero:
             raise ZeroPolynomial("critical-line isolation needs a nonzero "
                                  "polynomial")
-        a, _ = half_shift(p)
-        self.odd = _split_parity(a)
-        w = [c if j % 2 == 0 else -c for j, c in enumerate(a[self.odd::2])]
-        g = gcd(*w)
-        self.w = [c // g for c in w]
+        self.odd, self.w = line_reduction(p)
         self.positive = PositiveRoots(self.w)
         self.fallback = self.positive.reason
         found, degree = len(self.positive.boxes or ()), len(self.w) - 1

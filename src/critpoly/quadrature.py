@@ -420,6 +420,7 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
 
 def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
     """One CSV-shaped row: quadrature vs closed form."""
+    lam = as_rat(lam)
     q = quad_mellin_gegenbauer(n, float(lam), s, tol)
     return _comparison_row(n, float(lam), s, q, mellin_closed(n, lam))
 

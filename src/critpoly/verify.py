@@ -22,8 +22,8 @@ from .construct import (S, CriticalPolynomial, gould_term, p_beta, p_hyp,
 from .errors import GammaPole
 from .hyp3f2 import eval_3f2
 from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
-                   half_shift, int_mul_linear, pochhammer, real_root_data,
-                   substitute_critical)
+                   half_shift, int_mul_linear, line_reduction, pochhammer,
+                   real_root_data, substitute_critical)
 from .rat import as_rat
 
 log = logging.getLogger("critpoly")
@@ -42,12 +42,15 @@ mp.dps = 40
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of ``certify_critical_line``. ``method`` is "descartes" or
-    "squarefree"; ``work`` counts the Descartes intervals tested, on w or
-    on the squarefree part of p(1/2 + it); ``coeff_bits`` is the largest
-    bit size among the integer coefficients of w, the parity reduction of
-    p(1/2 + it). ``isolation`` holds the isolated roots, which ``roots()``
-    refines: of w, or of the squarefree part of v under "squarefree"."""
+    """Outcome of ``certify_critical_line``. ``method`` is "favard",
+    "descartes" or "squarefree"; ``work`` counts the sign tests of the
+    recurrence coefficients under "favard", otherwise the Descartes
+    intervals tested, on w or on the squarefree part of p(1/2 + it);
+    ``coeff_bits`` is the largest bit size among the integer coefficients
+    of w, the parity reduction of p(1/2 + it) (``poly.line_reduction``).
+    ``isolation`` holds the isolated roots, which ``roots()`` refines: of
+    w, or of the squarefree part of v under "squarefree"; a Favard
+    certificate isolates nothing and holds None."""
     subject: dict
     degree: int
     v_degree: int
@@ -58,8 +61,8 @@ class Certificate:
     method: str
     work: int
     coeff_bits: int
-    isolation: LineIsolation | RealRootData = field(compare=False,
-                                                    repr=False)
+    isolation: LineIsolation | RealRootData | None = field(compare=False,
+                                                           repr=False)
 
     def to_json(self) -> dict:
         return {"subject": self.subject, "degree": self.degree,
@@ -75,15 +78,21 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
     """Certify exactly that every zero of p lies on Re s = 1/2.
 
     p(1/2 + it) is t^odd w(t^2) up to a constant factor (1 or i), with w an
-    integer polynomial. The certificate passes by Descartes bisection when
-    w(0) != 0 and deg w disjoint intervals each hold exactly one positive
-    root of w: then all 2 deg w + odd roots of v are real and simple. In
-    every other case (w(0) = 0, a repeated root of w, fewer positive roots
-    than deg w) the same bisection counts the real roots of the squarefree
-    part of v, which decides, and the fallback is logged at DEBUG.
-    The substitution raises MixedCoefficients when p(1/2 + it) is neither
-    purely real nor purely imaginary; otherwise v is even or odd, so its
-    roots pair as +-t and ``parity_paired`` always holds.
+    integer polynomial. A built polynomial of the beta or Gegenbauer family
+    is first tried by Favard's theorem (``favard_failure``): when every
+    recurrence coefficient is positive and the chain ends at p's own
+    coefficients, its m = deg p zeros are on the line and simple.
+
+    Otherwise, and always for a bare Poly, the certificate passes by
+    Descartes bisection when w(0) != 0 and deg w disjoint intervals each
+    hold exactly one positive root of w: then all 2 deg w + odd roots of v
+    are real and simple. In every other case (w(0) = 0, a repeated root of
+    w, fewer positive roots than deg w) the same bisection counts the real
+    roots of the squarefree part of v, which decides. Each fallback is
+    logged at DEBUG. The substitution raises MixedCoefficients when
+    p(1/2 + it) is neither purely real nor purely imaginary; otherwise v is
+    even or odd, so its roots pair as +-t and ``parity_paired`` always
+    holds.
     """
     if isinstance(p, Poly):
         poly = p
@@ -92,6 +101,14 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
         poly = p.poly
         subject = {"n": p.n, "family": p.family, "param": str(p.param),
                    "form": p.form}
+        odd, w = line_reduction(poly)
+        reason = favard_failure(p, odd, w)
+        if reason is None:
+            m = poly.degree
+            return Certificate(subject, m, m, m, True, True, True, "favard",
+                               max(m - 1, 0),
+                               max(abs(c).bit_length() for c in w), None)
+        log.debug("Favard certificate of %s fails: %s", subject, reason)
     iso = LineIsolation(poly)
     bits = max(abs(c).bit_length() for c in iso.w)
     if iso.fallback is None:
@@ -106,6 +123,70 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
                        data.distinct_real_roots, data.is_squarefree, True,
                        data.all_roots_real(), "squarefree", data.work, bits,
                        data)
+
+
+def favard_gamma(j: int, n: int, beta: Fraction) -> tuple:
+    """(num, den) with 4 gamma_j = num / den, gamma_j the coefficient of the
+    monic three-term recurrence x P_j = P_(j+1) + gamma_j P_(j-1) of the
+    continuous Hahn polynomial p_m(x; a, b, a, b), m = floor(n/2),
+    eps = n mod 2, a = 1/4 + eps/2, b = beta - m - a, to which p_n(s; beta)
+    is proportional at s = 1/2 + 2ix. Cleared to integers at beta = p/q,
+    4 gamma_j = j A (2j-1+2eps) C^2 E / (F G^2 H); for beta < 1 and
+    1 <= j <= m-1, A, E, F and H are negative and no factor vanishes."""
+    m, eps = n // 2, n % 2
+    p, q = beta.numerator, beta.denominator
+    a = q * (j - 2 * m - 2) + 2 * p
+    c = q * (j - 1 - m) + p
+    e = 2 * q * (j - 2 * m - 1 - eps) + 4 * p - q
+    f, g, h = (q * (2 * j - 2 * m - k) + 2 * p for k in (3, 2, 1))
+    return j * a * (2 * j - 1 + 2 * eps) * c * c * e, f * g * g * h
+
+
+def favard_chain(gammas: list) -> list:
+    """R_m of t R_j = R_(j+1) + g_j R_(j-1), R_0 = 1, R_1 = t, for the
+    Fractions g_1..g_(m-1) (here 4 gamma_j, the recurrence of
+    ``favard_gamma`` in t = 2x), up to a positive factor: the integer list
+    of its coefficients at t^(2i + m mod 2). The chain runs fraction-free
+    on the one parity of R_j, with R_(j+1) scaled by the denominators of
+    g_1..g_j; t R_j moves the list up by one place when j is odd."""
+    prev, cur, den_prev = [], [1], 1
+    for j, g in enumerate([Fraction(0)] + gammas):
+        num, den = g.numerator, g.denominator
+        new = [0] * (j % 2) + [den * c for c in cur]
+        k = num * den_prev
+        for i, c in enumerate(prev):
+            new[i] -= k * c
+        prev, cur, den_prev = cur, new, den
+    return cur
+
+
+def favard_failure(p: CriticalPolynomial, odd: int, w: list) -> str | None:
+    """None when Favard's theorem proves that the m = floor(n/2) zeros of
+    p are on Re s = 1/2 and simple; otherwise why it does not.
+
+    When every gamma_j of ``favard_gamma`` is positive (1 <= j <= m-1), the
+    monic P_m has m real, simple zeros: they are the eigenvalues of a real
+    symmetric tridiagonal matrix (Chihara 1978, ch. I). The proof holds for
+    p when R_m(t) = 2^m P_m(t/2) of ``favard_chain`` is proportional to
+    t^odd w(t^2) of ``poly.line_reduction``, which ties it to p's own
+    coefficients."""
+    if p.family == "beta":
+        beta = p.param
+    elif p.family == "gegenbauer":
+        beta = Fraction(3, 4) - p.param / 2
+    else:
+        return f"no recurrence for family {p.family!r}"
+    m, gammas = p.n // 2, []
+    for j in range(1, m):
+        num, den = favard_gamma(j, p.n, beta)
+        if num * den <= 0:
+            return f"gamma_{j} = {num}/{4 * den} is not positive"
+        gammas.append(Fraction(num, den))
+    chain = favard_chain(gammas)
+    if odd != m % 2 or len(w) != len(chain) or any(
+            r * w[-1] != c * chain[-1] for r, c in zip(chain, w)):
+        return "the recurrence chain differs from the coefficients"
+    return None
 
 
 def reflection_sign(n: int) -> int:

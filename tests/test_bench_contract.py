@@ -7,10 +7,13 @@ rather than copied here."""
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from critpoly import cli
+from critpoly import cli, verify
+from critpoly.construct import p_beta, p_s32
 from critpoly.quadrature import quad_mellin_T, quad_mellin_gegenbauer
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,6 +62,23 @@ def test_each_suite_call_returns_its_row():
         assert isinstance(row, dict) and row["pass"], (name, row)
         checks = row["checks"]
         assert type(checks) is int and checks > 0, (name, row)
+
+
+def test_certificate_fields_the_exact_scale_checks_read():
+    for p in (p_s32(120, Fraction(7, 3)), p_beta(121, -3)):
+        cert = verify.certify_critical_line(p)
+        assert cert.method == "favard"
+        assert cert.passed is True and cert.distinct_real_roots == 60
+
+
+def test_roots_json_fields_the_exact_scale_checks_read(capsys):
+    argv = ["roots", "--family", "beta", "--beta=-3", "--n", "41",
+            "--output", "json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is True
+    assert doc["degree"] == doc["distinct_real_roots"] == 20
+    assert len(doc["roots"]) == 20
 
 
 def test_quadrature_counts_its_evaluations():

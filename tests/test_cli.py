@@ -1,5 +1,6 @@
 """Command-line front door: flags, schemas, exit codes, determinism."""
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -95,14 +96,18 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
             "--output", "json")
     code, out = run(capsys, *argv)
     fast = json.loads(out)
-    assert code == 0 and fast["method"] == "descartes"
+    # Favard certifies; the listing is the Descartes isolation of the bare
+    # polynomial, which the forced fallback below replaces
+    assert code == 0 and fast["method"] == "favard"
+    assert fast["isolation_method"] == "descartes"
 
     class NoProof(poly.LineIsolation):
         def __init__(self, p):
             super().__init__(p)
             self.fallback = "forced"
 
-    # the fallback isolates v once, in the certificate, and refines that
+    # the fallback isolates v once, in the listing's certificate, and refines
+    # that
     built = []
     init = poly.RealRootData.__init__
 
@@ -115,7 +120,8 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     code, out = run(capsys, *argv)
     assert len(built) == 1
     slow = json.loads(out)
-    assert code == 0 and slow["method"] == "squarefree"
+    assert code == 0 and slow["method"] == "favard"
+    assert slow["isolation_method"] == "squarefree"
     assert slow["pass"] is True
     assert slow["distinct_real_roots"] == fast["distinct_real_roots"] == 6
     assert slow["coeff_bits"] == fast["coeff_bits"]
@@ -125,6 +131,31 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     v, _ = poly.substitute_critical(p_beta(13, -2).poly)
     assert ts[1] == pytest.approx(sturm_roots(v), rel=1e-12, abs=1e-12)
     assert slow["refine_work"] > 0
+
+
+def test_roots_count_differing_from_the_certificate_fails(capsys,
+                                                          monkeypatch):
+    # a Favard certificate claiming one root more than the Descartes
+    # isolation of the bare polynomial lists
+    certify = verify.certify_critical_line
+
+    def claims_one_more(p):
+        cert = certify(p)
+        if cert.method != "favard":
+            return cert
+        return dataclasses.replace(
+            cert, distinct_real_roots=cert.distinct_real_roots + 1)
+
+    argv = ("roots", "--family", "beta", "--beta=-3", "--n", "40",
+            "--output", "json")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["pass"] is True
+    monkeypatch.setattr(verify, "certify_critical_line", claims_one_more)
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False
+    assert doc["method"] == "favard" and doc["distinct_real_roots"] == 21
+    assert len(doc["roots"]) == 20
 
 
 def test_roots_report_refine_work(capsys):

@@ -3,7 +3,9 @@ shared grids: the O(m^2) builders coefficient for coefficient against the
 O(m^3) constructions, and the integer critical-line kernel, its reflection
 check, the Descartes certificate and its roots against the Gaussian-rational
 substitution, the composed reflection p(1-s) and the Sturm oracle in
-sturm_oracle.py; and the Bernstein-basis isolation and its quadratic
+sturm_oracle.py; and the fraction-free Favard chain against the Fraction
+chain of the printed recurrence in favard_oracle.py, and the Favard
+certificate against Descartes on the bare polynomial; and the Bernstein-basis isolation and its quadratic
 refinement against the Taylor-shift bisection in taylor_oracle.py; and
 the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
 sum and long division against the Fraction loops in fraction_oracle.py; and
@@ -29,6 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import favard_oracle
 import fraction_oracle
 import gauss_oracle
 from critpoly import hyp3f2, poly, quadrature
@@ -39,7 +42,7 @@ from critpoly.poly import (LineIsolation, Poly, PositiveRoots, divmod_poly,
                            gen_binom, int_mul_linear, pochhammer,
                            substitute_critical)
 from critpoly.verify import (certify_critical_line, check_functional_equation,
-                             reflection_sign)
+                             favard_chain, favard_gamma, reflection_sign)
 from sturm_oracle import sturm_root_data, sturm_roots
 from taylor_oracle import TaylorPositiveRoots
 
@@ -179,9 +182,9 @@ def test_reflection_check_matches_composition():
 
 
 def test_descartes_certificate_matches_sturm():
-    # the acceptance c02 grid
+    # the acceptance c02 grid; a bare Poly takes the Descartes path
     for n, p in samples(30):
-        cert = certify_critical_line(p)
+        cert = certify_critical_line(p.poly)
         data = sturm_root_data(substitute_critical(p.poly)[0])
         assert cert.method == "descartes", (n, p.param)
         assert cert.passed == data.all_roots_real(), (n, p.param)
@@ -204,8 +207,76 @@ def test_roots_match_sturm_refinement(build, param, n):
     p = build(n, param)
     v, _ = substitute_critical(p.poly)
     want = sturm_roots(v)
-    got = certify_critical_line(p).isolation.roots()
+    got = certify_critical_line(p.poly).isolation.roots()
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# the betas of the tier-1 lambdas and betas, and three more near and far
+FAVARD_BETAS = sorted({Fraction(3, 4) - lam / 2 for lam in LAMBDAS}
+                      | set(BETAS) | {Fraction(-100), Fraction(7, 8),
+                                      Fraction(99, 100)})
+
+
+def favard_disagreements(n, beta) -> list:
+    """How the integer chain and the built p_beta(n, beta) differ from the
+    Fraction chain of the printed gamma_j: each 4 gamma_j, the chain's R_m
+    made monic, and the monic x-coefficients of p(1/2 + 2ix)."""
+    m = n // 2
+    gammas = [Fraction(*favard_gamma(j, n, beta)) for j in range(1, m)]
+    out = [f"4 gamma_{j}" for j, g in enumerate(gammas, 1)
+           if g != 4 * favard_oracle.printed_gamma(j, n, beta)]
+    want = favard_oracle.monic_chain(n, beta)
+    if any(want[(m + 1) % 2::2]):
+        out.append("P_m has a coefficient of the other parity")
+    # R_m(t) = 2^m P_m(t/2): coefficient t^k is 2^(m-k) P_m[k]
+    chain = favard_chain(gammas)
+    if [Fraction(c, chain[-1]) for c in chain] != [
+            want[k] * 2 ** (m - k) for k in range(m % 2, m + 1, 2)]:
+        out.append("integer chain")
+    v, _ = substitute_critical(p_beta(n, beta).poly)
+    got = [c * 2 ** k for k, c in enumerate(v.coeffs)]
+    if [c / got[-1] for c in got] != want:
+        out.append("p(1/2 + 2ix)")
+    return out
+
+
+@pytest.mark.parametrize("beta", FAVARD_BETAS, ids=str)
+def test_favard_chain_matches_fraction_chain(beta):
+    for n in range(NMAX + 1):
+        assert favard_disagreements(n, beta) == [], n
+
+
+def test_favard_chain_matches_p_s32():
+    # the chain is the Gegenbauer polynomial's too: p_s32(n, lam) is a
+    # constant times p_beta(n, 3/4 - lam/2)
+    for lam in LAMBDAS:
+        for n in range(NMAX + 1):
+            m, beta = n // 2, Fraction(3, 4) - lam / 2
+            v, _ = substitute_critical(p_s32(n, lam).poly)
+            got = [c * 2 ** k for k, c in enumerate(v.coeffs)]
+            assert [c / got[-1] for c in got] \
+                == favard_oracle.monic_chain(n, beta), (n, lam)
+
+
+# the acceptance c02 grid, and the c14 samples at n = 400
+CERT_LAMBDAS = [Fraction(-1, 4), Fraction(1), Fraction(2), Fraction(7, 3),
+                Fraction(5, 2), Fraction(10)]
+CERT_GRID = ([(p_s32, lam, n) for lam in CERT_LAMBDAS for n in range(31)]
+             + [(p_beta, beta, n) for beta in BETAS for n in range(31)]
+             + [(p_s32, lam, 400) for lam in CERT_LAMBDAS]
+             + [(p_beta, beta, 400) for beta in BETAS])
+
+
+def test_favard_certificate_matches_descartes():
+    for build, param, n in CERT_GRID:
+        p = build(n, param)
+        fast, slow = certify_critical_line(p), certify_critical_line(p.poly)
+        assert (fast.method, slow.method) == ("favard", "descartes"), n
+        for field in ("passed", "degree", "v_degree", "distinct_real_roots",
+                      "squarefree", "parity_paired", "coeff_bits"):
+            assert getattr(fast, field) == getattr(slow, field), \
+                (build.__name__, param, n, field)
+        assert fast.passed and fast.distinct_real_roots == n // 2
 
 
 def oracle_disagreements(w) -> list:

@@ -163,6 +163,14 @@ def test_float_lambda_is_read_as_its_shortest_repr(monkeypatch):
     assert row["rel_err"] <= 1e-10
 
 
+def test_compare_mellin_reads_lambda_as_a_rational():
+    # a "p/q" string, as every other entry point takes it; the row's lambda
+    # stays a float
+    row = compare_mellin(12, "7/3", 2.0)
+    assert row == compare_mellin(12, Fraction(7, 3), 2.0)
+    assert row["lambda"] == 7 / 3 and row["rel_err"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Jacobi against the tanh-sinh quadrature it replaced
 # ---------------------------------------------------------------------------

@@ -27,16 +27,21 @@ LAMBDAS = [Fraction(1), Fraction(1, 2), Fraction(7, 3)]
 
 
 def test_certificate_structure():
-    cert = certify_critical_line(p_s21_chebyshev(4))
-    assert cert.passed
-    assert cert.degree == 2
-    assert cert.distinct_real_roots == 2
-    assert cert.parity_paired
-    assert cert.to_json()["pass"] is True
-    assert cert.to_json()["method"] == "descartes"
-    # 15 (1/2 + it)^2 - 15 (1/2 + it) + 63/4 = 12 - 15 t^2, so w = 4 - 5x
-    assert cert.to_json()["work"] >= 1
-    assert cert.to_json()["coeff_bits"] == 3
+    # the built polynomial is proved by Favard, the bare Poly by Descartes
+    p = p_s21_chebyshev(4)
+    for subject, method in ((p, "favard"), (p.poly, "descartes")):
+        cert = certify_critical_line(subject)
+        assert cert.passed
+        assert cert.degree == 2
+        assert cert.distinct_real_roots == 2
+        assert cert.parity_paired
+        assert cert.to_json()["pass"] is True
+        assert cert.to_json()["method"] == method
+        # 15 (1/2 + it)^2 - 15 (1/2 + it) + 63/4 = 12 - 15 t^2, so
+        # w = 4 - 5x; Favard makes m - 1 = 1 sign test
+        assert cert.to_json()["work"] >= 1
+        assert cert.to_json()["coeff_bits"] == 3
+    assert certify_critical_line(p).work == 1
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -218,6 +223,64 @@ def test_certificate_rejects_symmetric_off_line_zeros():
     assert cert.method == "squarefree" and not cert.passed
     assert not cert.squarefree and cert.distinct_real_roots == 0
     assert cert.v_degree == 4
+
+
+def test_flipped_gamma_falls_back_to_descartes(monkeypatch, caplog):
+    gamma = verify.favard_gamma
+
+    def flipped(j, n, beta):
+        num, den = gamma(j, n, beta)
+        return (-num if j == 2 else num), den
+
+    monkeypatch.setattr(verify, "favard_gamma", flipped)
+    caplog.set_level(logging.DEBUG, logger="critpoly")
+    for p in (p_beta(20, -3), p_s32(21, Fraction(7, 3))):
+        cert = certify_critical_line(p)
+        assert cert.method == "descartes" and cert.passed
+        assert cert.distinct_real_roots == 10
+    assert caplog.text.count("Favard certificate of") == 2
+    assert "gamma_2 = -" in caplog.text and "is not positive" in caplog.text
+
+
+@pytest.mark.parametrize("n", [8, 16, 17])
+@pytest.mark.parametrize("scale, on_line", [(Fraction(1, 1000), True),
+                                            (Fraction(10), False)])
+def test_perturbed_kernel_fails_the_chain(monkeypatch, caplog, n, scale,
+                                          on_line):
+    # the kernel's constant coefficient moved by scale p(1/2): for even
+    # m = floor(n/2) the reflection still holds, so the substitution goes
+    # through and only the chain comparison can reject the proof; Descartes
+    # then decides, and the larger move pushes zeros off the line
+    build = construct.poly_from_3f2
+
+    def perturbed(n, eps, coeffs):
+        out = build(n, eps, coeffs)
+        return out + scale * out(Fraction(1, 2))
+
+    monkeypatch.setattr(construct, "poly_from_3f2", perturbed)
+    construct.clear_caches()
+    caplog.set_level(logging.DEBUG, logger="critpoly")
+    p = p_beta(n, -3)
+    assert check_functional_equation(p.poly, n)
+    cert = certify_critical_line(p)
+    assert cert.method == ("descartes" if on_line else "squarefree")
+    assert cert.passed is on_line
+    assert "the recurrence chain differs from the coefficients" in caplog.text
+
+
+def test_perturbed_kernel_term_breaks_the_reflection(monkeypatch):
+    # a perturbed term c_1 of the sum breaks the reflection, and the
+    # substitution raises before either proof is tried
+    build = construct.poly_from_3f2
+
+    def perturbed(n, eps, coeffs):
+        return build(n, eps, [coeffs[0], coeffs[1] * Fraction(1001, 1000),
+                              *coeffs[2:]])
+
+    monkeypatch.setattr(construct, "poly_from_3f2", perturbed)
+    construct.clear_caches()
+    with pytest.raises(MixedCoefficients):
+        certify_critical_line(p_beta(16, -3))
 
 
 def test_certificate_rejects_asymmetric_polynomial():

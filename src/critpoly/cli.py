@@ -30,7 +30,7 @@ GOLDEN = {0: [Fraction(1, 2)], 1: [Fraction(1)],
 # the gould suite uses the hat polynomials up to index 2 GOULD_NMAX + 1
 GOULD_NMAX = 6
 GENFUN_K = 40
-GENFUN_S = (1.0, 2.0, 3.0)
+GENFUN_LAMBDAS = [Fraction(1), Fraction(1, 2), Fraction(5, 2), Fraction(7, 3)]
 
 log = logging.getLogger("critpoly")
 
@@ -142,10 +142,11 @@ def cmd_roots(args, parser) -> int:
     start = time.perf_counter()
     cert = verify.certify_critical_line(p)
     # a Favard certificate isolates nothing: the roots come from Descartes
-    # on the bare polynomial, and their count cross-checks the certificate
+    # on the bare polynomial's reduction, which the certificate holds, and
+    # their count cross-checks the certificate
     listing = cert
     if cert.isolation is None:
-        listing = verify.certify_critical_line(p.poly)
+        listing = verify.certify_critical_line(p.poly, cert.reduction)
     roots = listing.isolation.roots()
     passed = cert.passed and len(roots) == cert.distinct_real_roots
     log.debug("roots of %s: %d isolation nodes, %d refinement evaluations, "
@@ -296,12 +297,9 @@ def _suite_corollary2(nmax: int, seed: int):
 
 @_suite
 def _suite_genfun(nmax: int, seed: int):
-    """The generating-function series, after checking the closed forms they
-    sum: HYP = 2 S32 with reflection, and the T-factor zero sets."""
-    # the series coefficients do not depend on t, and the T family not on
-    # lambda either: each is computed once for the points that share it
-    t_values = {s: quadrature.mellin_values(None, s, GENFUN_K)
-                for s in GENFUN_S}
+    """The generating functions, coefficients 0..GENFUN_K proved exactly as
+    polynomials in s, after checking the closed forms they sum: HYP = 2 S32
+    with reflection, and the T-factor zero sets."""
     for lam in (1.0, 0.5, 2.5):
         lam_r = as_rat(lam)
         for k in range(GENFUN_K + 1):
@@ -310,18 +308,18 @@ def _suite_genfun(nmax: int, seed: int):
                    verify.check_hat_ratio(hat, k, lam_r))
             yield (f"reflection at n={k}, lambda={lam}",
                    verify.check_functional_equation(hat, k))
-        for s in GENFUN_S:
-            m_values = quadrature.mellin_values(lam, s, GENFUN_K)
-            for t in (0.05, 0.1):
-                r = quadrature.genfun_check(lam, s, t, K=GENFUN_K, tol=1e-9,
-                                            m_values=m_values,
-                                            t_values=t_values[s])
-                yield (f"series at lambda={lam}, s={s}, t={t} "
-                       f"(errors {r['errors']})", r["pass"])
+    proved, bits = {}, 0
+    for lam in GENFUN_LAMBDAS + [None]:
+        r = quadrature.genfun_check(lam, GENFUN_K)
+        yield (f"generating function of {r['family']} at n={r['failed_n']}",
+               r["pass"])
+        proved[r["family"]] = r["coefficients"]
+        bits = max(bits, r["coeff_bits"])
     for k in range(2, GENFUN_K + 1):
         yield (f"T zero set at n={k}",
                verify.check_T_zero_set(construct.mellin_T_closed(k).factor,
                                        k))
+    return {"method": "exact", "coefficients": proved, "coeff_bits": bits}
 
 
 @_suite

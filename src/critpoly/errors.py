@@ -49,16 +49,11 @@ class GammaPole(CritPolyError):
 
 
 class ToleranceNotMet(CritPolyError):
-    """Quadrature error estimate exceeds the requested tolerance, or a
-    series neither terminates nor converges within its term budget."""
+    """Quadrature error estimate exceeds the requested tolerance."""
 
 
 class InvalidParameters(CritPolyError):
     """Numeric routine called outside its validity domain."""
-
-
-class ConvergenceMarginViolated(CritPolyError):
-    """Generating-function argument outside the enforced |t| margin."""
 
 
 class IdentityFailed(CritPolyError):

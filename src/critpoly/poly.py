@@ -655,15 +655,16 @@ class LineIsolation:
     ``positive`` isolates deg w distinct positive roots of w (so w(0) != 0),
     and v(t) has 2 deg w + odd distinct real roots: all its roots are real
     and simple. Otherwise ``fallback`` names why no such proof was found.
+    ``reduction`` is ``line_reduction(p)`` when the caller holds it.
     """
 
     __slots__ = ("w", "odd", "positive", "fallback")
 
-    def __init__(self, p: Poly):
+    def __init__(self, p: Poly, reduction: tuple | None = None):
         if p.is_zero:
             raise ZeroPolynomial("critical-line isolation needs a nonzero "
                                  "polynomial")
-        self.odd, self.w = line_reduction(p)
+        self.odd, self.w = reduction or line_reduction(p)
         self.positive = PositiveRoots(self.w)
         self.fallback = self.positive.reason
         found, degree = len(self.positive.boxes or ()), len(self.w) - 1

@@ -1,6 +1,7 @@
 """Floating-point oracle: Gauss-Jacobi quadrature of the defining Mellin
-integrals (exact for their polynomial integrands), Gamma-form closed values,
-and the generating-function checks that cannot be made exact.
+integrals (exact for their polynomial integrands) and Gamma-form closed
+values; and the exact proof of the generating functions of the transforms,
+coefficient by coefficient as integer polynomials in s.
 
 The quadrature's per-node loops (Newton's method and the Christoffel sums of
 the rules, and the three-term recurrences of the integrands) run on Python
@@ -9,16 +10,21 @@ near v 2^_FIXED_BITS. The rules start from exact integer ratios, and a
 quadrature leaves in mpf once per rule, as its integer sum times mu0."""
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
-from .construct import MellinClosedForm, mellin_T_closed, mellin_closed
-from .errors import (ConvergenceMarginViolated, InvalidParameters,
-                     ToleranceNotMet)
-from .poly import Poly
+from .construct import (MellinClosedForm, mellin_T_closed, mellin_closed,
+                        p_hyp)
+from .errors import InvalidParameters, ToleranceNotMet
+from .poly import Poly, _int_form, gen_binom, int_mul_linear
 from .rat import as_rat
+
+log = logging.getLogger("critpoly")
 
 _QUAD_DPS = 30
 
@@ -432,189 +438,85 @@ def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# generating functions
+# generating functions, coefficient by coefficient
 # ---------------------------------------------------------------------------
 
-def _hyp_partial(nums, dens, z, max_terms=4000):
-    """Sum of a (generalized) hypergeometric series at z, stopping on
-    termination or when the last term is negligible at working precision.
-    Raises ToleranceNotMet when neither happens within max_terms terms."""
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    eps = mp.mpf(10) ** (-(mp.dps - 2))
-    for k in range(max_terms):
-        num = mp.mpf(1)
-        for a in nums:
-            num *= a + k
-        if num == 0:
-            return total
-        den = mp.mpf(k + 1)
-        for b in dens:
-            den *= b + k
-        term = term * num / den * z
-        total += term
-        if abs(term) < eps * max(mp.mpf(1), abs(total)):
-            return total
-    raise ToleranceNotMet(
-        f"series with numerator parameters {[str(a) for a in nums]} and "
-        f"denominator parameters {[str(b) for b in dens]} at z = {z} "
-        f"neither terminates nor converges within {max_terms} terms")
+def _general_weights(k: int, eps: int, lam: Fraction) -> list:
+    """The C_0..C_k of ``genfun_check`` on integers at lam = p/q, with
+    C(-x, m) = (-1)^m (x)_m / m!."""
+    p, q = lam.numerator, lam.denominator
+    out, num, den = [], (2 * p) ** eps, q ** eps
+    for j in range(k + 1):
+        if j:
+            num *= 2 * (p + q * (2 * j - 1)) * (p + 2 * q * (eps + j - 1))
+            den *= q * q * (2 * eps + 2 * j - 1) * j
+        m = k - j
+        rising = math.prod(p + q * (eps + 2 * j + i) for i in range(m))
+        out.append(Fraction((-1) ** m * num * rising,
+                            den * q ** m * math.factorial(m)))
+    return out
 
 
-def _z_of(t):
-    return 4 * t * t / (1 + t * t) ** 2
-
-
-def _genfun_rhs_general(lam, s, t):
-    """Right side of the general-parameter generating function. The printed
-    form carries spurious Gamma(lam) and Gamma(lam+1) prefactors (at t = 0 it
-    would equal Gamma(lam) * M_0(s)); they are corrected to 1 and lam."""
-    z = _z_of(t)
-    even = _hyp_partial([(lam + 1) / 2, lam / 2, s / 2],
-                        [mp.mpf("0.5"), (s + lam) / 2 + mp.mpf("0.25")], z)
-    odd = _hyp_partial([(lam + 1) / 2, 1 + lam / 2, (s + 1) / 2],
-                       [mp.mpf("1.5"), (s + lam) / 2 + mp.mpf("0.75")], z)
-    pre = (1 + t * t) ** (-lam) * mp.gamma(mp.mpf("0.25") + lam / 2) / 2
-    return pre * (mp.gamma(s / 2) / mp.gamma((s + lam) / 2 + mp.mpf("0.25"))
-                  * even
-                  + 2 * t * lam / (1 + t * t)
-                  * mp.gamma((s + 1) / 2)
-                  / mp.gamma((s + lam) / 2 + mp.mpf("0.75")) * odd)
-
-
-def _genfun_rhs_lambda1(s, t):
-    z = _z_of(t)
-    even = _hyp_partial([mp.mpf(1), s / 2], [(2 * s + 3) / 4], z)
-    odd = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(2 * s + 5) / 4], z)
-    pre = mp.gamma(mp.mpf("0.75")) / (2 * (1 + t * t))
-    return pre * (mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75")) * even
-                  + 2 * t / (1 + t * t) * mp.gamma((s + 1) / 2)
-                  / mp.gamma(s / 2 + mp.mpf("1.25")) * odd)
-
-
-def _genfun_rhs_T(s, t):
-    z = _z_of(t)
-    even = _hyp_partial([mp.mpf(1), s / 2], [(s + 3) / 2], z)
-    odd = _hyp_partial([mp.mpf(1), (s + 1) / 2], [(s + 4) / 2], z)
-    pre = mp.sqrt(mp.pi) / 4 * (1 - t * t)
-    return pre * (mp.gamma(s / 2) / ((1 + t * t) * mp.gamma(s / 2 + 1.5))
-                  * even
-                  + 2 * t / (1 + t * t) ** 2 * mp.gamma((s + 1) / 2)
-                  / mp.gamma(s / 2 + 2) * odd)
-
-
-def _genfun_rhs_reexpanded(s, t, K):
-    """Power-series re-expansion of the lambda = 1 generating function in
-    which each t^(2k) coefficient is a pair of terminating series at 4/t^2.
-    Returns (partial sum to K, magnitude of the last added term).
-
-    The odd series is summed only for k >= 1: its factor 2k/t vanishes at
-    k = 0, where the series does not terminate and diverges at w > 1."""
-    g34 = mp.gamma(mp.mpf("0.75"))
-    ge = mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75"))
-    go = mp.gamma((s + 1) / 2) / mp.gamma(s / 2 + mp.mpf("1.25"))
-    w = 4 / (t * t)
-    total = mp.mpf(0)
-    last = mp.mpf(0)
-    for k in range(K + 1):
-        e = _hyp_partial([(1 - k) / mp.mpf(2), s / 2, -k / mp.mpf(2)],
-                         [mp.mpf("0.5"), (2 * s + 3) / 4], w)
-        o = _hyp_partial([(1 - k) / mp.mpf(2), 1 - k / mp.mpf(2),
-                          (s + 1) / 2],
-                         [mp.mpf("1.5"), (2 * s + 5) / 4], w) if k else 0
-        piece = (g34 / 2 * (-1) ** k * t ** (2 * k)
-                 * (ge * e - 2 * k / t * go * o))
-        total += piece
-        last = abs(piece)
-    return total, last
-
-
-def _series_sum(values, t):
-    """Sum_k values[k] t^k with a geometric tail bound from the last ratio;
-    the bound is infinite when that ratio is >= 1."""
-    total = mp.mpf(0)
-    terms = []
-    for k, v in enumerate(values):
-        term = mp.mpf(v) * t ** k
-        total += term
-        terms.append(abs(term))
-    if len(terms) >= 2 and terms[-2] > 0:
-        r = terms[-1] / terms[-2]
-        tail = terms[-1] * r / (1 - r) if r < 1 else mp.inf
-    else:
-        tail = terms[-1] if terms else mp.mpf(0)
-    return total, tail
-
-
-def _within(err: float, tol: float, tail: float) -> bool:
-    return math.isfinite(tail) and err <= tol + tail
-
-
-def mellin_values(lam, s: float, K: int) -> list:
-    """closed_form_value of M_k(lam, s) for k = 0..K, or of the first-kind
-    transforms T_k(s) when lam is None: the coefficients of the series that
-    genfun_check sums, which do not depend on t."""
+def _proves(n: int, lam) -> tuple:
+    """(whether the t^n identity of ``genfun_check`` holds, the largest bit
+    size of its integers). At n = 2k + eps the right side is
+    Sum_j w_j (u)_j (c + j)_(k-j), c + i = (a s + b + r i)/r, that is
+    Sum_j d_j U_j V_j / (L r^k) with U_j = Prod_(i<j) (s + eps + 2i),
+    V_j = Prod_(j<=i<k) (a s + b + r i) and integers d_j = L w_j (r/2)^j:
+    the chain P_(j+1) = P_j v_j + d_(j+1) U_(j+1) of O(k^2) products."""
+    k, eps = divmod(n, 2)
     if lam is None:
-        return [closed_form_value(mellin_T_closed(k), s)
-                for k in range(K + 1)]
-    lam_r = as_rat(lam)
-    return [closed_form_value(mellin_closed(k, lam_r), s)
-            for k in range(K + 1)]
+        form = mellin_T_closed(n)
+        target = form.factor * ((1 + (n > 0)) * form.const_rat)
+        weights = [Fraction((1 + eps) * 4 ** j, 4)
+                   * (gen_binom(-1 - eps - 2 * j, k - j)
+                      - (gen_binom(-1 - eps - 2 * j, k - 1 - j) if j < k
+                         else 0)) for j in range(k + 1)]
+        a, b, r = 1, 3 + eps, 2
+    else:
+        p, q = lam.numerator, lam.denominator
+        target = p_hyp(n, lam).poly / math.factorial(n)
+        weights = _general_weights(k, eps, lam)
+        a, b, r = 2 * q, 2 * p + q * (1 + 2 * eps), 4 * q
+    d, den = _int_form([w * Fraction(r, 2) ** j
+                        for j, w in enumerate(weights)])
+    chain, u = [d[0]], [1]
+    for j in range(k):
+        chain = int_mul_linear(chain, a, b + r * j)
+        u = int_mul_linear(u, 1, eps + 2 * j)
+        chain = [x + d[j + 1] * y for x, y in zip(chain, u)]
+    ints, scale = _int_form(target.coeffs)
+    den *= r ** k
+    return ([x * scale for x in chain]
+            == [y * den for y in ints + [0] * (len(chain) - len(ints))],
+            max(den.bit_length(), *map(int.bit_length, chain)))
 
 
-def genfun_check(lam: float, s: float, t: float, K: int = 40,
-                 tol: float = 1e-9, m_values=None, t_values=None) -> dict:
-    """Compare the truncated transform series Sum_k M_k(s) t^k against every
-    closed generating-function form that applies at this parameter point.
-
-    The truncation error is bounded by a geometric tail estimate from the
-    last computed term; each comparison must satisfy
-    |series - closed| <= tol + tail bound, with a finite bound: a series
-    whose last term ratio is >= 1 fails. ``m_values`` and ``t_values`` are
-    ``mellin_values(lam, s, K)`` and ``mellin_values(None, s, K)`` when the
-    caller has them already, as for several t at one (lam, s).
-    """
-    if abs(t) >= 0.25:
-        raise ConvergenceMarginViolated(
-            f"|t| = {abs(t)} outside the enforced margin |t| < 1/4")
-    if not s > 0:
-        raise InvalidParameters(f"need s > 0, got {s}")
-    if K < 2:
-        raise InvalidParameters("K must be >= 2")
-    if m_values is None:
-        m_values = mellin_values(lam, s, K)
-    if t_values is None:
-        t_values = mellin_values(None, s, K)
-    if len(m_values) != K + 1 or len(t_values) != K + 1:
-        raise InvalidParameters(f"need K + 1 = {K + 1} transform values")
-    t_m, s_m, lam_m = mp.mpf(t), mp.mpf(s), mp.mpf(lam)
-    series, tail = _series_sum(m_values, t_m)
-    checks = {"general": float(_genfun_rhs_general(lam_m, s_m, t_m))}
-    if lam == 1:
-        checks["lambda1"] = float(_genfun_rhs_lambda1(s_m, t_m))
-        if t != 0:
-            reexp, _ = _genfun_rhs_reexpanded(s_m, t_m, K)
-            checks["reexpanded"] = float(reexp)
-    # T family is parameter-free; checked at the same (s, t)
-    t_series, t_tail = _series_sum(
-        [t_values[0]] + [2 * v for v in t_values[1:]], t_m)
-    t_closed = float(_genfun_rhs_T(s_m, t_m))
-    series_f, tail_f = float(series), float(tail)
-    report = {"lambda": lam, "s": s, "t": t, "K": K,
-              "series": series_f, "tail_bound": tail_f,
-              "closed": checks, "errors": {}, "pass": True}
-    for name, val in checks.items():
-        err = abs(series_f - val)
-        report["errors"][name] = err
-        if not _within(err, tol, tail_f):
-            report["pass"] = False
-    err = abs(float(t_series) - t_closed)
-    report["closed"]["chebyshev_T"] = t_closed
-    report["series_T"] = float(t_series)
-    report["errors"]["chebyshev_T"] = err
-    if not _within(err, tol, float(t_tail)):
-        report["pass"] = False
-    return report
+def genfun_check(lam, K: int = 40) -> dict:
+    """Prove the t^n coefficients, n = 0..K, of the generating function of
+    the transforms at lam, or of Sum_n (1 + [n > 0]) T_n(s) t^n when lam is
+    None, as identities of integer polynomials in s (``_proves``). With
+    n = 2k + eps, u = (s+eps)/2 and the Gamma factors divided out they are
+    hat_n(s) / n! = Sum_j C_j (u)_j ((s+lam)/2 + 1/4 + eps/2 + j)_(k-j),
+    C_j = (2 lam)^eps 4^j ((lam+1)/2)_j (lam/2 + eps)_j
+    C(-lam-eps-2j, k-j) / ((1/2 + eps)_j j!) (1 and lam hold where the
+    printed form has Gamma(lam) and Gamma(lam+1)), and (1 + [n > 0])
+    const_rat factor_n(s) = Sum_j (1+eps) 4^(j-1) (C(-1-eps-2j, k-j)
+    - C(-1-eps-2j, k-1-j)) (u)_j (s/2 + 3/2 + eps/2 + j)_(k-j)."""
+    if K < 0:
+        raise InvalidParameters(f"need K >= 0, got {K}")
+    start = time.perf_counter()
+    lam = None if lam is None else as_rat(lam)
+    results = [_proves(n, lam) for n in range(K + 1)]
+    oks = [ok for ok, _ in results]
+    family = "T" if lam is None else f"lambda={lam}"
+    bits = max(size for _, size in results)
+    log.debug("generating function of %s: %d of %d coefficients proved, "
+              "%d-bit integers, %.3f s", family, sum(oks), K + 1, bits,
+              time.perf_counter() - start)
+    return {"family": family, "K": K, "method": "exact",
+            "coefficients": sum(oks), "coeff_bits": bits, "pass": all(oks),
+            "failed_n": None if all(oks) else oks.index(False)}
 
 
 def transform_level_lemma1_check(m: int, n: int, s: float,

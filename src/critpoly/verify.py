@@ -50,7 +50,8 @@ class Certificate:
     of w, the parity reduction of p(1/2 + it) (``poly.line_reduction``).
     ``isolation`` holds the isolated roots, which ``roots()`` refines: of
     w, or of the squarefree part of v under "squarefree"; a Favard
-    certificate isolates nothing and holds None."""
+    certificate isolates nothing and holds None, and ``reduction``, the
+    (odd, w) of ``line_reduction``, to isolate later."""
     subject: dict
     degree: int
     v_degree: int
@@ -63,6 +64,7 @@ class Certificate:
     coeff_bits: int
     isolation: LineIsolation | RealRootData | None = field(compare=False,
                                                            repr=False)
+    reduction: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {"subject": self.subject, "degree": self.degree,
@@ -74,7 +76,8 @@ class Certificate:
                 "coeff_bits": self.coeff_bits}
 
 
-def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
+def certify_critical_line(p: CriticalPolynomial | Poly,
+                          reduction: tuple | None = None) -> Certificate:
     """Certify exactly that every zero of p lies on Re s = 1/2.
 
     p(1/2 + it) is t^odd w(t^2) up to a constant factor (1 or i), with w an
@@ -92,7 +95,8 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
     logged at DEBUG. The substitution raises MixedCoefficients when
     p(1/2 + it) is neither purely real nor purely imaginary; otherwise v is
     even or odd, so its roots pair as +-t and ``parity_paired`` always
-    holds.
+    holds. ``reduction`` is the (odd, w) of a bare Poly p when the caller
+    holds it, as the ``reduction`` of a Favard certificate of p.
     """
     if isinstance(p, Poly):
         poly = p
@@ -101,15 +105,16 @@ def certify_critical_line(p: CriticalPolynomial | Poly) -> Certificate:
         poly = p.poly
         subject = {"n": p.n, "family": p.family, "param": str(p.param),
                    "form": p.form}
-        odd, w = line_reduction(poly)
+        odd, w = reduction = line_reduction(poly)
         reason = favard_failure(p, odd, w)
         if reason is None:
             m = poly.degree
             return Certificate(subject, m, m, m, True, True, True, "favard",
                                max(m - 1, 0),
-                               max(abs(c).bit_length() for c in w), None)
+                               max(abs(c).bit_length() for c in w), None,
+                               reduction)
         log.debug("Favard certificate of %s fails: %s", subject, reason)
-    iso = LineIsolation(poly)
+    iso = LineIsolation(poly, reduction)
     bits = max(abs(c).bit_length() for c in iso.w)
     if iso.fallback is None:
         roots = 2 * len(iso.positive.boxes) + iso.odd
@@ -426,9 +431,48 @@ def _check_duplication(n: int, hat: Poly, s_samples) -> dict:
     return {"pass": all(oks), "samples": len(oks)}
 
 
+def _running(first: Fraction, factors) -> list:
+    """The (numerator, denominator) pairs of first and of its running
+    products with the factors u / v, given as integer pairs (u, v)."""
+    out = [(first.numerator, first.denominator)]
+    for u, v in factors:
+        out.append((out[-1][0] * u, out[-1][1] * v))
+    return out
+
+
+def _gould_sums(n: int, eps: int, lam: Fraction, s: Fraction) -> tuple:
+    """The four-over-two and three-over-one sums of M_(2n+eps) / M_0 at s,
+    Sum_r 2 g_r C(y + r, n + eps + r) times C(n + a, n - r) / (C(n, r)
+    C(n + a, n)) or over C(a + r, r), with g_r = gould_term(n, r, eps, s),
+    y = n + lam - 1 + eps and a = (s + lam + eps)/2 - 3/4. Each factor
+    steps from its r - 1 value on integers (``_running``); g_r by
+    (x + r) (-4)(n+r+eps)(n-r+1) / ((2r-1+eps)(2r+eps) r), x = (s-2+eps)/2."""
+    a = (s + lam + eps) / 2 - Fraction(3, 4)
+    x, y, top = (s - 2 + eps) / 2, n + lam - 1 + eps, n + a
+    rs = range(1, n + 1)
+    g = _running(gould_term(n, 0, eps, s), (
+        (-4 * (n + r + eps) * (n - r + 1) * (x.numerator + r * x.denominator),
+         x.denominator * (2 * r - 1 + eps) * (2 * r + eps) * r) for r in rs))
+    upper = _running(gen_binom(y, n + eps), (
+        (y.numerator + r * y.denominator, y.denominator * (n + eps + r))
+        for r in rs))
+    # C(n + a, m) and C(a + r, r)
+    row = _running(Fraction(1), ((top.numerator - (m - 1) * top.denominator,
+                                  top.denominator * m) for m in rs))
+    inner = _running(Fraction(1), ((a.numerator + r * a.denominator,
+                                    a.denominator * r) for r in rs))
+    s42 = s31 = Fraction(0)
+    for r in range(n + 1):
+        (gn, gd), (un, ud), (cn, cd) = g[r], upper[r], row[n - r]
+        s42 += Fraction(2 * gn * un * cn * row[n][1],
+                        gd * ud * cd * row[n][0] * comb(n, r))
+        s31 += Fraction(2 * gn * un * inner[r][1], gd * ud * inner[r][0])
+    return s42, s31
+
+
 def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
     """The four-over-two and three-over-one sum forms of M_{2n+eps}, divided
-    through by M_0: both must equal
+    through by M_0 (``_gould_sums``): both must equal
     hat_p(s) / ((2n+eps)! ((s+lam+eps)/2 + 1/4)_{n}) exactly, and so must
     the 3F2 form."""
     lam = as_rat(lam)
@@ -440,14 +484,7 @@ def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
             a = (s + lam + eps) / 2 - Fraction(3, 4)
             rhs = (hats[eps](s)
                    / (factorial(2 * n + eps) * pochhammer(a + 1, n)))
-            s42 = Fraction(0)
-            s31 = Fraction(0)
-            top = gen_binom(n + a, n)
-            for r in range(n + 1):
-                common = (2 * gould_term(n, r, eps, s)
-                          * gen_binom(n + r + lam - 1 + eps, n + r + eps))
-                s42 += common * gen_binom(n + a, n - r) / (comb(n, r) * top)
-                s31 += common / gen_binom(a + r, r)
+            s42, s31 = _gould_sums(n, eps, lam, s)
             f = eval_3f2(-n, lam + n + eps, (s + eps) / 2,
                          Fraction(1, 2) + eps, a + 1)
             hyp = ((-1) ** n * (2 * n + 2) ** eps
@@ -460,7 +497,9 @@ def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
 def check_integer_s_sums(n: int, lam, s1_max: int = 12) -> dict:
     """At even/odd integer arguments s = 2 s1 + eps the Gamma-ratios become
     exact rationals; the four-over-three sum forms must then reproduce the
-    closed-form transform values exactly, over M_0(2k), k = s1 + eps."""
+    closed-form transform values exactly, over M_0(2k), k = s1 + eps. Such
+    a form is the four-over-two sum of ``_gould_sums`` at s, where
+    a = k + lam/2 - 3/4, over C(k + lam/2 - 3/4, k)."""
     lam = as_rat(lam)
     hats = [p_hyp(2 * n + eps, lam).poly for eps in (0, 1)]
     quarter = lam / 2 + Fraction(1, 4)
@@ -474,14 +513,8 @@ def check_integer_s_sums(n: int, lam, s1_max: int = 12) -> dict:
             oks.append(m0 == Fraction(1, 2 * k) / gen_binom(quarter + k - 1, k))
             closed = (m0 * hat(Fraction(2 * s1 + eps))
                       / (factorial(2 * n + eps) * pochhammer(k + quarter, n)))
-            den = (gen_binom(k + quarter - 1, k)
-                   * gen_binom(n + k + quarter - 1, n))
-            total = Fraction(0)
-            for r in range(n + 1):
-                total += (2 * gould_term(n, r, eps, Fraction(2 * s1 + eps))
-                          * gen_binom(n + r + lam - 1 + eps, n + r + eps)
-                          * gen_binom(n + k + quarter - 1, n - r)
-                          / (comb(n, r) * den))
+            total = (_gould_sums(n, eps, lam, Fraction(2 * s1 + eps))[0]
+                     / gen_binom(k + quarter - 1, k))
             # at odd s the r = 0 term already carries the factor 2*lam, so
             # the matching prefactor is 1/(2k) = M_0(2k) over its binomial part
             oks.append(total / (2 * k) == closed)

@@ -102,8 +102,8 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     assert fast["isolation_method"] == "descartes"
 
     class NoProof(poly.LineIsolation):
-        def __init__(self, p):
-            super().__init__(p)
+        def __init__(self, p, reduction=None):
+            super().__init__(p, reduction)
             self.fallback = "forced"
 
     # the fallback isolates v once, in the listing's certificate, and refines
@@ -133,14 +133,37 @@ def test_roots_fallback_lists_the_same_roots(capsys, monkeypatch):
     assert slow["refine_work"] > 0
 
 
+def test_roots_reduces_the_line_once(capsys, monkeypatch):
+    # the listing isolates the (odd, w) that the Favard certificate holds
+    calls = []
+    reduce = poly.line_reduction
+
+    def counted(p):
+        calls.append(p)
+        return reduce(p)
+
+    monkeypatch.setattr(poly, "line_reduction", counted)
+    monkeypatch.setattr(verify, "line_reduction", counted)
+    code, out = run(capsys, "roots", "--family", "beta", "--beta=-3", "--n",
+                    "41", "--output", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "favard"
+    assert doc["isolation_method"] == "descartes" and len(doc["roots"]) == 20
+    assert len(calls) == 1
+    # and so does the Descartes certificate after a failed Favard check
+    monkeypatch.setattr(verify, "favard_failure", lambda p, odd, w: "forced")
+    cert = verify.certify_critical_line(p_beta(41, -3))
+    assert cert.method == "descartes" and len(calls) == 2
+
+
 def test_roots_count_differing_from_the_certificate_fails(capsys,
                                                           monkeypatch):
     # a Favard certificate claiming one root more than the Descartes
     # isolation of the bare polynomial lists
     certify = verify.certify_critical_line
 
-    def claims_one_more(p):
-        cert = certify(p)
+    def claims_one_more(p, reduction=None):
+        cert = certify(p, reduction)
         if cert.method != "favard":
             return cert
         return dataclasses.replace(
@@ -174,8 +197,8 @@ def test_roots_report_refine_work(capsys):
 
 def test_log_level_shows_the_fallback(capsys, monkeypatch):
     class NoProof(poly.LineIsolation):
-        def __init__(self, p):
-            super().__init__(p)
+        def __init__(self, p, reduction=None):
+            super().__init__(p, reduction)
             self.fallback = "forced"
 
     monkeypatch.setattr(verify, "LineIsolation", NoProof)
@@ -337,9 +360,10 @@ FAIL_ONE_CASE = [
      lambda n, samples: {"pass": n != 2, "worst_rel_err": 0.0},
      "corollary 2 at n=2 fails"),
     ("genfun", quadrature, "genfun_check",
-     lambda lam, s, t, **kw: {"pass": (lam, s, t) != (0.5, 2.0, 0.1),
-                              "errors": {}},
-     "series at lambda=0.5, s=2.0, t=0.1 (errors {}) fails"),
+     lambda lam, K: {"family": "T" if lam is None else f"lambda={lam}",
+                     "pass": lam != Fraction(7, 3), "failed_n": 12,
+                     "coefficients": 12, "coeff_bits": 0},
+     "generating function of lambda=7/3 at n=12 fails"),
     ("quad", quadrature, "compare_mellin",
      lambda n, lam, s: {"rel_err": 1.0 if (n, lam, s) == (2, 1.0, 3.7)
                         else 0.0},

@@ -13,15 +13,16 @@ the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
 eigen-solver, their fixed-point Newton and Christoffel loops and the
 fixed-point integrand recurrences against the mpf loops, and their integer
 recurrence ratios and bracket tree against the mpf recurrence and the
-per-node bisection, in gauss_oracle.py.
+per-node bisection, in gauss_oracle.py; and the float re-expanded
+lambda = 1 generating function of genfun_oracle.py against its twin there
+that sums its odd series at k = 0 too.
 
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
 fresh Pochhammer polynomial per k with c_k from four Pochhammer symbols,
 the T-factor recurrence rerun from 0 for every n, the Horner expansion
-of p(1/2 + it) over Gaussian rationals, the Gegenbauer binomial sum with
-each x^k built by Poly powers, and the re-expanded lambda = 1 generating
-function summing its odd series at k = 0 too.
+of p(1/2 + it) over Gaussian rationals, and the Gegenbauer binomial sum
+with each x^k built by Poly powers.
 """
 from fractions import Fraction
 from math import comb, factorial
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 import favard_oracle
 import fraction_oracle
 import gauss_oracle
+import genfun_oracle
 from critpoly import hyp3f2, poly, quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
 from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
@@ -380,51 +382,13 @@ def test_gegenbauer_matches_power_sum(lam):
         assert gegenbauer(n, lam).coeffs == slow_gegenbauer(n, lam).coeffs, n
 
 
-def slow_hyp_partial(nums, dens, z, max_terms=4000):
-    mp = quadrature.mp
-    term = total = mp.mpf(1)
-    eps = mp.mpf(10) ** (-(mp.dps - 2))
-    for k in range(max_terms):
-        num = mp.mpf(1)
-        for a in nums:
-            num *= a + k
-        if num == 0:
-            return total
-        den = mp.mpf(k + 1)
-        for b in dens:
-            den *= b + k
-        term = term * num / den * z
-        total += term
-        if abs(term) < eps * max(mp.mpf(1), abs(total)):
-            return total
-    return total
-
-
-def slow_genfun_rhs_reexpanded(s, t, K):
-    mp = quadrature.mp
-    g34 = mp.gamma(mp.mpf("0.75"))
-    ge = mp.gamma(s / 2) / mp.gamma(s / 2 + mp.mpf("0.75"))
-    go = mp.gamma((s + 1) / 2) / mp.gamma(s / 2 + mp.mpf("1.25"))
-    w = 4 / (t * t)
-    total = mp.mpf(0)
-    for k in range(K + 1):
-        e = slow_hyp_partial([(1 - k) / mp.mpf(2), s / 2, -k / mp.mpf(2)],
-                             [mp.mpf("0.5"), (2 * s + 3) / 4], w)
-        o = slow_hyp_partial([(1 - k) / mp.mpf(2), 1 - k / mp.mpf(2),
-                              (s + 1) / 2],
-                             [mp.mpf("1.5"), (2 * s + 5) / 4], w)
-        total += (g34 / 2 * (-1) ** k * t ** (2 * k)
-                  * (ge * e - 2 * k / t * go * o))
-    return total
-
-
 # the acceptance c12 grid
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("t", ["0.05", "0.1"])
 def test_reexpanded_genfun_matches_full_sum(s, t):
-    s_m, t_m = quadrature.mp.mpf(s), quadrature.mp.mpf(t)
-    got, _ = quadrature._genfun_rhs_reexpanded(s_m, t_m, 40)
-    assert got == slow_genfun_rhs_reexpanded(s_m, t_m, 40)
+    s_m, t_m = genfun_oracle.mp.mpf(s), genfun_oracle.mp.mpf(t)
+    got, _ = genfun_oracle.genfun_rhs_reexpanded(s_m, t_m, 40)
+    assert got == genfun_oracle.slow_genfun_rhs_reexpanded(s_m, t_m, 40)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Numeric oracle: quadrature anchors, Gamma-form agreement, and the
-generating-function comparisons."""
+"""Numeric oracle: quadrature anchors and Gamma-form agreement; and the exact
+generating-function proof, its negative controls, and its coefficients
+summed against the float closed forms of genfun_oracle.py."""
 import math
 import sys
 import threading
@@ -9,14 +10,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import genfun_oracle
 from critpoly import construct, quadrature
 from critpoly.construct import mellin_T_closed, mellin_closed
-from critpoly.errors import (ConvergenceMarginViolated, InvalidParameters,
-                             ToleranceNotMet)
+from critpoly.errors import InvalidParameters, ToleranceNotMet
+from critpoly.poly import Poly, pochhammer
 from critpoly.quadrature import (closed_form_value, compare_mellin,
                                  compare_mellin_T, genfun_check,
-                                 lemma3a_check, mellin_values,
-                                 quad_mellin_T, quad_mellin_gegenbauer,
+                                 lemma3a_check, quad_mellin_T,
+                                 quad_mellin_gegenbauer,
                                  transform_level_lemma1_check)
 from critpoly.verify import check_corollary2
 
@@ -81,58 +83,137 @@ def test_closed_form_seed_values():
 
 
 def test_genfun_agreement():
-    r = genfun_check(1.0, 2.0, 0.1, K=40, tol=1e-9)
-    assert r["pass"], r["errors"]
-    assert set(r["closed"]) == {"general", "lambda1", "reexpanded",
-                                "chebyshev_T"}
-    r = genfun_check(2.5, 3.0, 0.05, K=40, tol=1e-9)
-    assert r["pass"]
-    assert "lambda1" not in r["closed"]
+    # coefficients 0..40 of the general form on the suite's lambdas and at
+    # lambda = -1/4, and of the T form, proved as polynomials in s
+    for lam in (1, Fraction(1, 2), Fraction(5, 2), Fraction(7, 3),
+                Fraction(-1, 4), None):
+        r = genfun_check(lam)
+        assert r["pass"] and r["failed_n"] is None, r
+        assert r["method"] == "exact" and r["coefficients"] == 41
+        assert r["coeff_bits"] > 0
+    assert genfun_check(None)["family"] == "T"
+    assert genfun_check(Fraction(7, 3), K=5)["family"] == "lambda=7/3"
+    with pytest.raises(InvalidParameters):
+        genfun_check(1, K=-1)
 
 
 def test_genfun_at_t_zero_is_seed():
-    r = genfun_check(1.0, 2.0, 0.0, K=10, tol=1e-12)
-    assert r["pass"]
-    m0 = closed_form_value(mellin_closed(0, 1), 2.0)
-    assert r["series"] == pytest.approx(m0, rel=1e-12)
+    # the t^0 coefficient is M_0: hat_0 = 1 = C_0, and the chain is [1]
+    for lam in (1, Fraction(5, 2)):
+        assert construct.p_hyp(0, lam).poly == Poly.constant("s", 1)
+        assert quadrature._proves(0, Fraction(lam)) == (True, 1)
+        assert genfun_check(lam, K=0)["coefficients"] == 1
+    assert quadrature._proves(0, None)[0]
 
 
-def test_genfun_check_takes_the_values_it_would_compute():
-    # the genfun suite's route: the series coefficients computed once for
-    # every t at one (lambda, s)
-    m, t = mellin_values(2.5, 3.0, 40), mellin_values(None, 3.0, 40)
-    assert genfun_check(2.5, 3.0, 0.05, m_values=m, t_values=t) \
-        == genfun_check(2.5, 3.0, 0.05)
-    with pytest.raises(InvalidParameters):
-        genfun_check(2.5, 3.0, 0.05, K=10, m_values=m, t_values=t)
+def test_genfun_at_large_n():
+    for n in (400, 401):
+        assert quadrature._proves(n, Fraction(7, 3))[0]
 
 
-def test_genfun_divergent_tail_fails():
-    # p_3 vanishes at s = 1/2, so M_3(0.501) is tiny and the last term
-    # ratio is far above 1: the tail bound is infinite, nothing is proven
-    r = genfun_check(1.0, 0.501, 0.1, K=4, tol=1e-9)
-    assert r["tail_bound"] == math.inf
-    assert not r["pass"]
+def test_genfun_fails_a_perturbed_hat_coefficient(monkeypatch):
+    def perturbed(n, lam):
+        built = construct.p_hyp(n, lam)
+        if n != 7:
+            return built
+        coeffs = list(built.poly.coeffs)
+        coeffs[2] += Fraction(1, 10 ** 30)
+        return replace(built, poly=Poly("s", coeffs))
+
+    monkeypatch.setattr(quadrature, "p_hyp", perturbed)
+    r = genfun_check(Fraction(5, 2))
+    assert not r["pass"] and r["failed_n"] == 7 and r["coefficients"] == 40
 
 
-def test_hyp_partial_raises_on_a_series_that_neither_ends_nor_converges():
-    m = quadrature.mp
-    half, one, three_halves = m.mpf(1) / 2, m.mpf(1), m.mpf(3) / 2
-    assert quadrature._hyp_partial([half, one], [three_halves], m.mpf(1) / 4) \
-        == pytest.approx(m.hyp2f1(half, one, three_halves, m.mpf(1) / 4),
-                         rel=1e-25)
-    assert quadrature._hyp_partial([-2 * one, one], [three_halves], 2 * one) \
-        == pytest.approx(m.mpf(7) / 15, rel=1e-25)
-    # 2F1(1/2, 1; 3/2; z) = atanh(sqrt z)/sqrt z: its series diverges at z > 1
-    with pytest.raises(ToleranceNotMet, match=r"at z = 2\.0 neither"):
-        quadrature._hyp_partial([half, one], [three_halves], 2 * one)
+def test_genfun_fails_weights_without_their_4_to_the_j(monkeypatch):
+    good = quadrature._general_weights
+    monkeypatch.setattr(
+        quadrature, "_general_weights",
+        lambda k, eps, lam: [c / 4 ** j
+                             for j, c in enumerate(good(k, eps, lam))])
+    for lam in (1, Fraction(7, 3)):
+        r = genfun_check(lam)
+        assert not r["pass"] and r["failed_n"] == 2, r
 
 
-def test_genfun_margin_enforced():
-    with pytest.raises(ConvergenceMarginViolated):
-        genfun_check(1.0, 2.0, 0.3, K=10, tol=1e-9)
-    with pytest.raises(InvalidParameters):
-        genfun_check(1.0, -1.0, 0.1, K=10, tol=1e-9)
+def test_genfun_fails_the_printed_prefactors(monkeypatch):
+    # the printed form has Gamma(lam) and Gamma(lam + 1) where the proved
+    # one has 1 and lam: the same at lam = 1 and 2, 2 and 6 against 1 and 3
+    # at lam = 3; Gamma(lam + eps) = (lam + eps - 1)! at these integers
+    good = quadrature._general_weights
+
+    def printed(k, eps, lam):
+        return [c * math.factorial(int(lam) + eps - 1) / lam ** eps
+                for c in good(k, eps, lam)]
+
+    monkeypatch.setattr(quadrature, "_general_weights", printed)
+    assert genfun_check(1)["pass"] and genfun_check(2)["pass"]
+    r = genfun_check(3)
+    assert not r["pass"] and r["failed_n"] == 0
+
+
+def test_genfun_fails_the_T_form_without_its_factor_2(monkeypatch):
+    # (1 + [n > 0]) T_n is the t^n coefficient; T_n alone is not
+    def unfolded(n):
+        form = mellin_T_closed(n)
+        return replace(form, const_rat=form.const_rat / (1 + (n > 0)))
+
+    monkeypatch.setattr(quadrature, "mellin_T_closed", unfolded)
+    r = genfun_check(None)
+    assert not r["pass"] and r["failed_n"] == 1 and r["coefficients"] == 1
+
+
+# the acceptance c12 points
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("t", ["0.05", "0.1"])
+def test_exact_coefficients_sum_to_the_float_forms(s, t):
+    m = genfun_oracle.mp
+    s_r, t_r = Fraction(s), Fraction(t)
+    s_m, t_m = m.mpf(s), m.mpf(t)
+    close = {}
+    for lam in (Fraction(1), Fraction(1, 2), Fraction(5, 2), Fraction(7, 3)):
+        lam_m = m.mpf(lam.numerator) / lam.denominator
+        close[f"general at {lam}"] = (
+            genfun_oracle.genfun_rhs_general(lam_m, s_m, t_m),
+            genfun_oracle.exact_series(lam, s_r, t_r))
+    lambda1 = genfun_oracle.exact_series(Fraction(1), s_r, t_r)
+    close["lambda1"] = genfun_oracle.genfun_rhs_lambda1(s_m, t_m), lambda1
+    close["reexpanded"] = (
+        genfun_oracle.genfun_rhs_reexpanded(s_m, t_m, 40)[0], lambda1)
+    close["T"] = (genfun_oracle.genfun_rhs_T(s_m, t_m),
+                  genfun_oracle.exact_series(None, s_r, t_r))
+    for name, (closed, series) in close.items():
+        assert abs(closed - series) <= 1e-25, (name, closed, series)
+
+
+def reexpanded_scalar(n: int, i: int) -> Fraction:
+    """The rational factor of the i-th term of the re-expanded lambda = 1
+    form at t^n, apart from its Gamma prefactor and (u)_i / (c)_i: that term
+    comes from the series of index k = m + i + eps, n = 2m + eps, whose
+    term i carries t^(2k - eps - 2i) (4/t^2)^i."""
+    m, eps = divmod(n, 2)
+    k = m + i + eps
+    half = Fraction(1, 2)
+    if eps == 0:
+        return ((-1) ** k * pochhammer((1 - k) * half, i)
+                * pochhammer(-k * half, i) * 4 ** i
+                / (pochhammer(half, i) * math.factorial(i)))
+    return (-(-1) ** k * 2 * k * pochhammer((1 - k) * half, i)
+            * pochhammer(1 - k * half, i) * 4 ** i
+            / (pochhammer(3 * half, i) * math.factorial(i)))
+
+
+def test_reexpansion_collects_the_lambda1_terms():
+    # ((1-k)/2)_i (-k/2)_i 4^i = (-k)_(2i) and (1/2)_i i! 4^i = (2i)!, so
+    # under k = m + i (+ 1 when odd) each re-expanded term is a term of the
+    # lambda = 1 general coefficient; the series of index k <= 40 supply
+    # every term of t^n, n <= 40, and their terms past i = m vanish
+    for n in range(41):
+        m, eps = divmod(n, 2)
+        terms = [reexpanded_scalar(n, i) for i in range(41 - m - eps)]
+        assert terms[:m + 1] == quadrature._general_weights(m, eps,
+                                                            Fraction(1)), n
+        assert not any(terms[m + 1:]), n
 
 
 def test_composition_transform_numeric():
@@ -291,8 +372,6 @@ def test_oracles_ignore_the_global_precision(monkeypatch):
     for n in range(9):
         assert compare_mellin(n, 1.5, 3.7)["rel_err"] <= 1e-12
         assert compare_mellin_T(n, 3.7)["rel_err"] <= 1e-12
-    assert genfun_check(1.0, 3.7, 0.1)["pass"]
-    assert genfun_check(2.5, 3.7, 0.05)["pass"]
     for n in range(1, 9):
         assert check_corollary2(n, [Fraction(37, 10), Fraction(1, 3)])["pass"]
     assert mp.mp.dps == 5

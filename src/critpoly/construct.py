@@ -5,8 +5,9 @@ Mellin transform descriptors.
 One kernel builds the canonical polynomials: the beta family's 3F2 series,
 whose term ratio at beta = 3/4 - lam/2 (< 1 for lam > -1/2) is that of the
 Gegenbauer series at lam, so p_s32(n, lam) = ((2 lam)_n / 2) p_beta(n, beta)
-and p_hyp is twice that. S41, S21 and RECUR are built here as evidence, the
-S32 sum is ``verify.s32_sum``, and ``verify`` checks the identities.
+and p_hyp is twice that. S41 and S21 (each a ``pochhammer_sum``) and RECUR
+are built here as evidence, the S32 sum is ``verify.s32_sum``, and
+``verify`` checks the identities.
 
 Normalization bookkeeping: the canonical normalization (tag ``paper_S``)
 matches the printed list p_0 = 1/2, p_1 = 1, p_2 = 3s/2 - 3/4, ...; the
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InvalidBeta, PoleInDenominator, UndefinedIndex
-from .hyp3f2 import poly_from_3f2
+from .hyp3f2 import poly_from_3f2, pochhammer_sum
 from .orthopoly import _check_lambda
 from .poly import Poly, RatFun, gen_binom, pochhammer
 from .rat import as_rat, format_rat
@@ -70,6 +71,15 @@ class CriticalPolynomial:
         return out
 
 
+def _args(n: int, lam=None) -> Fraction | None:
+    """lam as a Fraction, once n >= 0 and lam, when given, is admissible."""
+    if n < 0:
+        raise UndefinedIndex(f"need n >= 0, got n = {n}")
+    if lam is not None:
+        _check_lambda(lam := as_rat(lam))
+    return lam
+
+
 # ---------------------------------------------------------------------------
 # binomial-sum forms
 # ---------------------------------------------------------------------------
@@ -83,38 +93,36 @@ def gould_term(m: int, r: int, eps: int, x):
 
 
 def p_s41(n: int, lam) -> CriticalPolynomial:
-    """Four-binomial-numerator sum form (no s-dependent denominators)."""
-    lam = as_rat(lam)
-    _check_lambda(lam)
+    """Four-binomial-numerator sum form (no s-dependent denominators), the
+    ``pochhammer_sum`` of its terms gould_term(m, r, eps, s) C(m+A, m-r)
+    C(m+r+lam-1+eps, m+r+eps) m! (2m+eps)! / C(m, r), A = (s+lam+eps)/2
+    - 3/4: the s-binomials are (u)_r / r! and (A+r+1)_{m-r} / (m-r)!."""
+    lam = _args(n, lam)
     m, eps = n // 2, n % 2
-    out = Poly.zero("s")
-    for r in range(m + 1):
-        out = out + (gould_term(m, r, eps, S)
-                     * (gen_binom(m + r + lam - 1 + eps, m + r + eps) / comb(m, r))
-                     * gen_binom(m + (S + lam + eps) / 2 - Fraction(3, 4), m - r))
-    out = factorial(m) * factorial(2 * m + eps) * out
+    weights = [gould_term(m, r, eps, Fraction(2 - eps)) * factorial(2 * m + eps)
+               * gen_binom(m + r + lam - 1 + eps, m + r + eps)
+               for r in range(m + 1)]
+    out = pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4), weights)
     return CriticalPolynomial(n, "gegenbauer", lam, "S41", out, "paper_S")
 
 
 def p_s32(n: int, lam) -> CriticalPolynomial:
     """Three-numerator/two-denominator sum form, built as (2 lam)_n / 2
     times the memoized beta kernel at beta = 3/4 - lam/2."""
-    lam = as_rat(lam)
-    _check_lambda(lam)
+    lam = _args(n, lam)
     out = (_p_beta(n, Fraction(3, 4) - lam / 2).poly
            * (pochhammer(2 * lam, n) / 2))
     return CriticalPolynomial(n, "gegenbauer", lam, "S32", out, "paper_S")
 
 
 def p_s21_chebyshev(n: int) -> CriticalPolynomial:
-    """Two-numerator/one-denominator sum; the lambda = 1 simplification."""
+    """Two-numerator/one-denominator sum; the lambda = 1 simplification,
+    gould_term(m, r, eps, s) r! (s/2 + 3/4 + eps/2 + r)_{m-r} (2m+eps)!."""
+    _args(n)
     m, eps = n // 2, n % 2
-    a = S / 2 - Fraction(1, 4) + Fraction(eps, 2)
-    out = Poly.zero("s")
-    for r in range(m + 1):
-        out = out + (gould_term(m, r, eps, S) * factorial(r)
-                     * pochhammer(a + r + 1, m - r))
-    out = factorial(2 * m + eps) * out
+    weights = [gould_term(m, r, eps, Fraction(2 - eps)) * factorial(2 * m + eps)
+               for r in range(m + 1)]
+    out = pochhammer_sum(eps, Fraction(3 + 2 * eps, 4), weights)
     return CriticalPolynomial(n, "gegenbauer", Fraction(1), "S21", out,
                               "paper_S")
 
@@ -127,8 +135,7 @@ def p_hyp(n: int, lam) -> CriticalPolynomial:
     exactly twice the canonical polynomial (``verify.check_hat_ratio``),
     built as (2 lam)_n times the memoized beta kernel.
     """
-    lam = as_rat(lam)
-    _check_lambda(lam)
+    lam = _args(n, lam)
     out = _p_beta(n, Fraction(3, 4) - lam / 2).poly * pochhammer(2 * lam, n)
     return CriticalPolynomial(n, "gegenbauer", lam, "HYP", out, "thm4_hat")
 
@@ -139,17 +146,12 @@ def p_chebyshev_recursive(n: int) -> CriticalPolynomial:
     The recursion with seeds 1/2, 1 produces p_n(s)/n!; the final n!
     rescaling restores the canonical normalization.
     """
-    a = Poly.constant("s", Fraction(1, 2))
-    b = Poly.constant("s", Fraction(1))
-    if n == 0:
-        out = a
-    elif n == 1:
-        out = b
-    else:
-        for k in range(2, n + 1):
-            lead = S if k % 2 == 0 else 2
-            a, b = b, lead * b.shift(1) - Fraction(1, 2) * (S + k - Fraction(1, 2)) * a
-        out = b
+    _args(n)
+    a, b = Poly.constant("s", Fraction(1, 2)), Poly.constant("s", Fraction(1))
+    for k in range(2, n + 1):
+        lead = S if k % 2 == 0 else 2
+        a, b = b, lead * b.shift(1) - Fraction(1, 2) * (S + k - Fraction(1, 2)) * a
+    out = a if n == 0 else b
     return CriticalPolynomial(n, "gegenbauer", Fraction(1), "RECUR",
                               factorial(n) * out, "paper_S")
 
@@ -158,6 +160,7 @@ def p_beta(n: int, beta) -> CriticalPolynomial:
     """One-parameter reflection family, beta < 1 rational: the 3F2 kernel
     with c_k = (-1)^k (1-beta)_k ((1-n)/2)_k (-n/2)_k / ((2-2beta)_k k!).
     Memoized on (n, beta)."""
+    _args(n)
     beta = as_rat(beta)
     if beta >= 1:
         raise InvalidBeta(f"need beta < 1, got {beta}")
@@ -206,8 +209,7 @@ class NormalizedRational:
 def q_rational(n: int, lam) -> NormalizedRational:
     """q_n(s) in the binomial normalization; the printed product
     normalization is ``verify.check_q_forms``."""
-    lam = as_rat(lam)
-    _check_lambda(lam)
+    lam = _args(n, lam)
     if n == 0:
         raise UndefinedIndex("q is undefined at n = 0")
     m, eps = n // 2, n % 2
@@ -280,8 +282,7 @@ class MellinClosedForm:
 
 
 def mellin_closed(n: int, lam) -> MellinClosedForm:
-    lam = as_rat(lam)
-    _check_lambda(lam)
+    lam = _args(n, lam)
     hat = p_hyp(n, lam).poly
     return MellinClosedForm("gegenbauer", n, lam, n % 2, hat,
                             Fraction(1, 2 * factorial(n)),
@@ -300,6 +301,7 @@ def mellin_T_closed(n: int) -> MellinClosedForm:
     sqrt(pi)/(4 * 2^{floor(n/2)}) (the printed 2^n is off for n >= 4, as
     the recursion shows).
     """
+    _args(n)
     for k in range(n):
         _T_factor(k)     # fill the memo bottom-up: no deep recursion
     return MellinClosedForm("T", n, None, n % 2, _T_factor(n),

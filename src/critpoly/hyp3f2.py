@@ -1,5 +1,6 @@
 """Terminating 3F2(1) series: exact evaluation, the transformation catalog,
-and the shared Gamma-telescoped polynomial kernel."""
+and the two shared polynomial kernels: the Gamma-telescoped 3F2 series and
+the two-Pochhammer sum."""
 from __future__ import annotations
 
 import random
@@ -81,6 +82,29 @@ def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:
         acc[0] += ints[m - j] << (m - j)
     scale = Fraction(1, den << m)
     return Poly("s", [c * scale for c in acc])
+
+
+def pochhammer_sum(eps: int, gamma, weights) -> Poly:
+    """Sum_j weights[j] (u)_j (c+j)_{m-j}, j = 0..m = len(weights) - 1, as a
+    Poly in s, with u = (s+eps)/2, c = s/2 + gamma: the kernel of every
+    two-Pochhammer form (S41, S21, the S32 sum, the generating functions,
+    the lambda = 1 series). At gamma = g/h, 2^j (u)_j = U_j = prod_(i<j)
+    (s + eps + 2i) and (2h)^(m-j) (c+j)_{m-j} = prod_(j<=i<m) (h s + 2g
+    + 2hi); with L the weights' common denominator and d_j = L w_j h^j, the
+    sum is P_m / (L (2h)^m) for the integer chain P_0 = d_0, P_(j+1) =
+    P_j (h s + 2g + 2hj) + d_(j+1) U_(j+1): O(m^2) operations, one division.
+    """
+    g, h, m = gamma.numerator, gamma.denominator, len(weights) - 1
+    den = lcm(*(w.denominator for w in weights))
+    d = [w.numerator * (den // w.denominator) * h ** j
+         for j, w in enumerate(weights)]
+    chain, u = [d[0]], [1]
+    for j in range(m):
+        chain = int_mul_linear(chain, h, 2 * g + 2 * h * j)
+        u = int_mul_linear(u, 1, eps + 2 * j)
+        chain = [x + d[j + 1] * y for x, y in zip(chain, u)]
+    scale = Fraction(1, den * (2 * h) ** m)
+    return Poly("s", [c * scale for c in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,16 @@ import mpmath
 from .construct import (MellinClosedForm, mellin_T_closed, mellin_closed,
                         p_hyp)
 from .errors import InvalidParameters, ToleranceNotMet
-from .poly import Poly, _int_form, gen_binom, int_mul_linear
+from .hyp3f2 import pochhammer_sum
+from .poly import Poly, gen_binom
 from .rat import as_rat
 
 log = logging.getLogger("critpoly")
 
 _QUAD_DPS = 30
 
-# A private context whose precision is set here once and never changed: the
-# global mpmath precision is shared by every thread, and a `workdps` block in
-# one thread can restore it to 15 digits under another's running block.
+# A private context whose precision is set here once and never changed, so
+# that the caller's global mpmath precision cannot change a result.
 mp = mpmath.MPContext()
 mp.dps = _QUAD_DPS
 
@@ -371,8 +371,9 @@ def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
 
 def _check_s(n: int, s: float) -> None:
     smin = -(n % 2)
-    if not s > smin:
-        raise InvalidParameters(f"need s > {smin} for n = {n}, got s = {s}")
+    if n < 0 or not s > smin:
+        raise InvalidParameters(f"need n >= 0 and s > {smin}, got n = {n}, "
+                                f"s = {s}")
 
 
 def quad_mellin_gegenbauer(n: int, lam: float, s: float,
@@ -459,11 +460,8 @@ def _general_weights(k: int, eps: int, lam: Fraction) -> list:
 
 def _proves(n: int, lam) -> tuple:
     """(whether the t^n identity of ``genfun_check`` holds, the largest bit
-    size of its integers). At n = 2k + eps the right side is
-    Sum_j w_j (u)_j (c + j)_(k-j), c + i = (a s + b + r i)/r, that is
-    Sum_j d_j U_j V_j / (L r^k) with U_j = Prod_(i<j) (s + eps + 2i),
-    V_j = Prod_(j<=i<k) (a s + b + r i) and integers d_j = L w_j (r/2)^j:
-    the chain P_(j+1) = P_j v_j + d_(j+1) U_(j+1) of O(k^2) products."""
+    size among the numerators and denominators of its right side, the
+    ``pochhammer_sum`` of the weights w_j at gamma = c - s/2)."""
     k, eps = divmod(n, 2)
     if lam is None:
         form = mellin_T_closed(n)
@@ -472,24 +470,14 @@ def _proves(n: int, lam) -> tuple:
                    * (gen_binom(-1 - eps - 2 * j, k - j)
                       - (gen_binom(-1 - eps - 2 * j, k - 1 - j) if j < k
                          else 0)) for j in range(k + 1)]
-        a, b, r = 1, 3 + eps, 2
+        gamma = Fraction(3 + eps, 2)
     else:
-        p, q = lam.numerator, lam.denominator
         target = p_hyp(n, lam).poly / math.factorial(n)
         weights = _general_weights(k, eps, lam)
-        a, b, r = 2 * q, 2 * p + q * (1 + 2 * eps), 4 * q
-    d, den = _int_form([w * Fraction(r, 2) ** j
-                        for j, w in enumerate(weights)])
-    chain, u = [d[0]], [1]
-    for j in range(k):
-        chain = int_mul_linear(chain, a, b + r * j)
-        u = int_mul_linear(u, 1, eps + 2 * j)
-        chain = [x + d[j + 1] * y for x, y in zip(chain, u)]
-    ints, scale = _int_form(target.coeffs)
-    den *= r ** k
-    return ([x * scale for x in chain]
-            == [y * den for y in ints + [0] * (len(chain) - len(ints))],
-            max(den.bit_length(), *map(int.bit_length, chain)))
+        gamma = lam / 2 + Fraction(1 + 2 * eps, 4)
+    got = pochhammer_sum(eps, gamma, weights)
+    return got == target, max(x.bit_length() for c in got.coeffs
+                               for x in (c.numerator, c.denominator))
 
 
 def genfun_check(lam, K: int = 40) -> dict:

@@ -13,25 +13,25 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import mpmath
 
 from .construct import (S, CriticalPolynomial, gould_term, p_beta, p_hyp,
                         p_s32, q_rational)
 from .errors import GammaPole
-from .hyp3f2 import eval_3f2
+from .hyp3f2 import eval_3f2, pochhammer_sum, poly_from_3f2
 from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
-                   half_shift, int_mul_linear, line_reduction, pochhammer,
-                   real_root_data, substitute_critical)
+                   half_shift, line_reduction, pochhammer, real_root_data,
+                   substitute_critical)
 from .rat import as_rat
 
 log = logging.getLogger("critpoly")
 
 ONE_MINUS_S = Poly("s", [Fraction(1), Fraction(-1)])
 
-# the float cross-checks run in a private 40-digit context: the global
-# mpmath precision is shared by every thread and changed by `workdps` blocks
+# the float cross-checks run in a private 40-digit context, so that the
+# caller's global mpmath precision cannot change a result
 mp = mpmath.MPContext()
 mp.dps = 40
 
@@ -228,34 +228,24 @@ def check_fq1(n: int, lam) -> bool:
 
 def s32_sum(n: int, lam) -> Poly:
     """The three-numerator/two-denominator sum form of p_n(s), built apart
-    from the beta kernel of ``construct.p_s32``. The s-dependent binomial
-    cancels against the prefactor, C(m+A, m) / C(A+r, r) =
-    (r!/m!) (A+r+1)_{m-r}, leaving sum_r A_r C(x+r, r) (a+r+1)_{m-r} with
-    x = (s-2+eps)/2 and a = (s+lam)/2 - 3/4 + eps/2."""
+    from the beta kernel of ``construct.p_s32``: with the s-binomial
+    cancelled, C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, it is the
+    ``pochhammer_sum`` of the weights A_r / r!, stepped on integers by
+    A_r / A_(r-1) = -2 (m+r-1+eps+lam)(m-r+1) / (2r-1+2eps)."""
     lam = as_rat(lam)
-    # Split-product Horner T_k = T_{k-1} (a+k) + A_k B_k, B_k = C(x+k, k),
-    # whose T_m is the sum, run over integers. For lam = p/q the factors
-    # are scaled to L_k = 4q (a+k) and to P_k = 2^k k! B_k, the product of
-    # s - 2 + eps + 2j over j <= k. The weights D_k = A_k (2q)^k / k! then
-    # have the integer term ratio num / den; u and v multiply those up, and
-    # acc = v (4q)^k T_k / A_0 obeys acc_k = den L_k acc_{k-1} + u P_k.
     m, eps = n // 2, n % 2
     p, q = lam.numerator, lam.denominator
-    acc, prods, u, v = [1], [1], 1, 1
-    for k in range(1, m + 1):
-        num = -4 * (q * (m + k - 1 + eps) + p) * (m - k + 1)
-        den = (2 * k - 1 + 2 * eps) * k
-        u, v = u * num, v * den
-        prods = int_mul_linear(prods, 1, eps - 2 + 2 * k)
-        acc = int_mul_linear(acc, 2 * q * den,
-                             den * (2 * p + (2 * eps - 3) * q + 4 * q * k))
-        acc = [a + u * b for a, b in zip(acc, prods)]
-    # A_0 times the prefactor (2m+eps)! C(m+lam-1+eps, m+eps), with
-    # (m+1) C(m+lam, m+1) = (m+lam) C(m+lam-1, m)
-    front = ((-1) ** m * gen_binom(m + lam - 1, m)
+    weights = [Fraction(1)]
+    for r in range(1, m + 1):
+        weights.append(weights[-1] * Fraction(
+            -2 * (q * (m + r - 1 + eps) + p) * (m - r + 1),
+            q * (2 * r - 1 + 2 * eps) * r))
+    # A_0: the prefactor (2m+eps)! C(m+lam-1+eps, m+eps), with
+    # (m+1) C(m+lam, m+1) = (m+lam) C(m+lam-1, m), times (-1)^m (1 or 1/2)
+    front = (factorial(2 * m + eps) * (-1) ** m * gen_binom(m + lam - 1, m)
              * (m + lam if eps else Fraction(1, 2)))
-    scale = factorial(2 * m + eps) * front / (v * (4 * q) ** m)
-    return Poly("s", [c * scale for c in acc])
+    return pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4),
+                          weights) * front
 
 
 def check_hat_ratio(hat: Poly, n: int, lam) -> bool:
@@ -334,22 +324,18 @@ def _guard_gamma(s_samples, offsets):
                 raise GammaPole(f"Gamma argument {arg} at s={s}")
 
 
-def _hat_series(nmax: int, lam):
-    return [p_hyp(k, lam).poly for k in range(nmax + 1)]
-
-
 def check_M_recurrences(n: int, lam, s_samples) -> dict:
     """Verify every Mellin-transform relation at index n as an exact
     identity, then report the (zero) residual at each rational s sample.
 
     Covered: the mixed (n, s) recurrence, its lambda = 1 special case, the
-    central s-recurrence, both lambda = 1 hypergeometric re-expressions,
-    and the even/odd quarter-shifted series forms.
+    central s-recurrence, and at lambda = 1 the three 3F2 re-expressions
+    of ``lambda1_series``.
     """
     lam = as_rat(lam)
     s_samples = [as_rat(s) for s in s_samples]
     _guard_gamma(s_samples, [Fraction(n % 2), n + lam + Fraction(1, 2)])
-    hats = _hat_series(max(n, 2), lam)
+    hats = [p_hyp(k, lam).poly for k in range(max(n, 2) + 1)]
     report = {}
 
     def poly_identity(name: str, res: Poly):
@@ -375,60 +361,34 @@ def check_M_recurrences(n: int, lam, s_samples) -> dict:
     report["central_recurrence"] = {
         "zero_polynomial": check_central_difference(hats[n], n, lam)}
 
-    # hypergeometric re-expressions (lambda = 1 statements)
     if lam == 1:
-        report["quarter_shift_series"] = _check_quarter_shift(n, hats[n],
-                                                              s_samples)
-        report["beta_kernel_series"] = _check_beta_kernel(n, hats[n],
-                                                          s_samples)
-        report["duplication_series"] = _check_duplication(n, hats[n],
-                                                          s_samples)
+        for name, series in lambda1_series(n).items():
+            poly_identity(name, series - hats[n])
     return report
 
 
-def _check_quarter_shift(n: int, hat: Poly, s_samples) -> dict:
-    """Even/odd series with the quarter-shifted parameters: for n = 2k + eps,
-    hat_p(s) = n! 2^n ((s+eps)/2)_k
-    3F2(1/2-k-eps, 1/4-k-(s+eps)/2, -k; 1-k-(s+eps)/2, -n; 1)."""
-    k, eps = n // 2, n % 2
-    oks = []
-    for s in s_samples:
-        h = (s + eps) / 2
-        f = eval_3f2(Fraction(1, 2) - k - eps, Fraction(1, 4) - k - h, -k,
-                     1 - h - k, -n)
-        oks.append(factorial(n) * 2 ** n * pochhammer(h, k) * f == hat(s))
-    return {"pass": all(oks), "samples": len(oks)}
-
-
-def _check_beta_kernel(n: int, hat: Poly, s_samples) -> dict:
-    """hat_p_n(s) = n!(n+1) ((s+eps)/2)_m 3F2(3/4, (1-n)/2, -n/2;
-    3/2, 1-(n+s)/2; 1)."""
+def lambda1_series(n: int) -> dict:
+    """The lambda = 1 series of hat_p_n(s) as Polys in s, by report row, at
+    n = 2m + eps, u = (s+eps)/2 = (n+s)/2 - m: quarter_shift_series n! 2^n
+    (u)_m 3F2(1/2-m-eps, 1/4-m-u, -m; 1-m-u, -n; 1), duplication_series the
+    same with 3F2((1-n)/2, -n/2, 1/4-m-u; -n, 1-m-u; 1), beta_kernel_series
+    n!(n+1) (u)_m 3F2(3/4, (1-n)/2, -n/2; 3/2, 1-m-u; 1). Term k has
+    (u)_m / (1-m-u)_k = (-1)^k (u)_(m-k) and (1/4-m-u)_k = (-1)^k
+    (u+m-k+3/4)_k: ``pochhammer_sum``s in j = m - k, and a 3F2 kernel."""
     m, eps = n // 2, n % 2
-    oks = []
-    for s in s_samples:
-        f = eval_3f2(Fraction(3, 4), Fraction(1 - n, 2), Fraction(-n, 2),
-                     Fraction(3, 2), 1 - (n + s) / 2)
-        val = (factorial(n) * (n + 1)
-               * pochhammer((s + eps) / 2, m) * f)
-        oks.append(val == hat(s))
-    return {"pass": all(oks), "samples": len(oks)}
 
-
-def _check_duplication(n: int, hat: Poly, s_samples) -> dict:
-    """hat_p_n(s) = 2^n n! ((s+eps)/2)_m 3F2((1-n)/2, -n/2, 1/4-(n+s)/2;
-    -n, 1-(n+s)/2; 1)."""
-    m, eps = n // 2, n % 2
-    oks = []
-    for s in s_samples:
-        if n == 0:
-            oks.append(hat(s) == 1)
-            continue
-        f = eval_3f2(Fraction(1 - n, 2), Fraction(-n, 2),
-                     Fraction(1, 4) - (n + s) / 2, Fraction(-n),
-                     1 - (n + s) / 2)
-        val = Fraction(2) ** n * factorial(n) * pochhammer((s + eps) / 2, m) * f
-        oks.append(val == hat(s))
-    return {"pass": all(oks), "samples": len(oks)}
+    def terms(front, tops, bottom, z=1):  # z^k prod (a)_k / ((b)_k k!)
+        return [front * z ** k * prod(pochhammer(a, k) for a in tops)
+                / (pochhammer(bottom, k) * factorial(k)) for k in range(m + 1)]
+    front, gamma = 2 ** n * factorial(n), Fraction(3 + 2 * eps, 4)
+    halves = (Fraction(1 - n, 2), Fraction(-n, 2))
+    return {"quarter_shift_series": pochhammer_sum(eps, gamma, terms(
+                front, (Fraction(1, 2) - m - eps, -m), -n)[::-1]),
+            "beta_kernel_series": poly_from_3f2(n, eps, terms(
+                factorial(n) * (n + 1), (Fraction(3, 4), *halves),
+                Fraction(3, 2), -1)),
+            "duplication_series": pochhammer_sum(
+                eps, gamma, terms(front, halves, -n)[::-1])}
 
 
 def _running(first: Fraction, factors) -> list:

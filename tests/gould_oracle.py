@@ -3,6 +3,9 @@ them before ``construct.gould_term`` folded each pair into one loop over
 eps = n mod 2: the S41 and S21 builds, q_n, the bare S32 sum, and the sum
 forms, integer-argument sums, closures and quarter-shifted series of
 ``verify``. Kept as the reference the tests compare the folded forms with.
+The beta-kernel and duplication series checks are kept as ``verify`` had
+them, sampled at rational s through ``eval_3f2``, as the oracles of the
+lambda = 1 series that ``verify.lambda1_series`` builds as polynomials.
 
 Nothing here calls ``gould_term``, so a fault in it cannot reach both
 sides of a comparison."""
@@ -115,6 +118,37 @@ def check_quarter_shift(n: int, hat: Poly, s_samples) -> dict:
                          (1 - s) / 2 - k, -1 - 2 * k)
             val = (2 * factorial(2 * k + 1) * Fraction(4) ** k
                    * pochhammer((s + 1) / 2, k) * f)
+        oks.append(val == hat(s))
+    return {"pass": all(oks), "samples": len(oks)}
+
+
+def check_beta_kernel(n: int, hat: Poly, s_samples) -> dict:
+    """hat_p_n(s) = n!(n+1) ((s+eps)/2)_m 3F2(3/4, (1-n)/2, -n/2;
+    3/2, 1-(n+s)/2; 1)."""
+    m, eps = n // 2, n % 2
+    oks = []
+    for s in s_samples:
+        f = eval_3f2(Fraction(3, 4), Fraction(1 - n, 2), Fraction(-n, 2),
+                     Fraction(3, 2), 1 - (n + s) / 2)
+        val = (factorial(n) * (n + 1)
+               * pochhammer((s + eps) / 2, m) * f)
+        oks.append(val == hat(s))
+    return {"pass": all(oks), "samples": len(oks)}
+
+
+def check_duplication(n: int, hat: Poly, s_samples) -> dict:
+    """hat_p_n(s) = 2^n n! ((s+eps)/2)_m 3F2((1-n)/2, -n/2, 1/4-(n+s)/2;
+    -n, 1-(n+s)/2; 1)."""
+    m, eps = n // 2, n % 2
+    oks = []
+    for s in s_samples:
+        if n == 0:
+            oks.append(hat(s) == 1)
+            continue
+        f = eval_3f2(Fraction(1 - n, 2), Fraction(-n, 2),
+                     Fraction(1, 4) - (n + s) / 2, Fraction(-n),
+                     1 - (n + s) / 2)
+        val = Fraction(2) ** n * factorial(n) * pochhammer((s + eps) / 2, m) * f
         oks.append(val == hat(s))
     return {"pass": all(oks), "samples": len(oks)}
 

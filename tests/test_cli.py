@@ -402,6 +402,20 @@ def test_verify_deterministic(capsys):
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly", "--n", "-1"], ["poly", "--n", "-1", "--form", "s41"],
+    ["poly", "--family", "chebyshev", "--form", "recur", "--n", "-2"],
+    ["poly", "--family", "beta", "--beta", "0", "--n", "-1"],
+    ["roots", "--n", "-3"], ["mellin", "--n", "-1", "--s", "1"],
+    ["mellin", "--family", "T", "--n", "-1", "--s", "1"]],
+    ids=" ".join)
+def test_a_negative_index_is_a_domain_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: need n >= 0"), err
+
+
 def test_mellin_csv(capsys):
     code, out = run(capsys, "mellin", "--n", "1", "--lambda", "1",
                     "--s", "1", "--output", "csv")

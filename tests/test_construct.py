@@ -93,6 +93,19 @@ def test_q_rational_examples():
         q_rational(0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: p_s41(n, 1), lambda n: p_s32(n, Fraction(7, 3)),
+    lambda n: p_hyp(n, 1), p_s21_chebyshev, p_chebyshev_recursive,
+    lambda n: p_beta(n, 0), lambda n: q_rational(n, 1),
+    lambda n: mellin_closed(n, 1), mellin_T_closed],
+    ids=["s41", "s32", "hyp", "s21", "recur", "beta", "q", "mellin",
+         "mellin_T"])
+def test_negative_index_is_undefined(build):
+    for n in (-1, -2, -3):
+        with pytest.raises(UndefinedIndex, match="need n >= 0"):
+            build(n)
+
+
 def test_q_degrees_match():
     for n in range(1, 13):
         for lam in (Fraction(1, 2), Fraction(1), Fraction(9, 4)):

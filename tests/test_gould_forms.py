@@ -12,8 +12,8 @@ from critpoly.cli import LAMBDA_SET, S_SAMPLES
 from critpoly.construct import (p_hyp, p_s21_chebyshev, p_s32, p_s41,
                                 q_rational, s32_bare_closed_form,
                                 s32_bare_sum)
-from critpoly.verify import (_check_quarter_shift, check_gould_closures,
-                             check_gould_sum_forms, check_integer_s_sums)
+from critpoly.verify import (check_gould_closures, check_gould_sum_forms,
+                             check_integer_s_sums, lambda1_series)
 
 LAMBDAS = LAMBDA_SET + [Fraction(-1, 4)]
 BUILD_NMAX = 30
@@ -55,14 +55,18 @@ def test_sums_match_oracle(lam):
         # the folded loop also checks the M_0 prefactor at odd s
         assert got["pass"] is want["pass"] is True
         assert (got["checks"], want["checks"]) == (24, 18)
-    # the quarter-shifted series is a lambda = 1 statement; at n >= 1 with
-    # any other lambda both transcriptions must fail it alike
+    # the three series are lambda = 1 statements; at n >= 1 with any other
+    # lambda the polynomial and its sampled oracle must fail alike
+    sampled = {"quarter_shift_series": gould_oracle.check_quarter_shift,
+               "beta_kernel_series": gould_oracle.check_beta_kernel,
+               "duplication_series": gould_oracle.check_duplication}
     for n in range(2 * SUM_NMAX + 2):
         hat = p_hyp(n, lam).poly
-        got = _check_quarter_shift(n, hat, S_SAMPLES)
-        assert got == gould_oracle.check_quarter_shift(n, hat, S_SAMPLES)
-        assert got["samples"] == len(S_SAMPLES)
-        assert got["pass"] is (lam == 1 or n == 0), n
+        for name, series in lambda1_series(n).items():
+            want = sampled[name](n, hat, S_SAMPLES)
+            assert want["samples"] == len(S_SAMPLES)
+            assert ((series == hat) is want["pass"]
+                    is (lam == 1 or n == 0)), (n, name)
 
 
 def test_closures_match_oracle():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critpoly.construct import mellin_T_closed, mellin_closed
 from critpoly.errors import DenominatorPole, NonTerminating
 from critpoly.hyp3f2 import (appendix_transform_suite, eval_3f2,
-                             termination_index, thomae_terminating)
+                             pochhammer_sum, termination_index,
+                             thomae_terminating)
+from critpoly.orthopoly import chebyshev, gegenbauer
 from critpoly.poly import pochhammer
 
 
@@ -85,3 +88,40 @@ def test_transform_suite_large():
     r = appendix_transform_suite(trials=200, nmax=8, seed=3)
     assert r["all_pass"], r["failures"][:3]
     assert r["trials"] == 200
+
+
+# The Mellin moment identity: with u = (s+eps)/2, alpha the exponent of
+# (1-x^2) and c_k the x^k coefficient of the integrand's polynomial, the
+# Beta integrals give 1/2 Sum_j c_(eps+2j) (u)_j (u+alpha+1+j)_(m-j) =
+# const_rat factor(s) once the Gamma ratio cancels; gamma = alpha + 1 +
+# eps/2. Its left side is the kernel on the orthopoly coefficients, its
+# right side the beta kernel (p_hyp) or the T-factor recurrence.
+def moments(x_poly, n, gamma):
+    m, eps = n // 2, n % 2
+    return pochhammer_sum(eps, gamma, [x_poly.coeff(eps + 2 * j) / 2
+                                       for j in range(m + 1)])
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2), Fraction(3, 2),
+                                 Fraction(7, 3), Fraction(-1, 4)], ids=str)
+def test_kernel_proves_the_gegenbauer_moments(lam):
+    for n in range(31):
+        form = mellin_closed(n, lam)
+        gamma = lam / 2 + Fraction(1, 4) + Fraction(n % 2, 2)
+        c = gegenbauer(n, lam)
+        assert moments(c, n, gamma) == form.const_rat * form.factor, n
+        # negative control: alpha off by 1/2
+        if n >= 2:
+            assert (moments(c, n, gamma + Fraction(1, 2))
+                    != form.const_rat * form.factor), n
+
+
+def test_kernel_proves_the_chebyshev_moments():
+    for n in range(41):
+        form = mellin_T_closed(n)
+        got = moments(chebyshev("T", n), n, Fraction(3 + n % 2, 2))
+        # Gamma(1/2) = 2 Gamma(3/2) puts the 2 on the right; without it the
+        # identity fails
+        assert got == 2 * form.const_rat * form.factor, n
+        assert got != form.const_rat * form.factor, n
+

@@ -57,6 +57,11 @@ def test_invalid_parameters():
         quad_mellin_T(3, -1.0)
     # odd n admits -1 < s <= 0
     quad_mellin_T(3, -0.5)
+    for n in (-1, -2):
+        with pytest.raises(InvalidParameters):
+            quad_mellin_gegenbauer(n, 1.0, 1.0)
+        with pytest.raises(InvalidParameters):
+            quad_mellin_T(n, 1.0)
 
 
 def test_quadrature_matches_closed_form_grid():

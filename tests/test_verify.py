@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critpoly import cli, construct, verify
+from critpoly import cli, construct, quadrature, verify
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
@@ -18,7 +18,8 @@ from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_gould_closures, check_gould_sum_forms,
                              check_hat_ratio, check_integer_s_sums,
                              check_M_recurrences, check_q_forms,
-                             check_q_range, check_T_zero_set, s32_sum)
+                             check_q_range, check_T_zero_set,
+                             lambda1_series, s32_sum)
 from sturm_oracle import sturm_root_data, sturm_roots
 
 SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), Fraction(11, 7),
@@ -86,6 +87,24 @@ def test_M_recurrences():
             for name, r in rep.items():
                 assert r.get("pass", True), (n, lam, name, r)
                 assert r.get("zero_polynomial", True), (n, lam, name)
+
+
+def test_lambda1_series_are_proved_in_s(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("eval_3f2 called")
+
+    monkeypatch.setattr(verify, "eval_3f2", sampled)
+    names = ["quarter_shift_series", "beta_kernel_series",
+             "duplication_series"]
+    for n in range(41):
+        rep = check_M_recurrences(n, 1, SAMPLES)
+        for name in names:
+            assert rep[name]["zero_polynomial"], (n, name)
+        # the series hold at lambda = 1 only: at lambda = 3/2 the built
+        # polynomial differs from each of them once n >= 1
+        hat = p_hyp(n, Fraction(3, 2)).poly
+        assert [lambda1_series(n)[name] == hat for name in names] == [
+            n == 0] * 3, n
 
 
 def test_gould_sum_forms():
@@ -167,6 +186,23 @@ def test_perturbed_route_fails_the_form_checks(monkeypatch, route):
     lam = Fraction(7, 3)
     assert not check_hat_ratio(p_hyp(6, lam).poly, 6, lam)
     assert not cli.SUITES["forms"](10, 0)["pass"]
+
+
+def test_a_kernel_fault_fails_every_kernel_row(monkeypatch):
+    # one coefficient of every two-Pochhammer sum off by 1/7: each suite
+    # that builds through the kernel fails at its first such case
+    kernel = construct.pochhammer_sum
+    for module in (construct, verify, quadrature):
+        monkeypatch.setattr(module, "pochhammer_sum",
+                            lambda *args: _perturbed(kernel(*args)))
+    for suite, checks, case in (
+            ("forms", 1, "golden value at n=0"),
+            ("recur", 2, "quarter_shift_series at n=0, lambda=1"),
+            ("genfun", 1, "HYP = 2 S32 at n=0, lambda=1.0")):
+        row = cli.SUITES[suite](10, 0)
+        assert row["pass"] is False and row["checks"] == checks, row
+        assert row["detail"] == f"{case} fails", row
+    assert not quadrature.genfun_check(Fraction(7, 3), 3)["pass"]
 
 
 def test_beta_reflection():

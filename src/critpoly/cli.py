@@ -273,8 +273,10 @@ def _suite_q(nmax: int, seed: int):
             yield (f"q forms at n={n}, lambda={lam}",
                    verify.check_q_forms(construct.q_rational(n, lam).fun,
                                         n, lam))
+            # s = 10^6 n is where check_q_range tests the limit q -> 1
+            r = verify.check_q_range(n, lam, grid + [Fraction(10 ** 6 * n)])
             yield (f"q range at n={n}, lambda={lam}",
-                   verify.check_q_range(n, lam, grid)["pass"])
+                   r["pass"] and r["near_one_points"] >= 1)
 
 
 @_suite

@@ -188,8 +188,8 @@ def _p_beta(n: int, beta: Fraction) -> CriticalPolynomial:
 class NormalizedRational:
     """q_n(s): the critical polynomial divided by its limit normalization.
 
-    Numerator and denominator both have degree floor(n/2); the denominator
-    has all roots on the nonpositive real axis.
+    Numerator and denominator both have degree floor(n/2), and the
+    denominator is monic with all roots on the negative real axis.
     """
 
     n: int
@@ -208,7 +208,12 @@ class NormalizedRational:
 
 def q_rational(n: int, lam) -> NormalizedRational:
     """q_n(s) in the binomial normalization; the printed product
-    normalization is ``verify.check_q_forms``."""
+    normalization is ``verify.check_q_forms``.
+
+    The pair is already reduced: the zeros of p_n lie on Re s = 1/2 (its
+    Favard certificate, at beta = 3/4 - lam/2 < 1), those of the
+    denominator at s = 3/2 - lam - eps - 2i < 0 for i = 1..m. So dividing
+    both by the denominator's leading coefficient gives the reduced form."""
     lam = _args(n, lam)
     if n == 0:
         raise UndefinedIndex("q is undefined at n = 0")
@@ -217,7 +222,9 @@ def q_rational(n: int, lam) -> NormalizedRational:
     den_binom = (lam * factorial(m - 1 + eps) * factorial(2 * m)
                  * gen_binom(n + 2 * lam - 1, n - 1)
                  * gen_binom(m + (S + lam + eps) / 2 - Fraction(3, 4), m))
-    return NormalizedRational(n, lam, RatFun(2 ** (1 - eps) * p, den_binom))
+    lead = den_binom.leading
+    return NormalizedRational(n, lam, RatFun(2 ** (1 - eps) * p / lead,
+                                             den_binom / lead))
 
 
 def s32_bare_sum(n: int, lam, s, parity: str) -> Fraction:

@@ -41,41 +41,20 @@ def _gegenbauer_recurrence(n: int, lam: Fraction) -> list:
     return out[:n + 1]
 
 
-def gegenbauer_lambda_poly(n: int) -> Poly:
-    """Gegenbauer polynomial with the parameter kept symbolic: a Poly in x
-    whose coefficients are exact polynomials in the parameter."""
-    lam = Poly.var("lam")
-    out = Poly.zero("x")
-    for r in range(n // 2 + 1):
-        c = (comb(n - r, r) * gen_binom(lam + (n - r - 1), n - r)
-             * Fraction((-1) ** r) * Fraction(2) ** (n - 2 * r))
-        term = Poly("x", [Poly.zero("lam")] * (n - 2 * r) + [_as_lam_poly(c)])
-        out = out + term
-    return out
-
-
-def _as_lam_poly(c) -> Poly:
-    return c if isinstance(c, Poly) else Poly.constant("lam", as_rat(c))
-
-
 def chebyshev_limit_from_lambda(n: int) -> Poly:
-    """T_n recovered as the first-order-in-the-parameter part of the
-    symbolic Gegenbauer polynomial, normalized by the same operation on
-    its value at x = 1."""
+    """T_n recovered as the part of C_n^lambda linear in lambda, divided by
+    its value at x = 1. In the binomial sum of ``gegenbauer``,
+    C(n-r-1+lambda, n-r) = (lambda)_(n-r) / (n-r)!, and (lambda)_k has
+    linear coefficient (k-1)!, so that part has coefficient
+    (-1)^r 2^(n-2r) (n-r-1)! / (r! (n-2r)!) at x^(n-2r)."""
     if n == 0:
         return Poly.constant("x", Fraction(1))
-    g = gegenbauer_lambda_poly(n)
-    at_one = Poly.zero("lam")
-    lin = []
-    for c in g.coeffs:
-        c = _as_lam_poly(c)
-        if c.coeff(0) != 0:
-            raise AssertionError(f"constant-in-lambda part nonzero at n={n}")
-        lin.append(c.coeff(1))
-        at_one = at_one + c
-    if at_one.coeff(0) != 0:
-        raise AssertionError("C_n at x=1 has nonzero constant-in-lambda part")
-    return Poly("x", lin) / at_one.coeff(1)
+    lin = [Fraction(0)] * (n + 1)
+    for r in range(n // 2 + 1):
+        lin[n - 2 * r] = Fraction(
+            (-1) ** r * 2 ** (n - 2 * r) * factorial(n - r - 1),
+            factorial(r) * factorial(n - 2 * r))
+    return Poly("x", lin) / sum(lin)
 
 
 @lru_cache(maxsize=None)

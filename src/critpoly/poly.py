@@ -1,23 +1,19 @@
-"""Dense univariate polynomials, rational functions, and the integer
+"""Dense univariate polynomials with int or Fraction coefficients, the
+numerator/denominator record of a rational function, and the integer
 critical-line kernel with Descartes root isolation, the one real-root engine.
 
-Coefficients are Fractions in normal use. The same class also carries
-Poly coefficients (polynomials in the Gegenbauer parameter), so a handful
-of operations are written ring-generically. Division and gcd require
-Fraction coefficients.
-
 These run on integers, with one division at the end:
-- the product of two polynomials with int or Fraction coefficients (each
-  cleared to integers over its common denominator, then convolved), and
-  with it Horner evaluation at a polynomial point and powers;
+- the product of two polynomials (each cleared to integers over its
+  common denominator, then convolved), and with it Horner evaluation at a
+  polynomial point and powers;
 - the rising factorial and generalized binomial of an int or Fraction;
 - the critical-line substitution, the Descartes bisection and its root
   refinement, on plain integer lists.
-Long division updates one coefficient list in place. Products with Poly or
-float coefficients keep the generic loop.
+Long division updates one coefficient list in place.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, factorial, gcd, lcm, sqrt
@@ -36,12 +32,6 @@ DESCARTES_DEPTH = 64
 REFINE_BITS = 56
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, Poly):
-        return c.is_zero
-    return c == 0
-
-
 class Poly:
     """Dense polynomial: ``coeffs[k]`` multiplies var**k, no trailing zeros."""
 
@@ -49,7 +39,7 @@ class Poly:
 
     def __init__(self, variable: str, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.variable = variable
         self.coeffs = tuple(cs)
@@ -98,15 +88,11 @@ class Poly:
                 f"polynomials in {self.variable!r} and {other.variable!r}")
 
     def __add__(self, other):
-        if isinstance(other, Poly) and other.variable == self.variable:
+        if isinstance(other, Poly):
+            self._check_var(other)
             n = max(len(self.coeffs), len(other.coeffs))
             return Poly(self.variable,
                         [self.coeff(k) + other.coeff(k) for k in range(n)])
-        if isinstance(other, Poly):
-            raise VariableMismatch(
-                f"cannot add polynomials in {self.variable!r} and {other.variable!r}")
-        if isinstance(other, RatFun):
-            return NotImplemented
         return self + Poly.constant(self.variable, other)
 
     __radd__ = __add__
@@ -121,36 +107,25 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly) and other.variable == self.variable:
+        if isinstance(other, Poly):
+            self._check_var(other)
             if self.is_zero or other.is_zero:
                 return Poly.zero(self.variable)
-            x, y = _int_form(self.coeffs), _int_form(other.coeffs)
-            if x is not None and y is not None:
-                # rational coefficients: one integer convolution over the
-                # product of the two common denominators
-                den = x[1] * y[1]
-                return Poly(self.variable, [Fraction(c, den)
-                                            for c in _convolve(x[0], y[0])])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(self.variable, out)
-        if isinstance(other, RatFun):
-            return NotImplemented
-        # Poly in another variable acts as a scalar coefficient
+            # one integer convolution over the product of the two common
+            # denominators
+            (x, dx), (y, dy) = _int_form(self.coeffs), _int_form(other.coeffs)
+            return Poly(self.variable, [Fraction(c, dx * dy)
+                                        for c in _convolve(x, y)])
         return Poly(self.variable, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, Poly) and scalar.variable == self.variable:
+        if isinstance(scalar, Poly):
             q, r = divmod_poly(self, scalar)
             if not r.is_zero:
                 raise ValueError("inexact polynomial division")
             return q
-        if isinstance(scalar, RatFun):
-            return NotImplemented
         return Poly(self.variable, [c / scalar for c in self.coeffs])
 
     def __pow__(self, k: int):
@@ -170,13 +145,13 @@ class Poly:
             return (self.variable == other.variable or self.is_zero or
                     other.is_zero) and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.is_zero
-            return self.coeffs == (Fraction(other),) if not isinstance(
-                self.coeff(0), Poly) else self.degree <= 0 and self.coeff(0) == other
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value, in any variable
+        if self.degree <= 0:
+            return hash(self.coeff(0))
         return hash((self.variable, self.coeffs))
 
     # -- evaluation / substitution --------------------------------------
@@ -219,9 +194,9 @@ class Poly:
         parts = []
         for k in range(self.degree, -1, -1):
             c = self.coeff(k)
-            if _is_zero(c):
+            if not c:
                 continue
-            cs = format_rat(c) if isinstance(c, Fraction) else f"({c!r})"
+            cs = format_rat(c)
             mono = self.variable if k == 1 else f"{self.variable}^{k}"
             if k == 0:
                 parts.append(cs)
@@ -232,8 +207,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
-        if any(not isinstance(c, Fraction) for c in self.coeffs):
-            raise TypeError("JSON encoding defined for rational coefficients")
         return {"variable": self.variable,
                 "coeffs": [format_rat(c) for c in self.coeffs]}
 
@@ -297,9 +270,7 @@ def int_mul_linear(coeffs: list, a: int, b: int) -> list:
 
 def _int_form(coeffs):
     """(ints, den) with coeffs[k] = ints[k] / den, den the lcm of the
-    denominators; None unless every coefficient is an int or a Fraction."""
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return None
+    denominators."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -772,97 +743,16 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
 # rational functions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class RatFun:
-    """Reduced quotient of two polynomials; denominator monic and nonzero."""
+    """A rational function held as its numerator and denominator, as the
+    builder gave them: no common factor is cancelled."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero:
-            raise ZeroPolynomial("RatFun with zero denominator")
-        num._check_var(den)
-        if num.is_zero:
-            self.num = Poly.zero(num.variable)
-            self.den = Poly.constant(num.variable, Fraction(1))
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = divmod_poly(num, g)
-            den, _ = divmod_poly(den, g)
-        lc = den.leading
-        self.num = num / lc
-        self.den = den / lc
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFun":
-        return RatFun(p, Poly.constant(p.variable, Fraction(1)))
-
-    @staticmethod
-    def constant(variable: str, value) -> "RatFun":
-        return RatFun.from_poly(Poly.constant(variable, as_rat(value)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other) -> "RatFun":
-        """other, a RatFun, Poly or number, as a RatFun in this variable."""
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, Poly):
-            return RatFun.from_poly(other)
-        return RatFun.constant(self.num.variable, other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RatFun(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+    num: Poly
+    den: Poly
 
     def __call__(self, point):
         d = self.den(point)
         if d == 0:
             raise ZeroDivisionError(f"pole at {point}")
         return self.num(point) / d
-
-    def __eq__(self, other):
-        if isinstance(other, RatFun):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, Poly):
-            return self.den.degree == 0 and self.num == other * self.den.coeff(0)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.is_zero
-            return self.den.degree == 0 and self.num.degree == 0 and \
-                self.num.coeff(0) / self.den.coeff(0) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"({self.num!r}) / ({self.den!r})"

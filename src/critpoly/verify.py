@@ -263,7 +263,9 @@ def check_q_forms(q: RatFun, n: int, lam) -> bool:
     prod = Poly.constant("s", pochhammer(2 * lam, 2 * m + eps))
     for j in range(1, m + 1):
         prod = prod * (2 * S + 2 * lam + 4 * j - 3 + 2 * eps)
-    return q == RatFun(Fraction(2) ** (2 * m + 1) * p_s32(n, lam).poly, prod)
+    # q.num / q.den = 2^(2m+1) p / prod, cross-multiplied
+    return (q.num * prod
+            == Fraction(2) ** (2 * m + 1) * p_s32(n, lam).poly * q.den)
 
 
 def check_T_zero_set(factor: Poly, n: int) -> bool:

@@ -15,23 +15,21 @@ from critpoly.rat import as_rat
 
 
 def _mul(x, y):
-    """x * y, through ``poly_mul`` when both are polynomials in one
-    variable (the coefficients of a Poly may be Polys in another)."""
-    if isinstance(x, Poly) and isinstance(y, Poly) \
-            and x.variable == y.variable:
+    """x * y, through ``poly_mul`` when both are polynomials."""
+    if isinstance(x, Poly) and isinstance(y, Poly):
         return poly_mul(x, y)
     return x * y
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Schoolbook product, one Fraction (or coefficient-ring) operation per
-    pair of coefficients."""
+    """Schoolbook product, one Fraction operation per pair of
+    coefficients."""
     if a.is_zero or b.is_zero:
         return Poly.zero(a.variable)
     out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + _mul(x, y)
+            out[i + j] += x * y
     return Poly(a.variable, out)
 
 

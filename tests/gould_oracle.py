@@ -72,11 +72,16 @@ def q_rational(n: int, lam) -> RatFun:
         den_binom = (lam * factorial(m - 1) * factorial(2 * m)
                      * gen_binom(2 * m + 2 * lam - 1, 2 * m - 1)
                      * gen_binom(m + (S + lam) / 2 - Fraction(3, 4), m))
-        return RatFun(2 * p, den_binom)
+        return _normalized(2 * p, den_binom)
     den_binom = (lam * factorial(m) * factorial(2 * m)
                  * gen_binom(2 * m + 2 * lam, 2 * m)
                  * gen_binom(m + (S + lam) / 2 - Fraction(1, 4), m))
-    return RatFun(p, den_binom)
+    return _normalized(p, den_binom)
+
+
+def _normalized(num: Poly, den: Poly) -> RatFun:
+    """num / den with the denominator made monic."""
+    return RatFun(num / den.leading, den / den.leading)
 
 
 def s32_bare_sum(n: int, lam, s, parity: str) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from critpoly import cli, verify
-from critpoly.construct import p_beta, p_s32
+from critpoly.construct import mellin_closed, p_beta, p_s32, q_rational
 from critpoly.quadrature import quad_mellin_T, quad_mellin_gegenbauer
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -84,3 +84,18 @@ def test_roots_json_fields_the_exact_scale_checks_read(capsys):
 def test_quadrature_counts_its_evaluations():
     for q in (quad_mellin_gegenbauer(2, 1.0, 2.0), quad_mellin_T(2, 2.0)):
         assert isinstance(q.evaluations, int) and q.evaluations > 0
+
+
+def test_coeff_bits_reads_every_built_kind():
+    # the traced run sizes each build through .poly, .factor or
+    # .fun.num/.fun.den
+    coeff_bits = _load("spans").coeff_bits
+    lam = Fraction(7, 3)
+    built = (p_s32(12, lam), mellin_closed(12, lam), q_rational(12, lam))
+    for b in built:
+        bits = coeff_bits(b)
+        assert type(bits) is int and bits > 0, b
+    q = built[2].fun
+    assert coeff_bits(built[2]) == max(
+        max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        for c in q.num.coeffs + q.den.coeffs)

@@ -349,7 +349,8 @@ FAIL_ONE_CASE = [
      lambda n, lam, m: {"pass": (n, lam) != (2, Fraction(3, 2))},
      "integer-s sums " + AT_N2_LAMBDA_3_2),
     ("q", verify, "check_q_range",
-     lambda n, lam, grid: {"pass": (n, lam) != (2, Fraction(3, 2))},
+     lambda n, lam, grid: {"pass": (n, lam) != (2, Fraction(3, 2)),
+                           "near_one_points": 1},
      "q range " + AT_N2_LAMBDA_3_2),
     ("hyp3f2", cli, "appendix_transform_suite",
      lambda trials, nmax, seed: {
@@ -389,6 +390,18 @@ def test_a_failing_check_names_its_case(monkeypatch, suite, module, check,
     row = cli.SUITES[suite](4, 0)
     assert row["pass"] is False and type(row["checks"]) is int
     assert detail in row["detail"], row
+
+
+def test_q_range_case_needs_a_limit_point(monkeypatch):
+    # a grid with no s >= 10^6 n leaves the limit q -> 1 untested
+    monkeypatch.setattr(verify, "check_q_range", lambda n, lam, grid: {
+        "pass": True, "near_one_points": sum(s >= 10 ** 6 * n for s in grid)})
+    assert cli.SUITES["q"](4, 0)["pass"] is True
+    monkeypatch.setattr(verify, "check_q_range", lambda n, lam, grid: {
+        "pass": True, "near_one_points": 0})
+    row = cli.SUITES["q"](4, 0)
+    assert row["pass"] is False
+    assert "q range at n=1, lambda=" in row["detail"], row
 
 
 def test_verify_deterministic(capsys):

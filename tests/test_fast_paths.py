@@ -394,7 +394,7 @@ def test_reexpanded_genfun_matches_full_sum(s, t):
 # ---------------------------------------------------------------------------
 # the integer kernels against the Fraction loops in fraction_oracle.py, on
 # one shared grid: rational coefficients mixing ints and Fractions (the
-# empty list is the zero polynomial), and Polys in lam as coefficients
+# empty list is the zero polynomial)
 # ---------------------------------------------------------------------------
 
 RATIONALS = st.one_of(st.integers(min_value=-12, max_value=12),
@@ -408,8 +408,6 @@ def polys_of(coeffs, variable="x", max_size=6):
 
 
 RATIONAL_POLYS = polys_of(RATIONALS)
-SHARED_POLYS = st.one_of(RATIONAL_POLYS,
-                         polys_of(polys_of(RATIONALS, "lam", 3), max_size=4))
 
 
 def typed(x):
@@ -436,14 +434,14 @@ def as_fractions(p: Poly) -> Poly:
     return Poly(p.variable, map(Fraction, p.coeffs))
 
 
-@given(SHARED_POLYS, SHARED_POLYS)
+@given(RATIONAL_POLYS, RATIONAL_POLYS)
 @settings(max_examples=200, deadline=None)
 def test_product_matches_schoolbook(a, b):
     assert product_agrees(a, b)
 
 
 @given(st.one_of(RATIONALS, st.integers(min_value=-30, max_value=0),
-                 SHARED_POLYS),
+                 RATIONAL_POLYS),
        st.integers(min_value=0, max_value=6))
 @example(-3, 5)      # a factor is zero
 @example(7, 0)       # the empty product

@@ -72,6 +72,46 @@ def test_t_as_lambda_derivative_limit():
         assert chebyshev_limit_from_lambda(n) == chebyshev("T", n)
 
 
+def lambda_linear_part(n: int) -> Poly:
+    """The part of C_n^lambda linear in lambda, interpolated from
+    ``gegenbauer`` alone: each coefficient c(lambda) has degree <= n and
+    c(0) = 0 (n >= 1), so c(lambda)/lambda has degree < n and its value at
+    0, the linear coefficient, is the Lagrange sum over lambda = 1..n+1."""
+    nodes = [Fraction(j) for j in range(1, n + 2)]
+    values = [gegenbauer(n, lam) for lam in nodes]
+    out = Poly.zero("x")
+    for j, (lam, c) in enumerate(zip(nodes, values)):
+        weight = Fraction(1) / lam
+        for k, other in enumerate(nodes):
+            if k != j:
+                weight *= other / (other - lam)
+        out = out + c * weight
+    return out
+
+
+def limit_closed_form(n: int, top) -> Poly:
+    """The normalized linear part with coefficient
+    (-1)^r 2^(n-2r) top(n, r)! / (r! (n-2r)!) at x^(n-2r)."""
+    lin = Poly.zero("x")
+    for r in range(n // 2 + 1):
+        lin = lin + Poly("x", [0] * (n - 2 * r) + [Fraction(
+            (-1) ** r * 2 ** (n - 2 * r) * factorial(top(n, r)),
+            factorial(r) * factorial(n - 2 * r))])
+    return lin / lin(Fraction(1))
+
+
+def test_lambda_limit_matches_interpolation():
+    for n in range(1, 21):
+        lin = lambda_linear_part(n)
+        want = lin / lin(Fraction(1))
+        assert chebyshev_limit_from_lambda(n) == want, n
+        assert limit_closed_form(n, lambda n, r: n - r - 1) == want, n
+        # (n - r)! in place of (n - r - 1)! weighs coefficient n - 2r by
+        # n - r, which changes the shape once there are two terms
+        wrong = limit_closed_form(n, lambda n, r: n - r)
+        assert (wrong == want) is (n == 1), n
+
+
 def test_b_row_polynomial_anchor():
     assert triangle_row_polynomial_b(2) == Poly("x", [Fraction(5), Fraction(5),
                                                       Fraction(1)])

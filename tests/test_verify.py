@@ -11,7 +11,8 @@ from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
                                 p_hyp, p_s21_chebyshev, p_s32, q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
 from critpoly.poly import (Poly, RatFun, RealRootData, isolate_real_roots,
-                           real_root_data, refine_root, substitute_critical)
+                           poly_gcd, real_root_data, refine_root,
+                           substitute_critical)
 from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_corollary2, check_difference_equation,
                              check_fq1, check_functional_equation,
@@ -124,12 +125,46 @@ def test_gould_closures():
     assert r["pass"], r["failures"][:3]
 
 
+def _q_grid(n):
+    # check_q_range tests the limit q -> 1 at s >= 10^6 n only
+    return [Fraction(3, 2), Fraction(2), Fraction(10), Fraction(10 ** 6 * n)]
+
+
 def test_q_range_and_limit():
-    grid = [Fraction(3, 2), Fraction(2), Fraction(10), Fraction(10 ** 6)]
     for n in range(1, 7):
         for lam in LAMBDAS:
-            r = check_q_range(n, lam, grid)
-            assert r["pass"], (n, lam, r)
+            r = check_q_range(n, lam, _q_grid(n))
+            assert r["pass"] and r["near_one_points"] == 1, (n, lam, r)
+
+
+def test_q_limit_rejects_a_scaled_numerator(monkeypatch):
+    def scaled(n, lam):
+        q = q_rational(n, lam)
+        return construct.NormalizedRational(
+            n, q.lam, RatFun(q.fun.num * Fraction(99, 100), q.fun.den))
+
+    monkeypatch.setattr(verify, "q_rational", scaled)
+    for n in range(1, 7):
+        for lam in LAMBDAS:
+            assert not check_q_range(n, lam, _q_grid(n))["pass"], (n, lam)
+            # 99/100 q stays in (0, 1) for n >= 2: only the limit catches it
+            without_limit = check_q_range(n, lam, _q_grid(n)[:-1])
+            assert without_limit["pass"] is (n >= 2), (n, lam)
+
+
+def test_q_pair_is_reduced():
+    for lam in cli.LAMBDA_SET + [Fraction(-1, 4), Fraction(5, 2)]:
+        for n in range(1, 21):
+            q = q_rational(n, lam).fun
+            assert poly_gcd(q.num, q.den).degree == 0, (n, lam)
+            assert q.den.leading == 1, (n, lam)
+    # a pair that shares the factor s + 3 breaks the degree invariant
+    s = Poly.var("s")
+    q = q_rational(6, Fraction(3, 2))
+    num, den = q.fun.num * (s + 3), q.fun.den * (s + 3)
+    assert poly_gcd(num, den) == s + 3
+    with pytest.raises(AssertionError):
+        construct.NormalizedRational(6, q.lam, RatFun(num, den))
 
 
 def test_corollary2_numeric():

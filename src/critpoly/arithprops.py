@@ -222,8 +222,7 @@ def a_polynomial_checks(kmax: int = 16) -> dict:
     def c2(m: int):
         if m < 0:
             return Poly.zero("x")
-        val = gegenbauer(m, 2)(half_shift)
-        return val if isinstance(val, Poly) else Poly.constant("x", val)
+        return gegenbauer(m, 2)(half_shift)
 
     combination = all(
         a[k] == c2(k - 1) + (x + 6) * c2(k - 2) + c2(k - 3)

@@ -270,11 +270,11 @@ def _suite_q(nmax: int, seed: int):
     grid = [Fraction(3, 2), Fraction(2), Fraction(10), Fraction(1000)]
     for n in range(1, nmax + 1):
         for lam in LAMBDA_SET:
+            q = construct.q_rational(n, lam)
             yield (f"q forms at n={n}, lambda={lam}",
-                   verify.check_q_forms(construct.q_rational(n, lam).fun,
-                                        n, lam))
+                   verify.check_q_forms(q.fun, n, lam))
             # s = 10^6 n is where check_q_range tests the limit q -> 1
-            r = verify.check_q_range(n, lam, grid + [Fraction(10 ** 6 * n)])
+            r = verify.check_q_range(q, grid + [Fraction(10 ** 6 * n)])
             yield (f"q range at n={n}, lambda={lam}",
                    r["pass"] and r["near_one_points"] >= 1)
 

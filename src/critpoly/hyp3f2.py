@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from .errors import DenominatorPole, NonTerminating
-from .poly import Poly, int_mul_linear, pochhammer
+from .poly import Poly, int_form, int_mul_linear, pochhammer
 from .rat import as_rat
 
 
@@ -73,15 +72,13 @@ def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:
     m = n // 2
     if len(coeffs) != m + 1:
         raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, den = int_form(coeffs)
     # acc = 2^(m-j) * sum_{k <= m-j} c_k ((s+eps)/2 + j)_{m-j-k}
     acc = [ints[0]]
     for j in range(m - 1, -1, -1):
         acc = int_mul_linear(acc, 1, eps + 2 * j)
         acc[0] += ints[m - j] << (m - j)
-    scale = Fraction(1, den << m)
-    return Poly("s", [c * scale for c in acc])
+    return Poly.from_ints("s", acc, den << m)
 
 
 def pochhammer_sum(eps: int, gamma, weights) -> Poly:
@@ -95,16 +92,14 @@ def pochhammer_sum(eps: int, gamma, weights) -> Poly:
     P_j (h s + 2g + 2hj) + d_(j+1) U_(j+1): O(m^2) operations, one division.
     """
     g, h, m = gamma.numerator, gamma.denominator, len(weights) - 1
-    den = lcm(*(w.denominator for w in weights))
-    d = [w.numerator * (den // w.denominator) * h ** j
-         for j, w in enumerate(weights)]
+    ints, den = int_form(weights)
+    d = [w * h ** j for j, w in enumerate(ints)]
     chain, u = [d[0]], [1]
     for j in range(m):
         chain = int_mul_linear(chain, h, 2 * g + 2 * h * j)
         u = int_mul_linear(u, 1, eps + 2 * j)
         chain = [x + d[j + 1] * y for x, y in zip(chain, u)]
-    scale = Fraction(1, den * (2 * h) ** m)
-    return Poly("s", [c * scale for c in chain])
+    return Poly.from_ints("s", chain, den * (2 * h) ** m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
-"""Dense univariate polynomials with int or Fraction coefficients, the
-numerator/denominator record of a rational function, and the integer
-critical-line kernel with Descartes root isolation, the one real-root engine.
+"""Dense univariate rational polynomials, each an integer list over one
+denominator; the numerator/denominator record of a rational function; and
+the integer critical-line kernel with Descartes root isolation, the one
+real-root engine.
 
-These run on integers, with one division at the end:
-- the product of two polynomials (each cleared to integers over its
-  common denominator, then convolved), and with it Horner evaluation at a
-  polynomial point and powers;
-- the rising factorial and generalized binomial of an int or Fraction;
-- the critical-line substitution, the Descartes bisection and its root
-  refinement, on plain integer lists.
-Long division updates one coefficient list in place.
+Only this module clears rationals to integers (``int_form``). Sums, products
+(one convolution), shifts and Horner evaluation run on a Poly's ``ints`` and
+reduce once at the end; ``coeffs`` derives the Fractions. The critical-line
+substitution and the Descartes bisection read ``ints`` and ``den`` directly.
+Long division updates one Fraction list in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from math import comb, factorial, gcd, lcm, sqrt
 from operator import add
 
@@ -33,18 +31,30 @@ REFINE_BITS = 56
 
 
 class Poly:
-    """Dense polynomial: ``coeffs[k]`` multiplies var**k, no trailing zeros."""
+    """Dense polynomial ``ints[k] / den`` times var**k, in lowest terms:
+    den > 0, gcd(den, *ints) = 1 and no trailing zero."""
 
-    __slots__ = ("variable", "coeffs")
+    __slots__ = ("variable", "ints", "den")
 
     def __init__(self, variable: str, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.variable = variable
-        self.coeffs = tuple(cs)
+        self._reduce(variable, *int_form(coeffs))
+
+    def _reduce(self, variable: str, ints, den: int):
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        # g takes the sign den // |den| of den, a ZeroDivisionError at 0
+        g = gcd(den, *ints) * (den // abs(den))
+        self.variable, self.den = variable, den // g
+        self.ints = tuple(x // g for x in ints) if g != 1 else tuple(ints)
+        return self
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_ints(variable: str, ints, den: int = 1) -> "Poly":
+        """The polynomial with coefficients ints[k] / den, reduced."""
+        return Poly.__new__(Poly)._reduce(variable, ints, den)
 
     @staticmethod
     def constant(variable: str, value) -> "Poly":
@@ -52,33 +62,37 @@ class Poly:
 
     @staticmethod
     def var(variable: str) -> "Poly":
-        return Poly(variable, [Fraction(0), Fraction(1)])
+        return Poly.from_ints(variable, [0, 1])
 
     @staticmethod
     def zero(variable: str) -> "Poly":
-        return Poly(variable, [])
+        return Poly.from_ints(variable, [])
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def leading(self):
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.ints[k] if 0 <= k < len(self.ints) else 0,
+                        self.den)
 
     # -- ring operations ----------------------------------------------
 
@@ -88,17 +102,19 @@ class Poly:
                 f"polynomials in {self.variable!r} and {other.variable!r}")
 
     def __add__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            n = max(len(self.coeffs), len(other.coeffs))
-            return Poly(self.variable,
-                        [self.coeff(k) + other.coeff(k) for k in range(n)])
-        return self + Poly.constant(self.variable, other)
+        if not isinstance(other, Poly):
+            return self + Poly.constant(self.variable, as_rat(other))
+        self._check_var(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Poly.from_ints(self.variable, [
+            a * x + b * y
+            for x, y in zip_longest(self.ints, other.ints, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variable, [-c for c in self.coeffs])
+        return Poly.from_ints(self.variable, [-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,16 +123,14 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            self._check_var(other)
-            if self.is_zero or other.is_zero:
-                return Poly.zero(self.variable)
-            # one integer convolution over the product of the two common
-            # denominators
-            (x, dx), (y, dy) = _int_form(self.coeffs), _int_form(other.coeffs)
-            return Poly(self.variable, [Fraction(c, dx * dy)
-                                        for c in _convolve(x, y)])
-        return Poly(self.variable, [c * other for c in self.coeffs])
+        if not isinstance(other, Poly):
+            # other / den is reduced once, so the product's reduction is cheap
+            c = as_rat(other) / self.den
+            ints = [x * c.numerator for x in self.ints]
+            return Poly.from_ints(self.variable, ints, c.denominator)
+        self._check_var(other)
+        return Poly.from_ints(self.variable, _convolve(self.ints, other.ints),
+                              self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -126,12 +140,12 @@ class Poly:
             if not r.is_zero:
                 raise ValueError("inexact polynomial division")
             return q
-        return Poly(self.variable, [c / scalar for c in self.coeffs])
+        return self * (1 / as_rat(scalar))
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = Poly.constant(self.variable, Fraction(1))
+        out = Poly.constant(self.variable, 1)
         base = self
         while k:
             if k & 1:
@@ -142,49 +156,51 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return (self.variable == other.variable or self.is_zero or
-                    other.is_zero) and self.coeffs == other.coeffs
+            return (self.ints, self.den) == (other.ints, other.den) and (
+                self.variable == other.variable or not self.ints)
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((other,) if other else ())
+            return self.degree <= 0 and self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its value, in any variable
         if self.degree <= 0:
             return hash(self.coeff(0))
-        return hash((self.variable, self.coeffs))
+        return hash((self.variable, self.ints, self.den))
 
     # -- evaluation / substitution --------------------------------------
 
     def __call__(self, point):
-        """Horner evaluation at a Fraction, float or Poly point."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * point + c
-        if acc is None:
-            return Fraction(0) if not isinstance(point, Poly) else (
-                Poly.zero(point.variable))
-        return acc
+        """Horner evaluation on ``ints`` at a Fraction, float or Poly point
+        (giving a Poly in its variable), divided by ``den`` once at the end;
+        at u/v, the integer sum of ints[k] u^k v^(d-k) over den v^d."""
+        if isinstance(point, (int, Fraction)):
+            u, v, acc, vk = point.numerator, point.denominator, 0, 1
+            for c in reversed(self.ints):
+                acc, vk = acc * u + c * vk, vk * v
+            return Fraction(acc * v, self.den * vk)
+        acc = Poly.zero(point.variable) if isinstance(point, Poly) else 0
+        for c in reversed(self.ints):
+            acc = acc * point + c
+        return acc / self.den
 
     def shift(self, a) -> "Poly":
-        """p(var + a) for a rational a = u/v and int or Fraction
-        coefficients, on integers: with P = den p cleared to integers and
-        q(y) = v^d P(a y), p(x + a) = q(x/a + 1) / (v^d den), so one Taylor
-        shift by 1 of q, whose coefficient k is then divided by
-        u^k v^(d-k) den, does it."""
+        """p(var + a) for a rational a = u/v, on integers: with P = ``ints``
+        and q(y) = v^d P(a y), p(x + a) = q(x/a + 1) / (v^d den), so one
+        Taylor shift by 1 of q gives r_k, each divisible by u^k, and p(x + a)
+        is r_k v^k / u^k over v^d den."""
         a = as_rat(a)
-        if not a:
+        if not a or self.is_zero:
             return self
-        (ints, den), u, v = _int_form(self.coeffs), a.numerator, a.denominator
-        d = len(ints) - 1
+        u, v, d = a.numerator, a.denominator, self.degree
         r = _taylor_shift1([c * u ** k * v ** (d - k)
-                            for k, c in enumerate(ints)])
-        return Poly(self.variable, [Fraction(c, u ** k * v ** (d - k) * den)
-                                    for k, c in enumerate(r)])
+                            for k, c in enumerate(self.ints)])
+        ints = [c // u ** k * v ** k for k, c in enumerate(r)]
+        return Poly.from_ints(self.variable, ints, self.den * v ** d)
 
     def derivative(self) -> "Poly":
-        return Poly(self.variable,
-                    [k * c for k, c in enumerate(self.coeffs)][1:])
+        ints = [k * c for k, c in enumerate(self.ints)]
+        return Poly.from_ints(self.variable, ints[1:], self.den)
 
     # -- presentation ---------------------------------------------------
 
@@ -268,11 +284,12 @@ def int_mul_linear(coeffs: list, a: int, b: int) -> list:
             + [a * coeffs[-1]])
 
 
-def _int_form(coeffs):
-    """(ints, den) with coeffs[k] = ints[k] / den, den the lcm of the
-    denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def int_form(rationals) -> tuple:
+    """(ints, den) with rationals[k] = ints[k] / den for ints and
+    Fractions, den the lcm of their denominators."""
+    rs = list(rationals)
+    den = lcm(*(c.denominator for c in rs))
+    return [c.numerator * (den // c.denominator) for c in rs], den
 
 
 def _convolve(a: list, b: list) -> list:
@@ -298,8 +315,7 @@ def divmod_poly(a: Poly, b: Poly):
     a._check_var(b)
     r, bs = list(a.coeffs), b.coeffs
     db = len(bs) - 1
-    # an int leading coefficient still divides exactly
-    lb = Fraction(bs[-1])
+    lb = bs[-1]
     q = [Fraction(0)] * (len(r) - db)
     for k in range(len(r) - 1 - db, -1, -1):
         if r[k + db]:
@@ -349,17 +365,14 @@ def half_shift(p: Poly):
     """Integers a_0..a_d and a positive integer D with
     p(1/2 + u) = sum a_k u^k / D.
 
-    The denominators of p are cleared (P = L p has integer coefficients),
+    With P = L p the integer polynomial ``p.ints`` over L = ``p.den``,
     q(x) = 2^d P(x/2) is shifted once by 1, and r = q(x + 1) gives
     p(1/2 + u) = r(2u) / (2^d L), so a_k = 2^k r_k and D = 2^d L.
     """
-    cs = [as_rat(c) for c in p.coeffs]
-    scale = lcm(*(c.denominator for c in cs)) if cs else 1
-    d = len(cs) - 1
-    q = [(c.numerator * (scale // c.denominator)) << (d - k)
-         for k, c in enumerate(cs)]
+    d = p.degree
+    q = [c << (d - k) for k, c in enumerate(p.ints)]
     return ([c << k for k, c in enumerate(_taylor_shift1(q))],
-            scale << max(d, 0))
+            p.den << max(d, 0))
 
 
 def _split_parity(a: list):
@@ -396,9 +409,8 @@ def substitute_critical(p: Poly):
     """
     a, scale = half_shift(p)
     odd = _split_parity(a)
-    return (Poly("t", [Fraction(c if k % 4 < 2 else -c, scale)
-                       if k % 2 == odd else Fraction(0)
-                       for k, c in enumerate(a)]),
+    return (Poly.from_ints("t", [(c if k % 4 < 2 else -c) if k % 2 == odd
+                                 else 0 for k, c in enumerate(a)], scale),
             "imaginary" if odd else "real")
 
 
@@ -536,7 +548,7 @@ class PositiveRoots:
                 boxes.append(box(c, c + 1, k))
             elif count > 1:
                 if k == max_depth:
-                    if squarefree_part(Poly("x", map(Fraction, w))).degree < d:
+                    if squarefree_part(Poly.from_ints("x", w)).degree < d:
                         self.reason = "depth guard"
                         return
                     max_depth = None
@@ -670,7 +682,7 @@ def _interval(sign: int, box) -> tuple:
 
 class RealRootData:
     """The distinct real roots of v, isolated by Descartes bisection of
-    sf(x) and sf(-x), with sf the squarefree part of v cleared to integers
+    sf(x) and sf(-x), with sf the ``ints`` of the squarefree part of v
     (primitive, since sf is monic) and divided by x when 0 is a root.
     ``intervals`` lists them as ``isolate_real_roots`` does; ``work`` is the
     number of intervals tested. sf is squarefree, so the bisection ends."""
@@ -678,10 +690,8 @@ class RealRootData:
     def __init__(self, v: Poly):
         if v.is_zero:
             raise ZeroPolynomial("root isolation needs a nonzero polynomial")
-        sf = squarefree_part(v).coeffs
-        scale = lcm(*(c.denominator for c in sf))
-        w = [c.numerator * (scale // c.denominator) for c in sf]
-        self.degree, self.squarefree_degree = v.degree, len(sf) - 1
+        w = list(squarefree_part(v).ints)
+        self.degree, self.squarefree_degree = v.degree, len(w) - 1
         self.is_squarefree = self.degree == self.squarefree_degree
         self.zero_root = w[0] == 0
         if self.zero_root:

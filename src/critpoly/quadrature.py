@@ -66,9 +66,9 @@ class QuadResult:
 
 def _poly_at(p: Poly, x):
     acc = mp.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + mp.mpf(c.numerator) / c.denominator
-    return acc
+    for c in reversed(p.ints):
+        acc = acc * x + c
+    return acc / p.den
 
 
 def _dyadic(v) -> tuple:

@@ -17,8 +17,8 @@ from math import comb, factorial, prod
 
 import mpmath
 
-from .construct import (S, CriticalPolynomial, gould_term, p_beta, p_hyp,
-                        p_s32, q_rational)
+from .construct import (S, CriticalPolynomial, NormalizedRational,
+                        gould_term, p_beta, p_hyp, p_s32, q_rational)
 from .errors import GammaPole
 from .hyp3f2 import eval_3f2, pochhammer_sum, poly_from_3f2
 from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
@@ -510,17 +510,15 @@ def check_gould_closures(nmax: int, lam_samples) -> dict:
     return {"pass": not failures, "failures": failures}
 
 
-def check_q_range(n: int, lam, s_grid) -> dict:
-    """0 < q(s) < 1 on a rational grid in (1, inf); at grid points
-    s >= 10^6 n the value must sit within 10^-3 of 1."""
-    lam = as_rat(lam)
-    q = q_rational(n, lam)
+def check_q_range(q: NormalizedRational, s_grid) -> dict:
+    """0 < q(s) < 1 for a built q_n on a rational grid in (1, inf); at grid
+    points s >= 10^6 n the value must sit within 10^-3 of 1."""
     degree_zero = q.fun.num.degree == 0
     oks, near_one = [], []
     for s in map(as_rat, s_grid):
         val = q(s)
         oks.append(val == 1 if degree_zero else 0 < val < 1)
-        if s >= 10 ** 6 * n:
+        if s >= 10 ** 6 * q.n:
             near_one.append(abs(1 - val) <= Fraction(1, 1000))
     return {"pass": all(oks) and all(near_one), "degree_zero": degree_zero,
             "points": len(oks), "near_one_points": len(near_one)}

@@ -281,6 +281,22 @@ def test_verify_runs_its_suites_in_order_in_the_calling_thread(
     assert rows[names.index(middle)]["detail"] == "RuntimeError: boom"
 
 
+# the cases each suite runs at --nmax 10: a change that drops or adds a case
+# changes its count, and updates this pin on purpose
+CHECK_COUNTS = {"forms": 216, "funceq": 132, "diffeq": 88, "recur": 122,
+                "gould": 145, "q": 80, "hyp3f2": 1, "corollary2": 9,
+                "genfun": 290, "quad": 116, "props": 121, "triangles": 5}
+
+
+def test_verify_all_runs_the_pinned_number_of_checks(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--nmax", "10",
+                    "--output", "json")
+    rows = json.loads(out)
+    assert code == 0 and all(row["pass"] for row in rows), rows
+    assert {row["suite"]: row["checks"] for row in rows} == CHECK_COUNTS
+    assert [row["suite"] for row in rows] == list(CHECK_COUNTS)
+
+
 def test_mellin_runs_its_rows_in_order_in_the_calling_thread(
         capsys, monkeypatch):
     ran = []
@@ -349,8 +365,8 @@ FAIL_ONE_CASE = [
      lambda n, lam, m: {"pass": (n, lam) != (2, Fraction(3, 2))},
      "integer-s sums " + AT_N2_LAMBDA_3_2),
     ("q", verify, "check_q_range",
-     lambda n, lam, grid: {"pass": (n, lam) != (2, Fraction(3, 2)),
-                           "near_one_points": 1},
+     lambda q, grid: {"pass": (q.n, q.lam) != (2, Fraction(3, 2)),
+                      "near_one_points": 1},
      "q range " + AT_N2_LAMBDA_3_2),
     ("hyp3f2", cli, "appendix_transform_suite",
      lambda trials, nmax, seed: {
@@ -394,10 +410,11 @@ def test_a_failing_check_names_its_case(monkeypatch, suite, module, check,
 
 def test_q_range_case_needs_a_limit_point(monkeypatch):
     # a grid with no s >= 10^6 n leaves the limit q -> 1 untested
-    monkeypatch.setattr(verify, "check_q_range", lambda n, lam, grid: {
-        "pass": True, "near_one_points": sum(s >= 10 ** 6 * n for s in grid)})
+    monkeypatch.setattr(verify, "check_q_range", lambda q, grid: {
+        "pass": True, "near_one_points": sum(s >= 10 ** 6 * q.n
+                                             for s in grid)})
     assert cli.SUITES["q"](4, 0)["pass"] is True
-    monkeypatch.setattr(verify, "check_q_range", lambda n, lam, grid: {
+    monkeypatch.setattr(verify, "check_q_range", lambda q, grid: {
         "pass": True, "near_one_points": 0})
     row = cli.SUITES["q"](4, 0)
     assert row["pass"] is False

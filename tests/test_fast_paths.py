@@ -9,6 +9,9 @@ certificate against Descartes on the bare polynomial; and the Bernstein-basis is
 refinement against the Taylor-shift bisection in taylor_oracle.py; and
 the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
 sum and long division against the Fraction loops in fraction_oracle.py; and
+the ring operations, shifts, derivatives and evaluations of ``Poly``'s
+integer list over one denominator against Fraction arithmetic done
+coefficient by coefficient; and
 the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
 eigen-solver, their fixed-point Newton and Christoffel loops and the
 fixed-point integrand recurrences against the mpf loops, and their integer
@@ -25,7 +28,8 @@ of p(1/2 + it) over Gaussian rationals, and the Gegenbauer binomial sum
 with each x^k built by Poly powers.
 """
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, gcd
 
 import mpmath
 import pytest
@@ -508,6 +512,75 @@ def test_perturbed_horner_step_is_caught(monkeypatch):
                         lambda *a: index(*a) - 1)
     assert outcome(hyp3f2.eval_3f2, *params) \
         != outcome(fraction_oracle.eval_3f2, *params)
+
+
+# ---------------------------------------------------------------------------
+# Poly's integer list over one denominator against Fraction arithmetic,
+# coefficient by coefficient, on the same grid: the references below never
+# build a Poly, so the reduction they check is not also on their side
+# ---------------------------------------------------------------------------
+
+def trimmed(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_product(a, b) -> list:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fraction_composition(a, b) -> list:
+    """The coefficients of a(b(x)), summed power by power of b."""
+    out, power = [], [Fraction(1)]
+    for c in a:
+        out = [x + c * y for x, y in zip_longest(out, power, fillvalue=0)]
+        power = fraction_product(power, b)
+    return out
+
+
+def agrees(p: Poly, want) -> bool:
+    """p is in lowest terms and has the coefficients want."""
+    return (p.den > 0 and gcd(p.den, *p.ints) == 1
+            and (not p.ints or p.ints[-1] != 0)
+            and p.coeffs == trimmed(want))
+
+
+@given(st.lists(RATIONALS, max_size=6), st.lists(RATIONALS, max_size=6),
+       RATIONALS, RATIONALS)
+@example([], [], 0, 0)
+@example([Fraction(1, 2), Fraction(3, 2)], [Fraction(-1, 2), Fraction(5, 2)],
+         Fraction(-2, 3), Fraction(5, 7))
+@settings(max_examples=200, deadline=None)
+def test_integer_form_matches_fraction_arithmetic(xs, ys, r, x):
+    a, b = Poly("x", xs), Poly("x", ys)
+    xs, ys = trimmed(xs), trimmed(ys)
+    pairs = list(zip_longest(xs, ys, fillvalue=0))
+    assert agrees(a, xs) and agrees(b, ys)
+    assert agrees(a + b, [u + v for u, v in pairs])
+    assert agrees(a - b, [u - v for u, v in pairs])
+    assert agrees(a * b, fraction_product(xs, ys))
+    assert agrees(a * r, [c * r for c in xs])
+    assert agrees(r * a, [r * c for c in xs])
+    if r:
+        assert agrees(a / r, [c / r for c in xs])
+    # coefficient j of a(x + r) is the sum over k >= j of c_k C(k, j) r^(k-j)
+    shifted = [sum((c * comb(k, j) * r ** (k - j)
+                    for k, c in enumerate(xs) if k >= j), Fraction(0))
+               for j in range(len(xs))]
+    assert agrees(a.shift(r), shifted)
+    assert agrees(a.derivative(), [k * c for k, c in enumerate(xs)][1:])
+    at_x = a(x)
+    assert type(at_x) is Fraction
+    assert at_x == sum((c * x ** k for k, c in enumerate(xs)), Fraction(0))
+    composed = a(Poly("y", ys))
+    assert composed.variable == "y"
+    assert agrees(composed, fraction_composition(xs, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ def test_shift_is_argument_translation(p, x):
 def composed_shift(p: Poly, a) -> Poly:
     """p(var + a) by Horner composition over Poly objects, the route that
     the integer Taylor shift of ``Poly.shift`` replaced."""
-    out = p(Poly(p.variable, [Fraction(a), Fraction(1)]))
-    return out if isinstance(out, Poly) else Poly.constant(p.variable, out)
+    return p(Poly(p.variable, [Fraction(a), Fraction(1)]))
 
 
 @given(polys, st.sampled_from([-2, 1, 2, 4, Fraction(1, 2),
@@ -343,6 +342,39 @@ def test_hash_agrees_with_eq():
     assert len({Poly.zero("s"), Poly.zero("t"), 0, Fraction(0)}) == 1
     s = Poly.var("s")
     assert hash(s * s - 1) == hash(Poly("s", [-1, 0, 1]))
+
+
+def test_composition_is_a_poly_in_the_inner_variable():
+    y = Poly.var("y")
+    for p in (Poly.constant("x", 3), Poly.zero("x")):
+        out = p(y)
+        assert isinstance(out, Poly) and out.variable == "y", out
+        assert out == p.coeff(0)
+    assert Poly("x", [1, 2])(y + 1) == Poly("y", [3, 2])
+
+
+def test_integer_form_is_in_lowest_terms():
+    want = Poly("x", [Fraction(1, 3), Fraction(2, 3)])
+    for ints, den in (([2, 4], 6), ([-2, -4], -6), ([1, 2, 0, 0], 3)):
+        p = Poly.from_ints("x", ints, den)
+        assert p == want and hash(p) == hash(want), (ints, den)
+        assert (p.ints, p.den) == ((1, 2), 3)
+    assert want.coeffs == (Fraction(1, 3), Fraction(2, 3))
+    zero = Poly.from_ints("x", [0, 0], 5)
+    assert (zero.ints, zero.den) == ((), 1)
+    # a constant still hashes as its value
+    assert hash(Poly.from_ints("x", [-4], 6)) == hash(Fraction(-2, 3))
+
+
+def test_division_by_zero_raises():
+    x = Poly.var("x")
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_ints("x", [1, 2], 0)
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_ints("x", [], 0)
 
 
 def test_exact_division_raises_on_remainder():

@@ -133,22 +133,19 @@ def _q_grid(n):
 def test_q_range_and_limit():
     for n in range(1, 7):
         for lam in LAMBDAS:
-            r = check_q_range(n, lam, _q_grid(n))
+            r = check_q_range(q_rational(n, lam), _q_grid(n))
             assert r["pass"] and r["near_one_points"] == 1, (n, lam, r)
 
 
-def test_q_limit_rejects_a_scaled_numerator(monkeypatch):
-    def scaled(n, lam):
-        q = q_rational(n, lam)
-        return construct.NormalizedRational(
-            n, q.lam, RatFun(q.fun.num * Fraction(99, 100), q.fun.den))
-
-    monkeypatch.setattr(verify, "q_rational", scaled)
+def test_q_limit_rejects_a_scaled_numerator():
     for n in range(1, 7):
         for lam in LAMBDAS:
-            assert not check_q_range(n, lam, _q_grid(n))["pass"], (n, lam)
+            q = q_rational(n, lam)
+            scaled = construct.NormalizedRational(
+                n, q.lam, RatFun(q.fun.num * Fraction(99, 100), q.fun.den))
+            assert not check_q_range(scaled, _q_grid(n))["pass"], (n, lam)
             # 99/100 q stays in (0, 1) for n >= 2: only the limit catches it
-            without_limit = check_q_range(n, lam, _q_grid(n)[:-1])
+            without_limit = check_q_range(scaled, _q_grid(n)[:-1])
             assert without_limit["pass"] is (n >= 2), (n, lam)
 
 

@@ -12,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import arithprops, construct, quadrature, verify
+from . import arithprops, construct, poly, quadrature, verify
 from .errors import CritPolyError
 from .hyp3f2 import appendix_transform_suite
 from .orthopoly import identity_suite
@@ -141,20 +141,17 @@ def cmd_roots(args, parser) -> int:
     p = _build(args, parser)
     start = time.perf_counter()
     cert = verify.certify_critical_line(p)
-    # a Favard certificate isolates nothing: the roots come from Descartes
-    # on the bare polynomial's reduction, which the certificate holds, and
-    # their count cross-checks the certificate
-    listing = cert
-    if cert.isolation is None:
-        listing = verify.certify_critical_line(p.poly, cert.reduction)
-    roots = listing.isolation.roots()
+    # a Favard certificate isolates nothing: the roots come from isolating
+    # the reduction it holds, and their count cross-checks the certificate
+    listing = cert.isolation or poly.LineIsolation(p.poly, cert.reduction)
+    roots = listing.roots()
     passed = cert.passed and len(roots) == cert.distinct_real_roots
     log.debug("roots of %s: %d isolation nodes, %d refinement evaluations, "
-              "%.3f s", cert.subject, listing.work,
-              listing.isolation.refine_work, time.perf_counter() - start)
+              "%.3f s", cert.subject, listing.work, listing.refine_work,
+              time.perf_counter() - start)
     payload = {**cert.to_json(), "pass": passed,
                "isolation_method": listing.method,
-               "refine_work": listing.isolation.refine_work,
+               "refine_work": listing.refine_work,
                "roots": [f"1/2 + {t}i" for t in roots]}
     _emit(payload, args)
     return 0 if passed else 1
@@ -241,10 +238,8 @@ def _suite_diffeq(nmax: int, seed: int):
 def _suite_recur(nmax: int, seed: int):
     for n in range(min(nmax, 12) + 1):
         for lam in LAMBDA_SET:
-            rep = verify.check_M_recurrences(n, lam, S_SAMPLES)
-            for name, r in rep.items():
-                yield (f"{name} at n={n}, lambda={lam}",
-                       r.get("pass", True) and r.get("zero_polynomial", True))
+            for name, ok in verify.check_M_recurrences(n, lam).items():
+                yield f"{name} at n={n}, lambda={lam}", ok
 
 
 @_suite
@@ -288,13 +283,9 @@ def _suite_hyp3f2(nmax: int, seed: int):
 
 @_suite
 def _suite_corollary2(nmax: int, seed: int):
-    samples = [Fraction(3, 10), Fraction(5, 2), Fraction(17, 6)]
-    worst = 0.0
     for n in range(min(nmax, 8) + 1):
-        r = verify.check_corollary2(n, samples)
-        yield f"corollary 2 at n={n}", r["pass"]
-        worst = max(worst, r["worst_rel_err"])
-    return {"worst_rel_err": worst}
+        yield f"corollary 2 at n={n}", verify.check_corollary2(n)
+    return {"method": "exact"}
 
 
 @_suite

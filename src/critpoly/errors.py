@@ -44,10 +44,6 @@ class PoleInDenominator(CritPolyError):
     binomial vanishes."""
 
 
-class GammaPole(CritPolyError):
-    """A sampled point puts a Gamma argument at a nonpositive integer."""
-
-
 class ToleranceNotMet(CritPolyError):
     """Quadrature error estimate exceeds the requested tolerance."""
 

@@ -1,16 +1,18 @@
 """Dense univariate rational polynomials, each an integer list over one
-denominator; the numerator/denominator record of a rational function; and
-the integer critical-line kernel with Descartes root isolation, the one
-real-root engine.
+denominator; the numerator/denominator record of a rational function; the
+integer gcd and squarefree part; and the integer critical-line kernel with
+Descartes root isolation, the one real-root engine.
 
 Only this module clears rationals to integers (``int_form``). Sums, products
 (one convolution), shifts and Horner evaluation run on a Poly's ``ints`` and
 reduce once at the end; ``coeffs`` derives the Fractions. The critical-line
 substitution and the Descartes bisection read ``ints`` and ``den`` directly.
-Long division updates one Fraction list in place.
+The one gcd is a primitive remainder sequence on integer lists
+(``squarefree_ints``); a Poly divides by scalars only.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, zip_longest
@@ -19,6 +21,8 @@ from operator import add
 
 from .errors import MixedCoefficients, VariableMismatch, ZeroPolynomial
 from .rat import as_rat, format_rat, parse_rat
+
+log = logging.getLogger("critpoly")
 
 # Descartes bisection depth allowed beyond 2 (deg w + 1) before the
 # isolation checks that w is squarefree: a repeated positive root off the
@@ -135,11 +139,6 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, Poly):
-            q, r = divmod_poly(self, scalar)
-            if not r.is_zero:
-                raise ValueError("inexact polynomial division")
-            return q
         return self * (1 / as_rat(scalar))
 
     def __pow__(self, k: int):
@@ -197,10 +196,6 @@ class Poly:
                             for k, c in enumerate(self.ints)])
         ints = [c // u ** k * v ** k for k, c in enumerate(r)]
         return Poly.from_ints(self.variable, ints, self.den * v ** d)
-
-    def derivative(self) -> "Poly":
-        ints = [k * c for k, c in enumerate(self.ints)]
-        return Poly.from_ints(self.variable, ints[1:], self.den)
 
     # -- presentation ---------------------------------------------------
 
@@ -304,46 +299,48 @@ def _convolve(a: list, b: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean layer (Fraction coefficients only)
+# integer gcd layer: one primitive remainder sequence
 # ---------------------------------------------------------------------------
 
-def divmod_poly(a: Poly, b: Poly):
-    """Quotient and remainder of a by b, by long division on a list of
-    coefficients updated in place: step k subtracts c x^k b from it."""
-    if b.is_zero:
-        raise ZeroPolynomial("division by zero polynomial")
-    a._check_var(b)
-    r, bs = list(a.coeffs), b.coeffs
-    db = len(bs) - 1
-    lb = bs[-1]
-    q = [Fraction(0)] * (len(r) - db)
-    for k in range(len(r) - 1 - db, -1, -1):
-        if r[k + db]:
-            c = q[k] = r[k + db] / lb
-            for j in range(db):
-                r[k + j] -= c * bs[j]
-    return Poly(a.variable, q), Poly(a.variable, r[:db])
+def _primitive(a: list) -> list:
+    """The nonzero integer polynomial a over its content, with a positive
+    leading coefficient."""
+    g = gcd(*a)
+    return [x // g for x in a] if a[-1] > 0 else [-x // g for x in a]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    x, y = a, b
-    while not y.is_zero:
-        _, r = divmod_poly(x, y)
-        x, y = y, r
-    if x.is_zero:
-        return x
-    return x / x.leading
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(q, r) with lc(b)^e a = q b + r, e = deg a - deg b + 1 and
+    deg r < deg b, for integer lists a and b (constant term first, b with
+    no trailing zero): step k replaces r by lc(b) r - c x^k b, with c the
+    top coefficient of r, and q by lc(b) q + c x^k."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        q[k + 1:] = [lb * x for x in q[k + 1:]]
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if p.is_zero:
-        raise ZeroPolynomial("squarefree part of zero polynomial")
-    if p.degree == 0:
-        return Poly.constant(p.variable, Fraction(1))
-    g = poly_gcd(p, p.derivative())
-    q, _ = divmod_poly(p, g)
-    return q / q.leading
+def squarefree_ints(a: list) -> list:
+    """The squarefree part a / gcd(a, a') of the nonzero integer polynomial
+    a (constant term first), primitive with a positive leading coefficient.
+
+    The gcd is the last nonzero term of the primitive remainder sequence of
+    a and a' (Brown, J. ACM 18, 1971), each pseudo-remainder divided by its
+    content. It is primitive, so a over it is in Z[x] (Gauss's lemma): the
+    primitive part of the pseudo-quotient."""
+    x, y = _primitive(a), [k * c for k, c in enumerate(a)][1:]
+    while y:
+        y = _primitive(y)
+        x, y = y, _pseudo_divmod(x, y)[1]
+    return _primitive(_pseudo_divmod(a, x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +512,19 @@ class PositiveRoots:
     Descartes variation count is 1); an end of it may be a root found
     exactly. The list is None when no isolation was found; ``reason`` then
     says why: w(0) = 0, or the depth guard, which gives up only when w is
-    not squarefree. ``nodes`` counts the intervals tested and
+    not squarefree; ``sf`` is the ``squarefree_ints`` of w once the guard
+    has computed it. ``nodes`` counts the intervals tested and
     ``evaluations`` the exact values of w that ``refine`` has computed.
     """
 
-    __slots__ = ("w", "boxes", "nodes", "reason", "evaluations")
+    __slots__ = ("w", "boxes", "nodes", "reason", "evaluations", "sf")
 
     def __init__(self, w: list):
         self.w, self.boxes, self.nodes, self.reason = w, None, 0, None
-        self.evaluations = 0
+        self.evaluations, self.sf = 0, None
         if w[0] == 0:
             self.reason = "w(0)=0"
             return
-        d = len(w) - 1
         b = _root_bound_exp(w)
         max_depth = DESCARTES_DEPTH + 2 * len(w)
         boxes = []
@@ -548,7 +545,8 @@ class PositiveRoots:
                 boxes.append(box(c, c + 1, k))
             elif count > 1:
                 if k == max_depth:
-                    if squarefree_part(Poly.from_ints("x", w)).degree < d:
+                    self.sf = squarefree_ints(w)
+                    if len(self.sf) < len(w):
                         self.reason = "depth guard"
                         return
                     max_depth = None
@@ -633,15 +631,22 @@ class PositiveRoots:
 class LineIsolation:
     """The zeros of p(1/2 + it) through its parity reduction.
 
-    p(1/2 + it) is a positive multiple of t^odd w(t^2), times 1 or i
-    (``line_reduction``). When ``fallback`` is None,
-    ``positive`` isolates deg w distinct positive roots of w (so w(0) != 0),
-    and v(t) has 2 deg w + odd distinct real roots: all its roots are real
-    and simple. Otherwise ``fallback`` names why no such proof was found.
-    ``reduction`` is ``line_reduction(p)`` when the caller holds it.
+    p(1/2 + it) is a positive multiple of v(t) = t^odd w(t^2), times 1 or i
+    (``line_reduction``, or ``reduction`` when the caller holds it), so v
+    has degree ``v_degree`` = odd + 2 deg w. Under ``method`` "descartes",
+    ``positive`` isolates deg w distinct positive roots of w, and all the
+    roots of v are real and simple. Otherwise ``fallback`` (logged at DEBUG)
+    says why not, and under "squarefree" ``positive`` isolates the positive
+    roots of sf, the squarefree part of w divided by x when w(0) = 0. Either
+    way v has [odd or w(0) = 0] + 2 (roots isolated) ``distinct_real_roots``;
+    it is ``squarefree`` iff w is and w(0) != 0, and ``passed`` (all its
+    roots real) iff every root of sf is positive. ``work`` counts the
+    intervals both isolations tested.
     """
 
-    __slots__ = ("w", "odd", "positive", "fallback")
+    __slots__ = ("w", "odd", "positive", "fallback", "method", "work",
+                 "v_degree", "zero_root", "distinct_real_roots", "squarefree",
+                 "passed")
 
     def __init__(self, p: Poly, reduction: tuple | None = None):
         if p.is_zero:
@@ -649,22 +654,41 @@ class LineIsolation:
                                  "polynomial")
         self.odd, self.w = reduction or line_reduction(p)
         self.positive = PositiveRoots(self.w)
-        self.fallback = self.positive.reason
+        self.work = self.positive.nodes
+        self.v_degree = self.odd + 2 * (len(self.w) - 1)
+        self.zero_root = bool(self.odd or not self.w[0])
+        self.fallback = self.descartes_failure()
+        self.method, self.squarefree = "descartes", True
+        if self.fallback is not None:
+            log.debug("critical-line isolation falls back to the squarefree "
+                      "part of w: %s", self.fallback)
+            # the guard's squarefree part, when it has computed one
+            sf = self.positive.sf or squarefree_ints(self.w)
+            self.method = "squarefree"
+            self.squarefree = len(sf) == len(self.w) and bool(sf[0])
+            self.positive = PositiveRoots(sf if sf[0] else sf[1:])
+            self.work += self.positive.nodes
+        found = len(self.positive.boxes)
+        self.distinct_real_roots = self.zero_root + 2 * found
+        self.passed = found == len(self.positive.w) - 1
+
+    def descartes_failure(self) -> str | None:
+        """Why ``positive`` does not isolate deg w positive roots of w."""
         found, degree = len(self.positive.boxes or ()), len(self.w) - 1
-        if self.fallback is None and found != degree:
-            self.fallback = f"{found} positive roots of w for degree {degree}"
+        if self.positive.reason or found == degree:
+            return self.positive.reason
+        return f"{found} positive roots of w for degree {degree}"
 
     def roots(self) -> list:
         """The real roots of v as floats, ascending: +-sqrt(r) for each
-        positive root r of w, and 0 when v is odd. Needs the isolation to
-        have succeeded (``fallback`` None)."""
+        positive root r that ``positive`` isolates, and 0 when v(0) = 0."""
         half = [sqrt(self.positive.refine(box))
                 for box in self.positive.boxes]
-        return sorted([-t for t in half] + [0.0] * self.odd + half)
+        return sorted([-t for t in half] + [0.0] * self.zero_root + half)
 
     @property
     def refine_work(self) -> int:
-        """The exact values of w that ``roots`` has computed."""
+        """The exact values of w (or sf) that ``roots`` has computed."""
         return self.positive.evaluations
 
 
@@ -682,15 +706,14 @@ def _interval(sign: int, box) -> tuple:
 
 class RealRootData:
     """The distinct real roots of v, isolated by Descartes bisection of
-    sf(x) and sf(-x), with sf the ``ints`` of the squarefree part of v
-    (primitive, since sf is monic) and divided by x when 0 is a root.
-    ``intervals`` lists them as ``isolate_real_roots`` does; ``work`` is the
-    number of intervals tested. sf is squarefree, so the bisection ends."""
+    sf(x) and sf(-x), with sf the ``squarefree_ints`` of v divided by x when
+    0 is a root. ``intervals`` lists them as ``isolate_real_roots`` does.
+    sf is squarefree, so the bisection ends."""
 
     def __init__(self, v: Poly):
         if v.is_zero:
             raise ZeroPolynomial("root isolation needs a nonzero polynomial")
-        w = list(squarefree_part(v).ints)
+        w = squarefree_ints(v.ints)
         self.degree, self.squarefree_degree = v.degree, len(w) - 1
         self.is_squarefree = self.degree == self.squarefree_degree
         self.zero_root = w[0] == 0
@@ -700,7 +723,6 @@ class RealRootData:
         self.sides = [(sign, PositiveRoots([c * sign ** j
                                             for j, c in enumerate(w)]))
                       for sign in (1, -1)]
-        self.work = sum(roots.nodes for _, roots in self.sides)
         self.intervals = sorted(
             [(Fraction(0), Fraction(0))] * self.zero_root
             + [_interval(sign, box)
@@ -717,12 +739,6 @@ class RealRootData:
                       + [sign * float(roots.refine(box))
                          for sign, roots in self.sides
                          for box in roots.boxes])
-
-    @property
-    def refine_work(self) -> int:
-        """The exact values of sf(x) and sf(-x) that ``roots`` has
-        computed."""
-        return sum(roots.evaluations for _, roots in self.sides)
 
 
 def real_root_data(v: Poly) -> RealRootData:

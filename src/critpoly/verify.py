@@ -1,12 +1,13 @@
 """Certification engine: critical-line zero certificates, functional
 equations, the identities that tie the constructed forms together,
-difference/recurrence identities, closure identities, and the float
-Gamma-form cross-checks.
+difference/recurrence identities, closure identities, and the Gamma form
+of Corollary 2.
 
-Every recurrence among the Mellin transforms is reduced to an exact
-polynomial or rational identity by expressing all terms over a common
-Gamma-ratio: shifting n or s by integers changes the ratio by exact
-Pochhammer factors, so the Gamma functions cancel completely.
+Every recurrence among the Mellin transforms, and Corollary 2, is reduced
+to an exact polynomial or rational identity by expressing all terms over a
+common Gamma-ratio: shifting n or s by integers changes the ratio by exact
+Pochhammer factors, so the Gamma functions cancel completely and no Gamma
+function is evaluated.
 """
 from __future__ import annotations
 
@@ -15,25 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
-import mpmath
-
 from .construct import (S, CriticalPolynomial, NormalizedRational,
                         gould_term, p_beta, p_hyp, p_s32, q_rational)
-from .errors import GammaPole
 from .hyp3f2 import eval_3f2, pochhammer_sum, poly_from_3f2
-from .poly import (LineIsolation, Poly, RatFun, RealRootData, gen_binom,
-                   half_shift, line_reduction, pochhammer, real_root_data,
-                   substitute_critical)
+from .poly import (LineIsolation, Poly, RatFun, gen_binom, half_shift,
+                   line_reduction, pochhammer)
 from .rat import as_rat
 
 log = logging.getLogger("critpoly")
 
 ONE_MINUS_S = Poly("s", [Fraction(1), Fraction(-1)])
-
-# the float cross-checks run in a private 40-digit context, so that the
-# caller's global mpmath precision cannot change a result
-mp = mpmath.MPContext()
-mp.dps = 40
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +37,13 @@ class Certificate:
     """Outcome of ``certify_critical_line``. ``method`` is "favard",
     "descartes" or "squarefree"; ``work`` counts the sign tests of the
     recurrence coefficients under "favard", otherwise the Descartes
-    intervals tested, on w or on the squarefree part of p(1/2 + it);
+    intervals tested, on w and then on its squarefree part;
     ``coeff_bits`` is the largest bit size among the integer coefficients
     of w, the parity reduction of p(1/2 + it) (``poly.line_reduction``).
-    ``isolation`` holds the isolated roots, which ``roots()`` refines: of
-    w, or of the squarefree part of v under "squarefree"; a Favard
-    certificate isolates nothing and holds None, and ``reduction``, the
-    (odd, w) of ``line_reduction``, to isolate later."""
+    ``isolation`` is the ``LineIsolation`` whose ``roots()`` refines the
+    isolated roots; a Favard certificate isolates nothing and holds None,
+    and ``reduction``, the (odd, w) of ``line_reduction``, to isolate
+    later."""
     subject: dict
     degree: int
     v_degree: int
@@ -62,8 +54,7 @@ class Certificate:
     method: str
     work: int
     coeff_bits: int
-    isolation: LineIsolation | RealRootData | None = field(compare=False,
-                                                           repr=False)
+    isolation: LineIsolation | None = field(compare=False, repr=False)
     reduction: tuple | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
@@ -86,17 +77,17 @@ def certify_critical_line(p: CriticalPolynomial | Poly,
     recurrence coefficient is positive and the chain ends at p's own
     coefficients, its m = deg p zeros are on the line and simple.
 
-    Otherwise, and always for a bare Poly, the certificate passes by
-    Descartes bisection when w(0) != 0 and deg w disjoint intervals each
-    hold exactly one positive root of w: then all 2 deg w + odd roots of v
-    are real and simple. In every other case (w(0) = 0, a repeated root of
-    w, fewer positive roots than deg w) the same bisection counts the real
-    roots of the squarefree part of v, which decides. Each fallback is
-    logged at DEBUG. The substitution raises MixedCoefficients when
-    p(1/2 + it) is neither purely real nor purely imaginary; otherwise v is
-    even or odd, so its roots pair as +-t and ``parity_paired`` always
-    holds. ``reduction`` is the (odd, w) of a bare Poly p when the caller
-    holds it, as the ``reduction`` of a Favard certificate of p.
+    Otherwise, and always for a bare Poly, ``poly.LineIsolation`` decides:
+    by Descartes bisection when deg w disjoint intervals each hold one
+    positive root of w (then all 2 deg w + odd roots of v are real and
+    simple), and in every other case (w(0) = 0, a repeated root of w, fewer
+    positive roots than deg w) by the positive roots of the squarefree part
+    of w; it logs that fallback at DEBUG. The substitution raises
+    MixedCoefficients when p(1/2 + it) is neither purely real nor purely
+    imaginary; otherwise v is even or odd, so its roots pair as +-t and
+    ``parity_paired`` always holds. ``reduction`` is the (odd, w) of a bare
+    Poly p when the caller holds it, as the ``reduction`` of a Favard
+    certificate of p.
     """
     if isinstance(p, Poly):
         poly = p
@@ -115,19 +106,10 @@ def certify_critical_line(p: CriticalPolynomial | Poly,
                                reduction)
         log.debug("Favard certificate of %s fails: %s", subject, reason)
     iso = LineIsolation(poly, reduction)
-    bits = max(abs(c).bit_length() for c in iso.w)
-    if iso.fallback is None:
-        roots = 2 * len(iso.positive.boxes) + iso.odd
-        return Certificate(subject, poly.degree, roots, roots, True, True,
-                           True, "descartes", iso.positive.nodes, bits, iso)
-    log.debug("critical-line certificate of %s falls back to the "
-              "squarefree part: %s", subject, iso.fallback)
-    v, _ = substitute_critical(poly)
-    data = real_root_data(v)
-    return Certificate(subject, poly.degree, data.degree,
-                       data.distinct_real_roots, data.is_squarefree, True,
-                       data.all_roots_real(), "squarefree", data.work, bits,
-                       data)
+    return Certificate(subject, poly.degree, iso.v_degree,
+                       iso.distinct_real_roots, iso.squarefree, True,
+                       iso.passed, iso.method, iso.work,
+                       max(abs(c).bit_length() for c in iso.w), iso)
 
 
 def favard_gamma(j: int, n: int, beta: Fraction) -> tuple:
@@ -318,32 +300,15 @@ def check_central_difference(p: Poly, n: int, lam) -> bool:
 # Mellin-transform recurrences, reduced to exact identities
 # ---------------------------------------------------------------------------
 
-def _guard_gamma(s_samples, offsets):
-    for s in s_samples:
-        for off in offsets:
-            arg = (as_rat(s) + off) / 2
-            if arg.denominator == 1 and arg <= 0:
-                raise GammaPole(f"Gamma argument {arg} at s={s}")
-
-
-def check_M_recurrences(n: int, lam, s_samples) -> dict:
-    """Verify every Mellin-transform relation at index n as an exact
-    identity, then report the (zero) residual at each rational s sample.
-
-    Covered: the mixed (n, s) recurrence, its lambda = 1 special case, the
-    central s-recurrence, and at lambda = 1 the three 3F2 re-expressions
-    of ``lambda1_series``.
+def check_M_recurrences(n: int, lam) -> dict:
+    """Every Mellin-transform relation at index n as an exact identity in
+    s, by name: the mixed (n, s) recurrence, its lambda = 1 special case,
+    the central s-recurrence, and at lambda = 1 the three 3F2
+    re-expressions of ``lambda1_series``.
     """
     lam = as_rat(lam)
-    s_samples = [as_rat(s) for s in s_samples]
-    _guard_gamma(s_samples, [Fraction(n % 2), n + lam + Fraction(1, 2)])
     hats = [p_hyp(k, lam).poly for k in range(max(n, 2) + 1)]
     report = {}
-
-    def poly_identity(name: str, res: Poly):
-        report[name] = {"zero_polynomial": res.is_zero,
-                        "residuals": [str(res(s)) for s in s_samples]}
-
     # mixed recurrence: common ratio Gamma((s+eps)/2)/Gamma((s+n+lam)/2+1/4)
     if n >= 2:
         e = S / 2 if n % 2 == 0 else Poly.constant("s", Fraction(1))
@@ -351,21 +316,17 @@ def check_M_recurrences(n: int, lam, s_samples) -> dict:
                - 2 * (lam + n - 1) * e * hats[n - 1].shift(1) / factorial(n - 1)
                + (2 * lam + n - 2) * ((S + n + lam) / 2 - Fraction(3, 4))
                * hats[n - 2] / factorial(n - 2))
-        poly_identity("mixed_recurrence", res)
+        report["mixed_recurrence"] = res.is_zero
         if lam == 1:
             res = (hats[n] / factorial(n)
                    - 2 * e * hats[n - 1].shift(1) / factorial(n - 1)
                    + ((S + n + 1) / 2 - Fraction(3, 4)) * hats[n - 2]
                    / factorial(n - 2))
-            poly_identity("mixed_recurrence_chebyshev", res)
-
-    # central s-recurrence
-    report["central_recurrence"] = {
-        "zero_polynomial": check_central_difference(hats[n], n, lam)}
-
+            report["mixed_recurrence_chebyshev"] = res.is_zero
+    report["central_recurrence"] = check_central_difference(hats[n], n, lam)
     if lam == 1:
         for name, series in lambda1_series(n).items():
-            poly_identity(name, series - hats[n])
+            report[name] = series == hats[n]
     return report
 
 
@@ -525,28 +486,21 @@ def check_q_range(q: NormalizedRational, s_grid) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# beta = 0 Gamma-form cross-check (float oracle)
+# beta = 0 Gamma form (Corollary 2)
 # ---------------------------------------------------------------------------
 
-def check_corollary2(n: int, s_samples) -> dict:
-    """Gamma-function closed form of p_n(s; 0) versus the exact series
-    construction, compared in floating point to 1e-10 relative."""
-    exact = p_beta(n, Fraction(0)).poly
-    eps = n % 2
-    worst = 0.0
-    for s in s_samples:
-        s = as_rat(s)
-        for arg in ((n + s) / 2, (s + eps) / 2, -(n + s) / 2,
-                    (1 - s) / 2, 1 - s / 2, (n + 3 - s) / 2):
-            if arg.denominator == 1 and arg <= 0:
-                raise GammaPole(f"Gamma argument {arg} at s={s}")
-        sm = mp.mpf(s.numerator) / s.denominator
-        bracket = 1 - (mp.gamma(-(n + sm) / 2) * mp.gamma((n + 3 - sm) / 2)
-                       / (mp.gamma((1 - sm) / 2) * mp.gamma(1 - sm / 2)))
-        val = (2 * (n + sm) / ((n + 1) * (n + 2))
-               * mp.gamma((n + sm) / 2) / mp.gamma((sm + eps) / 2)
-               * bracket)
-        want = mp.mpf(exact(s).numerator) / exact(s).denominator
-        rel = abs(val - want) / max(abs(want), mp.mpf(1e-300))
-        worst = max(worst, float(rel))
-    return {"pass": worst <= 1e-10, "worst_rel_err": worst}
+def check_corollary2(n: int) -> bool:
+    """Corollary 2, the Gamma closed form of p_n(s; 0), as an identity in
+    Q[s]. With n = 2m + eps and u = (s+eps)/2, Gamma((n+s)/2) / Gamma(u) =
+    (u)_m, and the bracket 1 - Gamma(-(n+s)/2) Gamma((n+3-s)/2) /
+    (Gamma((1-s)/2) Gamma(1-s/2)) is 1 - N/D with the Pochhammer products
+    N = ((1+eps-s)/2)_(m+1) and D = (-(n+s)/2)_(m+1): ((1-s)/2)_(m+1) and
+    (-m-s/2)_(m+1) at eps = 0, (1-s/2)_(m+1) and ((-1-s)/2-m)_(m+1) at
+    eps = 1. So the check is p_n(s; 0) D = 2 (n+s) / ((n+1)(n+2)) (u)_m
+    (D - N)."""
+    m, eps = n // 2, n % 2
+    num = pochhammer((1 + eps - S) / 2, m + 1)
+    den = pochhammer(-(n + S) / 2, m + 1)
+    rhs = (Fraction(2, (n + 1) * (n + 2)) * (n + S)
+           * pochhammer((S + eps) / 2, m) * (den - num))
+    return p_beta(n, Fraction(0)).poly * den == rhs

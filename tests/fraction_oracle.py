@@ -1,14 +1,13 @@
 """The Fraction loops that the integer kernels of critpoly.poly and
 critpoly.hyp3f2 replaced, kept as the reference the tests compare those
 kernels with: the schoolbook Poly product, the term-by-term Pochhammer
-symbol, the term-ratio 3F2(1) sum and the long division that builds a Poly
-for every step.
+symbol and the term-ratio 3F2(1) sum.
 
 No route here calls ``Poly.__mul__`` on two polynomials in one variable,
 so none of them runs the kernels they check."""
 from fractions import Fraction
 
-from critpoly.errors import DenominatorPole, ZeroPolynomial
+from critpoly.errors import DenominatorPole
 from critpoly.hyp3f2 import termination_index
 from critpoly.poly import Poly
 from critpoly.rat import as_rat
@@ -63,21 +62,3 @@ def eval_3f2(a1, a2, a3, b1, b2) -> Fraction:
                  / ((b1 + k) * (b2 + k) * (k + 1)))
         total += term
     return total
-
-
-def divmod_poly(a: Poly, b: Poly):
-    """Long division that builds the monomial t = c x^k as a Poly at every
-    step and updates q + t and r - t b as Polys."""
-    if b.is_zero:
-        raise ZeroPolynomial("division by zero polynomial")
-    a._check_var(b)
-    q = Poly.zero(a.variable)
-    r = a
-    lb = b.leading
-    while not r.is_zero and r.degree >= b.degree:
-        k = r.degree - b.degree
-        c = r.leading / lb
-        t = Poly(a.variable, [Fraction(0)] * k + [c])
-        q = q + t
-        r = r - poly_mul(t, b)
-    return q, r

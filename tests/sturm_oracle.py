@@ -1,14 +1,51 @@
 """Sturm-sequence root counting, isolation and refinement over Fraction
 polynomials: the route the Descartes engine in critpoly.poly replaced,
-kept here as the reference the tests compare that engine with."""
+kept here as the reference the tests compare that engine with. Its long
+division, gcd and squarefree part run the Euclidean algorithm on Fraction
+coefficients, apart from the integer remainder sequence of
+critpoly.poly.squarefree_ints that they check."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from critpoly.poly import Poly, divmod_poly, squarefree_part
+from critpoly.errors import ZeroPolynomial
+from critpoly.poly import Poly
+
+
+def divmod_poly(a: Poly, b: Poly):
+    """Quotient and remainder of a by b, by long division on a list of
+    Fraction coefficients updated in place: step k subtracts c x^k b."""
+    if b.is_zero:
+        raise ZeroPolynomial("division by zero polynomial")
+    r, bs = list(a.coeffs), b.coeffs
+    db = len(bs) - 1
+    q = [Fraction(0)] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        if r[k + db]:
+            c = q[k] = r[k + db] / bs[-1]
+            for j in range(db):
+                r[k + j] -= c * bs[j]
+    return Poly(a.variable, q), Poly(a.variable, r[:db])
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly(p.variable, [k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm."""
+    while not b.is_zero:
+        a, b = b, divmod_poly(a, b)[1]
+    return a if a.is_zero else a / a.leading
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """p over gcd(p, p'), monic."""
+    q, _ = divmod_poly(p, poly_gcd(p, derivative(p)))
+    return q / q.leading
 
 
 def sturm_chain(p: Poly):
-    chain = [p, p.derivative()]
+    chain = [p, derivative(p)]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         _, r = divmod_poly(chain[-2], chain[-1])
         if r.is_zero:

@@ -6,7 +6,8 @@ compare them with."""
 from fractions import Fraction
 from itertools import accumulate
 
-from critpoly.poly import Poly, squarefree_part
+from critpoly.poly import Poly
+from sturm_oracle import squarefree_part
 
 DESCARTES_DEPTH = 64
 

@@ -28,8 +28,6 @@ BETAS = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2),
 # (beta = -1/2 and -17/4; 7/2, 11/2 and 15/2 would repeat -1, -2 and -3).
 CERT_LAMBDAS = [Fraction(-1, 4), Fraction(1), Fraction(2), Fraction(7, 3),
                 Fraction(5, 2), Fraction(10)]
-S_SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2), Fraction(11, 7),
-             Fraction(9, 4)]
 
 GOLDEN = {
     0: Poly("s", [Fraction(1, 2)]),
@@ -103,9 +101,7 @@ def test_c05_M_relations():
     ok = True
     for n in range(11):
         for lam in LAMBDAS:
-            rep = check_M_recurrences(n, lam, S_SAMPLES)
-            for r in rep.values():
-                ok &= r.get("pass", True) and r.get("zero_polynomial", True)
+            ok &= all(check_M_recurrences(n, lam).values())
     _report(5, "transform relations", 10.0, t0, ok)
 
 

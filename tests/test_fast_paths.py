@@ -7,9 +7,10 @@ sturm_oracle.py; and the fraction-free Favard chain against the Fraction
 chain of the printed recurrence in favard_oracle.py, and the Favard
 certificate against Descartes on the bare polynomial; and the Bernstein-basis isolation and its quadratic
 refinement against the Taylor-shift bisection in taylor_oracle.py; and
-the integer kernels of the Poly product, the Pochhammer symbol, the 3F2(1)
-sum and long division against the Fraction loops in fraction_oracle.py; and
-the ring operations, shifts, derivatives and evaluations of ``Poly``'s
+the integer kernels of the Poly product, the Pochhammer symbol and the
+3F2(1) sum against the Fraction loops in fraction_oracle.py, and the
+integer squarefree part against the Fraction Euclid of sturm_oracle.py; and
+the ring operations, shifts and evaluations of ``Poly``'s
 integer list over one denominator against Fraction arithmetic done
 coefficient by coefficient; and
 the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
@@ -44,12 +45,12 @@ from critpoly import hyp3f2, poly, quadrature
 from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
 from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
 from critpoly.orthopoly import gegenbauer
-from critpoly.poly import (LineIsolation, Poly, PositiveRoots, divmod_poly,
-                           gen_binom, int_mul_linear, pochhammer,
+from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
+                           int_mul_linear, pochhammer, squarefree_ints,
                            substitute_critical)
 from critpoly.verify import (certify_critical_line, check_functional_equation,
                              favard_chain, favard_gamma, reflection_sign)
-from sturm_oracle import sturm_root_data, sturm_roots
+from sturm_oracle import squarefree_part, sturm_root_data, sturm_roots
 from taylor_oracle import TaylorPositiveRoots
 
 LAMBDAS = [Fraction(-1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2),
@@ -187,16 +188,28 @@ def test_reflection_check_matches_composition():
                     == slow_functional_equation(q, k), (n, p.param, k)
 
 
+class NoDescartesProof(LineIsolation):
+    """A ``LineIsolation`` that refuses every Descartes proof, so that it
+    always takes the squarefree fallback."""
+
+    def descartes_failure(self):
+        return "forced"
+
+
 def test_descartes_certificate_matches_sturm():
-    # the acceptance c02 grid; a bare Poly takes the Descartes path
+    # the acceptance c02 grid; a bare Poly takes the Descartes path, and
+    # the squarefree fallback, forced, must count the same
     for n, p in samples(30):
         cert = certify_critical_line(p.poly)
         data = sturm_root_data(substitute_critical(p.poly)[0])
         assert cert.method == "descartes", (n, p.param)
-        assert cert.passed == data.all_roots_real(), (n, p.param)
-        assert cert.distinct_real_roots == data.distinct_real_roots
-        assert cert.squarefree == data.is_squarefree
-        assert cert.v_degree == data.degree
+        forced = NoDescartesProof(p.poly)
+        assert forced.method == "squarefree"
+        for got in (cert, forced):
+            assert got.passed == data.all_roots_real(), (n, p.param)
+            assert got.distinct_real_roots == data.distinct_real_roots
+            assert got.squarefree == data.is_squarefree
+            assert got.v_degree == data.degree
 
 
 # every n <= 30 for one lambda, and two sizes of each other sample: the
@@ -434,10 +447,6 @@ def product_agrees(a, b) -> bool:
     return typed(a * b) == typed(fraction_oracle.poly_mul(a, b))
 
 
-def as_fractions(p: Poly) -> Poly:
-    return Poly(p.variable, map(Fraction, p.coeffs))
-
-
 @given(RATIONAL_POLYS, RATIONAL_POLYS)
 @settings(max_examples=200, deadline=None)
 def test_product_matches_schoolbook(a, b):
@@ -466,23 +475,21 @@ def test_3f2_matches_term_ratio_sum(a1, a2, a3, b1, b2):
         == outcome(fraction_oracle.eval_3f2, *params)
 
 
-def division_agrees(a, b) -> bool:
-    return ([typed(p) for p in divmod_poly(a, b)]
-            == [typed(p) for p in fraction_oracle.divmod_poly(a, b)])
-
-
-@given(RATIONAL_POLYS, RATIONAL_POLYS)
-@example(Poly("x", [1, 2]), Poly("x", [1, 0, 3]))           # deg a < deg b
-@example(Poly("x", [1, 2, 3]), Poly("x", [Fraction(2, 3)]))  # constant b
-@settings(max_examples=200, deadline=None)
-def test_divmod_matches_poly_building_division(a, b):
-    # over Fraction coefficients, which division needs: the oracle divides
-    # an int leading coefficient by an int one in floating point
-    a, b = as_fractions(a), as_fractions(b)
-    assume(not b.is_zero)
-    assert division_agrees(a, b)
-    assert division_agrees(a * b, b)
-    assert divmod_poly(a * b, b) == (a, Poly.zero("x"))
+@given(st.lists(st.tuples(polys_of(RATIONALS, max_size=4),
+                          st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=3))
+@example([(Poly("x", [0, 1]), 2), (Poly("x", [-1, 1]), 3)])  # x^2 (x-1)^3
+@example([(Poly("x", [5]), 1)])                              # a constant
+@settings(max_examples=150, deadline=None)
+def test_squarefree_part_matches_fraction_euclid(factors):
+    # products of factors raised to powers, so that most repeat a factor
+    p = Poly.constant("x", 1)
+    for f, k in factors:
+        p = p * f ** k
+    assume(not p.is_zero)
+    sf = squarefree_ints(p.ints)
+    assert sf[-1] > 0 and gcd(*sf) == 1
+    assert Poly("x", sf) / sf[-1] == squarefree_part(p)
 
 
 def test_perturbed_convolution_coefficient_is_caught(monkeypatch):
@@ -574,7 +581,6 @@ def test_integer_form_matches_fraction_arithmetic(xs, ys, r, x):
                     for k, c in enumerate(xs) if k >= j), Fraction(0))
                for j in range(len(xs))]
     assert agrees(a.shift(r), shifted)
-    assert agrees(a.derivative(), [k * c for k, c in enumerate(xs)][1:])
     at_x = a(x)
     assert type(at_x) is Fraction
     assert at_x == sum((c * x ** k for k, c in enumerate(xs)), Fraction(0))

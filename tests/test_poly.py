@@ -2,7 +2,7 @@
 oracle, the critical-line substitution and Descartes isolation."""
 from fractions import Fraction
 from math import comb
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +13,9 @@ from critpoly.construct import p_beta
 from critpoly.errors import (MixedCoefficients, VariableMismatch,
                              ZeroPolynomial)
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, RatFun,
-                           divmod_poly, gen_binom, half_shift,
-                           isolate_real_roots, pochhammer, real_root_data,
-                           refine_root, squarefree_part, substitute_critical)
+                           gen_binom, half_shift, isolate_real_roots,
+                           pochhammer, real_root_data, refine_root,
+                           squarefree_ints, substitute_critical)
 from sturm_oracle import sturm_root_data
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -231,7 +231,12 @@ def test_line_isolation_roots():
     assert iso.w == [100, -229, 9]
     assert iso.roots() == pytest.approx([-5, -2 / 3, 0, 2 / 3, 5],
                                         rel=1e-15)
-    assert LineIsolation(u * u).fallback == "w(0)=0"
+    assert iso.method == "descartes" and iso.distinct_real_roots == 5
+    # a double zero at s = 1/2: v = t^2, w = x
+    iso = LineIsolation(u * u)
+    assert iso.fallback == "w(0)=0" and iso.method == "squarefree"
+    assert (iso.v_degree, iso.distinct_real_roots) == (2, 1)
+    assert iso.passed and not iso.squarefree and iso.roots() == [0.0]
     # w = (x - 1)(x - 2)(10x - 13), with the roots 1 and 2 at split points
     iso = LineIsolation((u * u + 1) * (u * u + 2) * (10 * u * u + 13))
     assert iso.fallback is None and iso.w == [26, -59, 43, -10]
@@ -239,8 +244,9 @@ def test_line_isolation_roots():
     assert iso.roots() == pytest.approx([-t for t in half[::-1]] + half,
                                         rel=1e-15)
     # zeros 1/2 +- 1, off the line
-    assert LineIsolation(u * u - 1).fallback == "0 positive roots of w " \
-        "for degree 1"
+    iso = LineIsolation(u * u - 1)
+    assert iso.fallback == "0 positive roots of w for degree 1"
+    assert not iso.passed and iso.squarefree and iso.roots() == []
     with pytest.raises(ZeroPolynomial):
         LineIsolation(Poly.zero("s"))
 
@@ -295,13 +301,6 @@ def test_gen_binom_is_exact_for_int_arguments():
     assert gen_binom(-4, 3) == -20
 
 
-def test_int_coefficients_divide_exactly():
-    # x^2 + 1 = (3x)(x/3) + 1, with 1/3 a Fraction, not 0.333...
-    q, r = divmod_poly(Poly("x", [1, 0, 1]), Poly("x", [0, 3]))
-    assert q.coeffs == (0, Fraction(1, 3)) and r.coeffs == (1,)
-    assert all(isinstance(c, Fraction) for c in q.coeffs)
-
-
 def _factorial(k):
     out = 1
     for j in range(2, k + 1):
@@ -310,10 +309,12 @@ def _factorial(k):
 
 
 def test_squarefree_part():
-    p = _poly_from_roots([2, 2, 2, 7])
-    sf = squarefree_part(p)
-    assert sf.degree == 2
-    assert sf(Fraction(2)) == 0 and sf(Fraction(7)) == 0
+    # (s - 2)^3 (s - 7) over 5, and -(2s - 1)^2 (3s + 1): primitive, with a
+    # positive leading coefficient
+    p = _poly_from_roots([2, 2, 2, 7]) / 5
+    assert squarefree_ints(p.ints) == [14, -9, 1]
+    assert squarefree_ints([-1, 1, 8, -12]) == [-1, -1, 6]
+    assert squarefree_ints([-4]) == [1]
 
 
 def test_ratfun_is_a_record_that_evaluates():
@@ -328,9 +329,12 @@ def test_ratfun_is_a_record_that_evaluates():
 
 def test_polys_in_two_variables_do_not_mix():
     s, t = Poly.var("s"), Poly.var("t")
-    for op in (add, sub, mul, truediv):
+    for op in (add, sub, mul):
         with pytest.raises(VariableMismatch):
             op(s + 1, t + 1)
+    # a Poly divides by scalars only
+    with pytest.raises(TypeError):
+        (s + 1) / (s + 1)
 
 
 def test_hash_agrees_with_eq():
@@ -375,10 +379,3 @@ def test_division_by_zero_raises():
         Poly.from_ints("x", [1, 2], 0)
     with pytest.raises(ZeroDivisionError):
         Poly.from_ints("x", [], 0)
-
-
-def test_exact_division_raises_on_remainder():
-    p = Poly("s", [Fraction(1), Fraction(1)])
-    q = Poly("s", [Fraction(0), Fraction(1)])
-    with pytest.raises(Exception):
-        p / q

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 import genfun_oracle
+from corollary2_oracle import corollary2_rel_err
 from critpoly import construct, quadrature
 from critpoly.construct import mellin_T_closed, mellin_closed
 from critpoly.errors import InvalidParameters, ToleranceNotMet
@@ -20,7 +21,6 @@ from critpoly.quadrature import (closed_form_value, compare_mellin,
                                  lemma3a_check, quad_mellin_T,
                                  quad_mellin_gegenbauer,
                                  transform_level_lemma1_check)
-from critpoly.verify import check_corollary2
 
 
 def test_anchor_u1_at_s1():
@@ -378,7 +378,8 @@ def test_oracles_ignore_the_global_precision(monkeypatch):
         assert compare_mellin(n, 1.5, 3.7)["rel_err"] <= 1e-12
         assert compare_mellin_T(n, 3.7)["rel_err"] <= 1e-12
     for n in range(1, 9):
-        assert check_corollary2(n, [Fraction(37, 10), Fraction(1, 3)])["pass"]
+        for s in (Fraction(37, 10), Fraction(1, 3)):
+            assert corollary2_rel_err(n, s) <= 1e-30, (n, s)
     assert mp.mp.dps == 5
 
 

@@ -20,8 +20,6 @@ from .rat import as_rat, format_rat, parse_rat
 
 LAMBDA_SET = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
 BETA_SET = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2)]
-S_SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2),
-             Fraction(11, 7), Fraction(9, 4)]
 
 GOLDEN = {0: [Fraction(1, 2)], 1: [Fraction(1)],
           2: [Fraction(-3, 4), Fraction(3, 2)],
@@ -244,10 +242,11 @@ def _suite_recur(nmax: int, seed: int):
 
 @_suite
 def _suite_gould(nmax: int, seed: int):
+    """Gould-type sum forms proved in Q[s], closures and bare sums."""
     for n in range(min(nmax, GOULD_NMAX) + 1):
         for lam in LAMBDA_SET:
             yield (f"sum forms at n={n}, lambda={lam}",
-                   verify.check_gould_sum_forms(n, lam, S_SAMPLES)["pass"])
+                   verify.check_gould_sum_forms(n, lam)["pass"])
             yield (f"integer-s sums at n={n}, lambda={lam}",
                    verify.check_integer_s_sums(n, lam, 6)["pass"])
     closures = verify.check_gould_closures(nmax, LAMBDA_SET)
@@ -258,6 +257,7 @@ def _suite_gould(nmax: int, seed: int):
                 yield (f"bare {parity} sum at n={n}, lambda={lam}",
                        construct.s32_bare_sum(n, lam, s, parity)
                        == construct.s32_bare_closed_form(n, lam, parity))
+    return {"method": "identity"}
 
 
 @_suite

@@ -5,9 +5,9 @@ Mellin transform descriptors.
 One kernel builds the canonical polynomials: the beta family's 3F2 series,
 whose term ratio at beta = 3/4 - lam/2 (< 1 for lam > -1/2) is that of the
 Gegenbauer series at lam, so p_s32(n, lam) = ((2 lam)_n / 2) p_beta(n, beta)
-and p_hyp is twice that. S41 and S21 (each a ``pochhammer_sum``) and RECUR
-are built here as evidence, the S32 sum is ``verify.s32_sum``, and
-``verify`` checks the identities.
+and p_hyp is twice that. S41 and S21 (each a ``pochhammer_sum`` of
+``gould_weights``) and RECUR are built here as evidence, the S32 sum is
+``verify.s32_sum``, and ``verify`` checks the identities.
 
 Normalization bookkeeping: the canonical normalization (tag ``paper_S``)
 matches the printed list p_0 = 1/2, p_1 = 1, p_2 = 3s/2 - 3/4, ...; the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import InvalidBeta, PoleInDenominator, UndefinedIndex
 from .hyp3f2 import poly_from_3f2, pochhammer_sum
@@ -84,25 +84,40 @@ def _args(n: int, lam=None) -> Fraction | None:
 # binomial-sum forms
 # ---------------------------------------------------------------------------
 
-def gould_term(m: int, r: int, eps: int, x):
-    """(-1)^(m-r) 2^(2r-1+eps) C(m+r+eps, 2r+eps) C((x-2+eps)/2 + r, r), the
-    factor that every Gould-type sum form of index 2m + eps shares; x is a
-    Fraction or a Poly (an int x would halve to a float)."""
-    return (Fraction((-1) ** (m - r) * 2 ** (2 * r + eps), 2)
-            * comb(m + r + eps, 2 * r + eps) * gen_binom((x - 2 + eps) / 2 + r, r))
+def gould_weights(m: int, eps: int, lam: Fraction) -> list:
+    """V_0..V_m, the weights behind every Gould-type form of index 2m + eps:
+    V_r = (-1)^(m-r) 2^(2r+eps) C(m+r+eps, 2r+eps) C(y+r, m+eps+r) /
+    C(y, m+eps), y = m + lam - 1 + eps, stepped on integers from
+    V_0 = (-1)^m 2^eps (m+1)^eps by V_r / V_(r-1) =
+    -4 (m+r+eps)(m-r+1)(y+r) / ((2r-1+eps)(2r+eps)(m+eps+r)). Each form is
+    a constant times their ``pochhammer_sum`` at gamma = lam/2 + (1+2eps)/4,
+    as C(u-1+r, r) = (u)_r / r! and 1/C(a+r, r) = r! (a+r+1)_(m-r) / (a+1)_m
+    at a + 1 = s/2 + gamma."""
+    p, q = lam.numerator, lam.denominator
+    out = [Fraction((-1) ** m * (2 * m + 2) ** eps)]
+    for r in range(1, m + 1):
+        out.append(out[-1] * Fraction(
+            -4 * (m + r + eps) * (m - r + 1) * (q * (m + r - 1 + eps) + p),
+            q * (2 * r - 1 + eps) * (2 * r + eps) * (m + eps + r)))
+    return out
+
+
+def gould_sum(m: int, eps: int, lam: Fraction) -> Poly:
+    """C(y, m+eps), y = m + lam - 1 + eps, times the ``pochhammer_sum`` of
+    ``gould_weights``: the four-over-two and three-over-one sums of
+    M_(2m+eps) / M_0 times (a+1)_m, a = (s+lam+eps)/2 - 3/4, which are equal
+    term by term as C(m+a, m-r) / (C(m, r) C(m+a, m)) = 1/C(a+r, r)."""
+    return (pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4),
+                           gould_weights(m, eps, lam))
+            * gen_binom(m + lam - 1 + eps, m + eps))
 
 
 def p_s41(n: int, lam) -> CriticalPolynomial:
-    """Four-binomial-numerator sum form (no s-dependent denominators), the
-    ``pochhammer_sum`` of its terms gould_term(m, r, eps, s) C(m+A, m-r)
-    C(m+r+lam-1+eps, m+r+eps) m! (2m+eps)! / C(m, r), A = (s+lam+eps)/2
-    - 3/4: the s-binomials are (u)_r / r! and (A+r+1)_{m-r} / (m-r)!."""
+    """Four-binomial-numerator sum form (no s-dependent denominators),
+    (2m+eps)! / 2 times ``gould_sum``."""
     lam = _args(n, lam)
     m, eps = n // 2, n % 2
-    weights = [gould_term(m, r, eps, Fraction(2 - eps)) * factorial(2 * m + eps)
-               * gen_binom(m + r + lam - 1 + eps, m + r + eps)
-               for r in range(m + 1)]
-    out = pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4), weights)
+    out = gould_sum(m, eps, lam) * Fraction(factorial(2 * m + eps), 2)
     return CriticalPolynomial(n, "gegenbauer", lam, "S41", out, "paper_S")
 
 
@@ -116,15 +131,11 @@ def p_s32(n: int, lam) -> CriticalPolynomial:
 
 
 def p_s21_chebyshev(n: int) -> CriticalPolynomial:
-    """Two-numerator/one-denominator sum; the lambda = 1 simplification,
-    gould_term(m, r, eps, s) r! (s/2 + 3/4 + eps/2 + r)_{m-r} (2m+eps)!."""
-    _args(n)
-    m, eps = n // 2, n % 2
-    weights = [gould_term(m, r, eps, Fraction(2 - eps)) * factorial(2 * m + eps)
-               for r in range(m + 1)]
-    out = pochhammer_sum(eps, Fraction(3 + 2 * eps, 4), weights)
-    return CriticalPolynomial(n, "gegenbauer", Fraction(1), "S21", out,
-                              "paper_S")
+    """Two-numerator/one-denominator sum, the lambda = 1 simplification of
+    S41: there C(y+r, m+eps+r) = C(y, m+eps) = 1, so its weights are
+    ``gould_weights`` times (2m+eps)! / 2."""
+    return CriticalPolynomial(n, "gegenbauer", Fraction(1), "S21",
+                              p_s41(n, 1).poly, "paper_S")
 
 
 def p_hyp(n: int, lam) -> CriticalPolynomial:
@@ -229,22 +240,18 @@ def q_rational(n: int, lam) -> NormalizedRational:
 
 def s32_bare_sum(n: int, lam, s, parity: str) -> Fraction:
     """The bare three-over-two binomial sum, without the normalizing
-    prefactor: index 2n for parity 'even', 2n+1 for parity 'odd'."""
+    prefactor: index 2n for parity 'even', 2n+1 for parity 'odd'. It is the
+    ``pochhammer_sum`` of ``gould_weights`` at s over 2 (s/2 + gamma)_n."""
     lam, s = as_rat(lam), as_rat(s)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     eps = int(parity == "odd")
-    total = Fraction(0)
-    try:
-        for r in range(n + 1):
-            total += (gould_term(n, r, eps, s)
-                      * gen_binom(n + r + lam - 1 + eps, r)
-                      / (comb(n + r + eps, r) * gen_binom(
-                          (s + lam + eps) / 2 - Fraction(3, 4) + r, r)))
-    except ZeroDivisionError:
+    gamma = lam / 2 + Fraction(1 + 2 * eps, 4)
+    den = 2 * pochhammer(s / 2 + gamma, n)
+    if den == 0:
         raise PoleInDenominator(
-            f"denominator binomial vanishes at s={s}, lambda={lam}") from None
-    return total
+            f"denominator binomial vanishes at s={s}, lambda={lam}")
+    return pochhammer_sum(eps, gamma, gould_weights(n, eps, lam))(s) / den
 
 
 def s32_bare_closed_form(n: int, lam, parity: str) -> Fraction:

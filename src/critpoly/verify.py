@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .construct import (S, CriticalPolynomial, NormalizedRational,
-                        gould_term, p_beta, p_hyp, p_s32, q_rational)
-from .hyp3f2 import eval_3f2, pochhammer_sum, poly_from_3f2
+                        gould_sum, gould_weights, p_beta, p_hyp, p_s32,
+                        q_rational)
+from .hyp3f2 import pochhammer_sum, poly_from_3f2
 from .poly import (LineIsolation, Poly, RatFun, gen_binom, half_shift,
                    line_reduction, pochhammer)
 from .rat import as_rat
@@ -49,7 +50,6 @@ class Certificate:
     v_degree: int
     distinct_real_roots: int
     squarefree: bool
-    parity_paired: bool
     passed: bool
     method: str
     work: int
@@ -61,8 +61,7 @@ class Certificate:
         return {"subject": self.subject, "degree": self.degree,
                 "v_degree": self.v_degree,
                 "distinct_real_roots": self.distinct_real_roots,
-                "squarefree": self.squarefree,
-                "parity_paired": self.parity_paired, "pass": self.passed,
+                "squarefree": self.squarefree, "pass": self.passed,
                 "method": self.method, "work": self.work,
                 "coeff_bits": self.coeff_bits}
 
@@ -84,10 +83,9 @@ def certify_critical_line(p: CriticalPolynomial | Poly,
     positive roots than deg w) by the positive roots of the squarefree part
     of w; it logs that fallback at DEBUG. The substitution raises
     MixedCoefficients when p(1/2 + it) is neither purely real nor purely
-    imaginary; otherwise v is even or odd, so its roots pair as +-t and
-    ``parity_paired`` always holds. ``reduction`` is the (odd, w) of a bare
-    Poly p when the caller holds it, as the ``reduction`` of a Favard
-    certificate of p.
+    imaginary; otherwise v is even or odd, so its roots pair as +-t.
+    ``reduction`` is the (odd, w) of a bare Poly p when the caller holds
+    it, as the ``reduction`` of a Favard certificate of p.
     """
     if isinstance(p, Poly):
         poly = p
@@ -100,15 +98,15 @@ def certify_critical_line(p: CriticalPolynomial | Poly,
         reason = favard_failure(p, odd, w)
         if reason is None:
             m = poly.degree
-            return Certificate(subject, m, m, m, True, True, True, "favard",
+            return Certificate(subject, m, m, m, True, True, "favard",
                                max(m - 1, 0),
                                max(abs(c).bit_length() for c in w), None,
                                reduction)
         log.debug("Favard certificate of %s fails: %s", subject, reason)
     iso = LineIsolation(poly, reduction)
     return Certificate(subject, poly.degree, iso.v_degree,
-                       iso.distinct_real_roots, iso.squarefree, True,
-                       iso.passed, iso.method, iso.work,
+                       iso.distinct_real_roots, iso.squarefree, iso.passed,
+                       iso.method, iso.work,
                        max(abs(c).bit_length() for c in iso.w), iso)
 
 
@@ -211,23 +209,11 @@ def check_fq1(n: int, lam) -> bool:
 def s32_sum(n: int, lam) -> Poly:
     """The three-numerator/two-denominator sum form of p_n(s), built apart
     from the beta kernel of ``construct.p_s32``: with the s-binomial
-    cancelled, C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, it is the
-    ``pochhammer_sum`` of the weights A_r / r!, stepped on integers by
-    A_r / A_(r-1) = -2 (m+r-1+eps+lam)(m-r+1) / (2r-1+2eps)."""
-    lam = as_rat(lam)
+    cancelled, C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, it is
+    (2m+eps)! / 2 times ``construct.gould_sum``."""
     m, eps = n // 2, n % 2
-    p, q = lam.numerator, lam.denominator
-    weights = [Fraction(1)]
-    for r in range(1, m + 1):
-        weights.append(weights[-1] * Fraction(
-            -2 * (q * (m + r - 1 + eps) + p) * (m - r + 1),
-            q * (2 * r - 1 + 2 * eps) * r))
-    # A_0: the prefactor (2m+eps)! C(m+lam-1+eps, m+eps), with
-    # (m+1) C(m+lam, m+1) = (m+lam) C(m+lam-1, m), times (-1)^m (1 or 1/2)
-    front = (factorial(2 * m + eps) * (-1) ** m * gen_binom(m + lam - 1, m)
-             * (m + lam if eps else Fraction(1, 2)))
-    return pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4),
-                          weights) * front
+    return (gould_sum(m, eps, as_rat(lam))
+            * Fraction(factorial(2 * m + eps), 2))
 
 
 def check_hat_ratio(hat: Poly, n: int, lam) -> bool:
@@ -354,66 +340,34 @@ def lambda1_series(n: int) -> dict:
                 eps, gamma, terms(front, halves, -n)[::-1])}
 
 
-def _running(first: Fraction, factors) -> list:
-    """The (numerator, denominator) pairs of first and of its running
-    products with the factors u / v, given as integer pairs (u, v)."""
-    out = [(first.numerator, first.denominator)]
-    for u, v in factors:
-        out.append((out[-1][0] * u, out[-1][1] * v))
+def _hyp_weights(n: int, eps: int, lam: Fraction) -> list:
+    """F_k = (-1)^n (2n+2)^eps C(y, n+eps) (-n)_k (lam+n+eps)_k / ((1/2+eps)_k
+    k!), stepped on integers: as (a+1)_n / (a+1)_k = (a+1+k)_(n-k), their
+    ``pochhammer_sum`` is the 3F2 form of M_(2n+eps) / M_0 times (a+1)_n,
+    (-1)^n (2n+2)^eps C(y, n+eps) 3F2(-n, lam+n+eps, u; 1/2+eps, a+1; 1)."""
+    p, q = lam.numerator, lam.denominator
+    out = [(-1) ** n * (2 * n + 2) ** eps
+           * gen_binom(n + lam - 1 + eps, n + eps)]
+    for k in range(1, n + 1):
+        out.append(out[-1] * Fraction(
+            2 * (k - 1 - n) * (q * (n + eps + k - 1) + p),
+            q * (2 * k - 1 + 2 * eps) * k))
     return out
 
 
-def _gould_sums(n: int, eps: int, lam: Fraction, s: Fraction) -> tuple:
-    """The four-over-two and three-over-one sums of M_(2n+eps) / M_0 at s,
-    Sum_r 2 g_r C(y + r, n + eps + r) times C(n + a, n - r) / (C(n, r)
-    C(n + a, n)) or over C(a + r, r), with g_r = gould_term(n, r, eps, s),
-    y = n + lam - 1 + eps and a = (s + lam + eps)/2 - 3/4. Each factor
-    steps from its r - 1 value on integers (``_running``); g_r by
-    (x + r) (-4)(n+r+eps)(n-r+1) / ((2r-1+eps)(2r+eps) r), x = (s-2+eps)/2."""
-    a = (s + lam + eps) / 2 - Fraction(3, 4)
-    x, y, top = (s - 2 + eps) / 2, n + lam - 1 + eps, n + a
-    rs = range(1, n + 1)
-    g = _running(gould_term(n, 0, eps, s), (
-        (-4 * (n + r + eps) * (n - r + 1) * (x.numerator + r * x.denominator),
-         x.denominator * (2 * r - 1 + eps) * (2 * r + eps) * r) for r in rs))
-    upper = _running(gen_binom(y, n + eps), (
-        (y.numerator + r * y.denominator, y.denominator * (n + eps + r))
-        for r in rs))
-    # C(n + a, m) and C(a + r, r)
-    row = _running(Fraction(1), ((top.numerator - (m - 1) * top.denominator,
-                                  top.denominator * m) for m in rs))
-    inner = _running(Fraction(1), ((a.numerator + r * a.denominator,
-                                    a.denominator * r) for r in rs))
-    s42 = s31 = Fraction(0)
-    for r in range(n + 1):
-        (gn, gd), (un, ud), (cn, cd) = g[r], upper[r], row[n - r]
-        s42 += Fraction(2 * gn * un * cn * row[n][1],
-                        gd * ud * cd * row[n][0] * comb(n, r))
-        s31 += Fraction(2 * gn * un * inner[r][1], gd * ud * inner[r][0])
-    return s42, s31
-
-
-def check_gould_sum_forms(n: int, lam, s_samples) -> dict:
-    """The four-over-two and three-over-one sum forms of M_{2n+eps}, divided
-    through by M_0 (``_gould_sums``): both must equal
-    hat_p(s) / ((2n+eps)! ((s+lam+eps)/2 + 1/4)_{n}) exactly, and so must
-    the 3F2 form."""
+def check_gould_sum_forms(n: int, lam) -> dict:
+    """The four-over-two, three-over-one and 3F2 sum forms of M_{2n+eps} / M_0
+    times (a+1)_n as identities in Q[s], per parity: ``gould_sum`` (both of
+    the first two) and the 3F2 sum must each equal hat_p(s) / (2n+eps)!,
+    hat_p the ``poly_from_3f2`` build of ``p_hyp``."""
     lam = as_rat(lam)
-    s_samples = [as_rat(s) for s in s_samples]
-    results = {"even": [], "odd": []}
-    hats = [p_hyp(2 * n + eps, lam).poly for eps in (0, 1)]
-    for s in s_samples:
-        for eps, parity in enumerate(("even", "odd")):
-            a = (s + lam + eps) / 2 - Fraction(3, 4)
-            rhs = (hats[eps](s)
-                   / (factorial(2 * n + eps) * pochhammer(a + 1, n)))
-            s42, s31 = _gould_sums(n, eps, lam, s)
-            f = eval_3f2(-n, lam + n + eps, (s + eps) / 2,
-                         Fraction(1, 2) + eps, a + 1)
-            hyp = ((-1) ** n * (2 * n + 2) ** eps
-                   * gen_binom(lam + n - 1 + eps, n + eps) * f)
-            results[parity].append(s42 == rhs and s31 == rhs and hyp == rhs)
-    results["pass"] = all(results["even"]) and all(results["odd"])
+    results = {"method": "identity"}
+    for eps, parity in enumerate(("even", "odd")):
+        want = p_hyp(2 * n + eps, lam).poly / factorial(2 * n + eps)
+        hyp = pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4),
+                             _hyp_weights(n, eps, lam))
+        results[parity] = gould_sum(n, eps, lam) == want == hyp
+    results["pass"] = results["even"] and results["odd"]
     return results
 
 
@@ -421,23 +375,22 @@ def check_integer_s_sums(n: int, lam, s1_max: int = 12) -> dict:
     """At even/odd integer arguments s = 2 s1 + eps the Gamma-ratios become
     exact rationals; the four-over-three sum forms must then reproduce the
     closed-form transform values exactly, over M_0(2k), k = s1 + eps. Such
-    a form is the four-over-two sum of ``_gould_sums`` at s, where
-    a = k + lam/2 - 3/4, over C(k + lam/2 - 3/4, k)."""
+    a form is ``gould_sum``, proved by ``check_gould_sum_forms``, at s, over
+    (a+1)_n C(a, k) with a = k + lam/2 - 3/4."""
     lam = as_rat(lam)
-    hats = [p_hyp(2 * n + eps, lam).poly for eps in (0, 1)]
     quarter = lam / 2 + Fraction(1, 4)
     oks = []
-    for s1 in range(1, s1_max + 1):
-        for eps, hat in enumerate(hats):
-            k = s1 + eps
+    for eps in (0, 1):
+        hat, gould = p_hyp(2 * n + eps, lam).poly, gould_sum(n, eps, lam)
+        for s1 in range(1, s1_max + 1):
+            k, s = s1 + eps, Fraction(2 * s1 + eps)
             # M_0(2k) = (k-1)! / (2 (lam/2+1/4)_k)
             m0 = Fraction(factorial(k - 1), 2) / pochhammer(quarter, k)
             # the printed prefactors 1/2s and lambda/(s+1) read s as s1
             oks.append(m0 == Fraction(1, 2 * k) / gen_binom(quarter + k - 1, k))
-            closed = (m0 * hat(Fraction(2 * s1 + eps))
-                      / (factorial(2 * n + eps) * pochhammer(k + quarter, n)))
-            total = (_gould_sums(n, eps, lam, Fraction(2 * s1 + eps))[0]
-                     / gen_binom(k + quarter - 1, k))
+            rising = pochhammer(k + quarter, n)
+            closed = m0 * hat(s) / (factorial(2 * n + eps) * rising)
+            total = gould(s) / (rising * gen_binom(k + quarter - 1, k))
             # at odd s the r = 0 term already carries the factor 2*lam, so
             # the matching prefactor is 1/(2k) = M_0(2k) over its binomial part
             oks.append(total / (2 * k) == closed)
@@ -455,10 +408,8 @@ def check_gould_closures(nmax: int, lam_samples) -> dict:
     for lam in map(as_rat, lam_samples):
         for eps, parity in enumerate(("even", "odd")):
             for n in range(1 - eps, nmax + 1):
-                # at x = 2 - eps the last binomial of gould_term is C(r, r) = 1
-                total = sum(gould_term(n, r, eps, Fraction(2 - eps))
-                            * gen_binom(n + r + lam - 1 + eps, r)
-                            / comb(n + r + eps, r) for r in range(n + 1))
+                # as s -> infinity each term of the bare sum tends to V_r / 2
+                total = sum(gould_weights(n, eps, lam)) / 2
                 want = ((Fraction(n + 1, 2 * n + 1) if eps else Fraction(1, 2))
                         * gen_binom(2 * n + 2 * lam - 1 + eps, 2 * n - 1 + eps)
                         / gen_binom(n + lam - 1 + eps, n - 1 + eps))

@@ -1,14 +1,15 @@
-"""The Gould-type sum forms written out once per parity, as critpoly wrote
-them before ``construct.gould_term`` folded each pair into one loop over
-eps = n mod 2: the S41 and S21 builds, q_n, the bare S32 sum, and the sum
-forms, integer-argument sums, closures and quarter-shifted series of
-``verify``. Kept as the reference the tests compare the folded forms with.
+"""The Gould-type sum forms written out once per parity, binomial by
+binomial, as critpoly wrote them before each became a ``pochhammer_sum`` of
+``construct.gould_weights``: the S41 and S21 builds, q_n, the bare S32 sum,
+and the sum forms (sampled at rational s), integer-argument sums, closures
+and quarter-shifted series of ``verify``. Kept as the reference the tests
+compare the weight-list forms with.
 The beta-kernel and duplication series checks are kept as ``verify`` had
 them, sampled at rational s through ``eval_3f2``, as the oracles of the
 lambda = 1 series that ``verify.lambda1_series`` builds as polynomials.
 
-Nothing here calls ``gould_term``, so a fault in it cannot reach both
-sides of a comparison."""
+Nothing here calls ``gould_weights`` or ``pochhammer_sum``, so a fault in
+either cannot reach both sides of a comparison."""
 from fractions import Fraction
 from math import comb, factorial
 

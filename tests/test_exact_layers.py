@@ -1,5 +1,5 @@
-"""The exact layers stay exact: neither the polynomial core nor the
-certification engine imports the float library."""
+"""The exact layers stay exact: no module of the package but the numeric
+quadrature oracle and the command line imports the float library."""
 import ast
 from pathlib import Path
 
@@ -21,7 +21,19 @@ def imported_modules(path: Path) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", ["poly.py", "verify.py"])
+FLOAT_MODULES = {"quadrature.py", "cli.py"}
+EXACT_MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
+                       if path.name not in FLOAT_MODULES | {"__init__.py"})
+
+
+def test_the_scan_covers_every_exact_layer():
+    # a new module joins the scan; none of these may leave it
+    assert {"arithprops.py", "construct.py", "errors.py", "hyp3f2.py",
+            "orthopoly.py", "poly.py", "rat.py",
+            "verify.py"} <= set(EXACT_MODULES)
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_layers_do_not_import_mpmath(module):
     assert "mpmath" not in imported_modules(PACKAGE / module)
 

@@ -292,7 +292,7 @@ def test_favard_certificate_matches_descartes():
         fast, slow = certify_critical_line(p), certify_critical_line(p.poly)
         assert (fast.method, slow.method) == ("favard", "descartes"), n
         for field in ("passed", "degree", "v_degree", "distinct_real_roots",
-                      "squarefree", "parity_paired", "coeff_bits"):
+                      "squarefree", "coeff_bits"):
             assert getattr(fast, field) == getattr(slow, field), \
                 (build.__name__, param, n, field)
         assert fast.passed and fast.distinct_real_roots == n // 2

@@ -1,21 +1,28 @@
-"""The Gould-type sum forms, each written once in eps = n mod 2 around
-``construct.gould_term``, against their per-parity transcriptions in
-gould_oracle.py; and a ``gould_term`` without its 2^eps, which the
-independent S32 kernel and the sum-form checks must catch at odd index."""
+"""The Gould-type sum forms, each a ``pochhammer_sum`` of
+``construct.gould_weights``, against their per-parity transcriptions in
+gould_oracle.py; stand-ins that a sampled check passes and the identities
+in Q[s] fail; and weights without their 2^eps, which the independent S32
+kernel and the sum-form checks must catch at odd index."""
 from fractions import Fraction
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 import gould_oracle
 from critpoly import construct, verify
-from critpoly.cli import LAMBDA_SET, S_SAMPLES
-from critpoly.construct import (p_hyp, p_s21_chebyshev, p_s32, p_s41,
+from critpoly.cli import LAMBDA_SET
+from critpoly.construct import (S, p_hyp, p_s21_chebyshev, p_s32, p_s41,
                                 q_rational, s32_bare_closed_form,
                                 s32_bare_sum)
+from critpoly.poly import gen_binom, pochhammer
 from critpoly.verify import (check_gould_closures, check_gould_sum_forms,
                              check_integer_s_sums, lambda1_series)
 
 LAMBDAS = LAMBDA_SET + [Fraction(-1, 4)]
+# where the sampled oracles of gould_oracle.py evaluate both sides
+S_SAMPLES = [Fraction(1, 3), Fraction(7, 5), Fraction(5, 2),
+             Fraction(11, 7), Fraction(9, 4)]
 BUILD_NMAX = 30
 SUM_NMAX = 6
 
@@ -48,8 +55,12 @@ def test_sums_match_oracle(lam):
                 assert (outcome(s32_bare_sum, n, lam, s, parity)
                         == outcome(gould_oracle.s32_bare_sum, n, lam, s,
                                    parity)), (n, parity, s)
-        assert (check_gould_sum_forms(n, lam, S_SAMPLES)
-                == gould_oracle.check_gould_sum_forms(n, lam, S_SAMPLES))
+        # the identity in Q[s] holds where the oracle samples it
+        want = gould_oracle.check_gould_sum_forms(n, lam, S_SAMPLES)
+        assert check_gould_sum_forms(n, lam) == {
+            "method": "identity", "even": all(want["even"]),
+            "odd": all(want["odd"]), "pass": want["pass"]}
+        assert want["pass"] is True
         got = check_integer_s_sums(n, lam, 6)
         want = gould_oracle.check_integer_s_sums(n, lam, 6)
         # the folded loop also checks the M_0 prefactor at odd s
@@ -76,7 +87,7 @@ def test_closures_match_oracle():
 
 
 def test_sum_forms_report_a_wrong_hat_per_parity(monkeypatch):
-    # the folded check files each parity's outcome where the oracle does
+    # each parity's identity is filed where the oracle files its samples
     good = p_hyp
 
     def bad_hat(n, lam):
@@ -84,22 +95,70 @@ def test_sum_forms_report_a_wrong_hat_per_parity(monkeypatch):
 
     monkeypatch.setattr(verify, "p_hyp", bad_hat)
     monkeypatch.setattr(gould_oracle, "p_hyp", bad_hat)
-    got = check_gould_sum_forms(2, Fraction(3, 2), S_SAMPLES)
-    assert got == gould_oracle.check_gould_sum_forms(2, Fraction(3, 2),
-                                                     S_SAMPLES)
-    assert got["even"] == [True] * 5 and got["odd"] == [False] * 5
+    got = check_gould_sum_forms(2, Fraction(3, 2))
+    want = gould_oracle.check_gould_sum_forms(2, Fraction(3, 2), S_SAMPLES)
+    assert want["even"] == [True] * 5 and want["odd"] == [False] * 5
+    assert (got["even"], got["odd"], got["pass"]) == (True, False, False)
+
+
+def test_a_hat_off_between_the_samples_fails_the_identity(monkeypatch):
+    # hat + c prod (s - s_i) agrees with hat at every sample, so the sampled
+    # oracle passes it; as a polynomial it differs, and the identity fails
+    nodes = Fraction(1, 7)
+    for s in S_SAMPLES:
+        nodes = nodes * (S - s)
+    good = p_hyp
+
+    def off_hat(n, lam):
+        return SimpleNamespace(poly=good(n, lam).poly + nodes)
+
+    monkeypatch.setattr(verify, "p_hyp", off_hat)
+    monkeypatch.setattr(gould_oracle, "p_hyp", off_hat)
+    for lam in LAMBDAS:
+        for n in range(4):
+            assert gould_oracle.check_gould_sum_forms(n, lam,
+                                                      S_SAMPLES)["pass"]
+            got = check_gould_sum_forms(n, lam)
+            assert not (got["even"] or got["odd"] or got["pass"]), (n, lam)
+
+
+def hyp_weights(n, eps, lam, bottom):
+    """The 3F2 weights (-1)^n (2n+2)^eps C(n+lam-1+eps, n+eps) (-n)_k
+    (lam+n+eps)_k / ((bottom)_k k!), each from its Pochhammer symbols."""
+    front = (-1) ** n * (2 * n + 2) ** eps * gen_binom(n + lam - 1 + eps,
+                                                       n + eps)
+    return [front * pochhammer(Fraction(-n), k) * pochhammer(lam + n + eps, k)
+            / (pochhammer(bottom, k) * factorial(k)) for k in range(n + 1)]
+
+
+def test_a_wrong_3f2_denominator_fails_the_identity(monkeypatch):
+    # (1/2+eps)_k in the 3F2 weights is right; (3/2+eps)_k is not
+    for lam in LAMBDA_SET:
+        for n in range(5):
+            for eps in (0, 1):
+                assert (verify._hyp_weights(n, eps, lam) == hyp_weights(
+                    n, eps, lam, Fraction(1, 2) + eps)), (n, eps, lam)
+    monkeypatch.setattr(verify, "_hyp_weights", lambda n, eps, lam: (
+        hyp_weights(n, eps, lam, Fraction(3, 2) + eps)))
+    for lam in LAMBDA_SET:
+        # at n = 0 the weight list is its first entry, which (b)_0 = 1 keeps
+        assert check_gould_sum_forms(0, lam)["pass"], lam
+        for n in range(1, 5):
+            got = check_gould_sum_forms(n, lam)
+            assert not (got["even"] or got["odd"]), (n, lam)
 
 
 @pytest.fixture
 def no_two_to_eps(monkeypatch):
-    """gould_term without its factor 2^eps, in both modules that call it."""
-    good = construct.gould_term
+    """gould_weights stepped from V_0 = (-1)^m (m+1)^eps, without its
+    factor 2^eps, in both modules that call it."""
+    good = construct.gould_weights
 
-    def bad(m, r, eps, x):
-        return good(m, r, eps, x) / 2 ** eps
+    def bad(m, eps, lam):
+        return [v / 2 ** eps for v in good(m, eps, lam)]
 
-    monkeypatch.setattr(construct, "gould_term", bad)
-    monkeypatch.setattr(verify, "gould_term", bad)
+    monkeypatch.setattr(construct, "gould_weights", bad)
+    monkeypatch.setattr(verify, "gould_weights", bad)
 
 
 @pytest.mark.usefixtures("no_two_to_eps")
@@ -121,9 +180,9 @@ def test_a_wrong_fold_fails_at_odd_index_only():
 def test_a_wrong_fold_fails_the_sum_checks():
     for lam in LAMBDA_SET:
         for n in range(4):
-            got = check_gould_sum_forms(n, lam, S_SAMPLES)
-            assert not got["pass"] and all(got["even"]), (n, lam)
-            assert not any(got["odd"]), (n, lam)
+            got = check_gould_sum_forms(n, lam)
+            assert (got["even"], got["odd"], got["pass"]) == (
+                True, False, False), (n, lam)
             assert not check_integer_s_sums(n, lam, 6)["pass"], (n, lam)
     closures = check_gould_closures(4, [Fraction(1)])
     assert {f[0] for f in closures["failures"]} == {"odd"}

@@ -16,7 +16,7 @@ from . import arithprops, construct, poly, quadrature, verify
 from .errors import CritPolyError
 from .hyp3f2 import appendix_transform_suite
 from .orthopoly import identity_suite
-from .rat import as_rat, format_rat, parse_rat
+from .rat import format_rat, parse_rat
 
 LAMBDA_SET = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
 BETA_SET = [Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(-2)]
@@ -179,45 +179,49 @@ def _suite(cases):
     return run
 
 
+def _forms_top(nmax: int) -> int:
+    """The largest index of the forms row and of the reflection: that at
+    which the gould suite builds a hat polynomial, if above nmax."""
+    return max(nmax, 2 * min(nmax, GOULD_NMAX) + 1)
+
+
 @_suite
 def _suite_forms(nmax: int, seed: int):
-    """Golden values; then S41, HYP, S21 and RECUR against S32 and the
-    reflection of S32 (hence of every form), up to the largest index at
-    which the gould suite builds a hat polynomial."""
+    """Golden values of S32; then HYP = 2 S41, which ties the beta kernel
+    (S32 and HYP) to the Gould weights (S41, and S21, which is S41 at
+    lambda = 1), and RECUR = S21, up to ``_forms_top``. The funceq row
+    proves the reflection of S32, hence of every form tied to it."""
     for n, coeffs in GOLDEN.items():
-        want = [format_rat(c) for c in coeffs]
-        for built in (construct.p_s41(n, 1), construct.p_s32(n, 1),
-                      construct.p_s21_chebyshev(n),
-                      construct.p_chebyshev_recursive(n)):
-            yield f"golden value at n={n}", built.to_json()["coeffs"] == want
-    for n in range(max(nmax, 2 * min(nmax, GOULD_NMAX) + 1) + 1):
+        yield (f"golden value at n={n}",
+               construct.p_s32(n, 1).to_json()["coeffs"]
+               == [format_rat(c) for c in coeffs])
+    for n in range(_forms_top(nmax) + 1):
         for lam in LAMBDA_SET:
-            a, b = construct.p_s41(n, lam), construct.p_s32(n, lam)
-            yield f"S41 = S32 at n={n}, lambda={lam}", a.poly == b.poly
             yield (f"HYP = 2 S32 at n={n}, lambda={lam}",
                    verify.check_hat_ratio(construct.p_hyp(n, lam).poly,
                                           n, lam))
-            yield (f"reflection at n={n}, lambda={lam}",
-                   verify.check_functional_equation(b.poly, n))
-        s21 = construct.p_s21_chebyshev(n).poly
-        yield f"S21 = S32 at n={n}", s21 == construct.p_s32(n, 1).poly
         yield (f"RECUR = S21 at n={n}",
-               construct.p_chebyshev_recursive(n).poly == s21)
+               construct.p_chebyshev_recursive(n).poly
+               == construct.p_s21_chebyshev(n).poly)
+    return {"method": "identity"}
 
 
 @_suite
 def _suite_funceq(nmax: int, seed: int):
-    for n in range(nmax + 1):
+    for n in range(_forms_top(nmax) + 1):
         for lam in LAMBDA_SET:
             yield (f"reflection at n={n}, lambda={lam}",
                    verify.check_functional_equation(
                        construct.p_s32(n, lam).poly, n))
+    for n in range(nmax + 1):
+        for lam in LAMBDA_SET:
             yield (f"fq1 at n={n}, lambda={lam}",
                    n == 0 or verify.check_fq1(n, lam))
         for beta in BETA_SET:
             yield (f"beta reflection at n={n}, beta={beta}",
                    verify.check_functional_equation(
                        construct.p_beta(n, beta).poly, n))
+    return {"method": "identity"}
 
 
 @_suite
@@ -230,6 +234,7 @@ def _suite_diffeq(nmax: int, seed: int):
             yield (f"central relation at n={n}, lambda={lam}",
                    verify.check_central_difference(
                        construct.p_hyp(n, lam).poly, n, lam))
+    return {"method": "identity"}
 
 
 @_suite
@@ -238,17 +243,20 @@ def _suite_recur(nmax: int, seed: int):
         for lam in LAMBDA_SET:
             for name, ok in verify.check_M_recurrences(n, lam).items():
                 yield f"{name} at n={n}, lambda={lam}", ok
+    return {"method": "identity"}
 
 
 @_suite
 def _suite_gould(nmax: int, seed: int):
-    """Gould-type sum forms proved in Q[s], closures and bare sums."""
+    """Gould-type sum forms proved in Q[s], the M_0 prefactors at integer
+    s, closures and bare sums."""
     for n in range(min(nmax, GOULD_NMAX) + 1):
         for lam in LAMBDA_SET:
             yield (f"sum forms at n={n}, lambda={lam}",
                    verify.check_gould_sum_forms(n, lam)["pass"])
-            yield (f"integer-s sums at n={n}, lambda={lam}",
-                   verify.check_integer_s_sums(n, lam, 6)["pass"])
+    for lam in LAMBDA_SET:
+        yield (f"integer-s prefactors at lambda={lam}",
+               verify.check_integer_s_sums(lam, 6)["pass"])
     closures = verify.check_gould_closures(nmax, LAMBDA_SET)
     yield f"closures {closures['failures'][:3]}", closures["pass"]
     for n in range(nmax + 1):
@@ -293,12 +301,11 @@ def _suite_genfun(nmax: int, seed: int):
     """The generating functions, coefficients 0..GENFUN_K proved exactly as
     polynomials in s, after checking the closed forms they sum: HYP = 2 S32
     with reflection, and the T-factor zero sets."""
-    for lam in (1.0, 0.5, 2.5):
-        lam_r = as_rat(lam)
+    for lam in (Fraction(1), Fraction(1, 2), Fraction(5, 2)):
         for k in range(GENFUN_K + 1):
-            hat = construct.p_hyp(k, lam_r).poly
+            hat = construct.p_hyp(k, lam).poly
             yield (f"HYP = 2 S32 at n={k}, lambda={lam}",
-                   verify.check_hat_ratio(hat, k, lam_r))
+                   verify.check_hat_ratio(hat, k, lam))
             yield (f"reflection at n={k}, lambda={lam}",
                    verify.check_functional_equation(hat, k))
     proved, bits = {}, 0

@@ -5,9 +5,9 @@ Mellin transform descriptors.
 One kernel builds the canonical polynomials: the beta family's 3F2 series,
 whose term ratio at beta = 3/4 - lam/2 (< 1 for lam > -1/2) is that of the
 Gegenbauer series at lam, so p_s32(n, lam) = ((2 lam)_n / 2) p_beta(n, beta)
-and p_hyp is twice that. S41 and S21 (each a ``pochhammer_sum`` of
-``gould_weights``) and RECUR are built here as evidence, the S32 sum is
-``verify.s32_sum``, and ``verify`` checks the identities.
+and p_hyp is twice that. S41 (the S32 binomial sum with its s-binomial
+cancelled) and S21, each a ``pochhammer_sum`` of ``gould_weights``, and
+RECUR are built here as evidence, and ``verify`` checks the identities.
 
 Normalization bookkeeping: the canonical normalization (tag ``paper_S``)
 matches the printed list p_0 = 1/2, p_1 = 1, p_2 = 3s/2 - 3/4, ...; the

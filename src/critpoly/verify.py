@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .construct import (S, CriticalPolynomial, NormalizedRational,
-                        gould_sum, gould_weights, p_beta, p_hyp, p_s32,
+                        gould_weights, p_beta, p_hyp, p_s32, p_s41,
                         q_rational)
 from .hyp3f2 import pochhammer_sum, poly_from_3f2
 from .poly import (LineIsolation, Poly, RatFun, gen_binom, half_shift,
@@ -206,20 +206,13 @@ def check_fq1(n: int, lam) -> bool:
 # agreement of the constructed forms
 # ---------------------------------------------------------------------------
 
-def s32_sum(n: int, lam) -> Poly:
-    """The three-numerator/two-denominator sum form of p_n(s), built apart
-    from the beta kernel of ``construct.p_s32``: with the s-binomial
-    cancelled, C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, it is
-    (2m+eps)! / 2 times ``construct.gould_sum``."""
-    m, eps = n // 2, n % 2
-    return (gould_sum(m, eps, as_rat(lam))
-            * Fraction(factorial(2 * m + eps), 2))
-
-
 def check_hat_ratio(hat: Poly, n: int, lam) -> bool:
     """HYP = 2 S32: the hypergeometric route (normalization ``thm4_hat``)
-    gives exactly twice the S32 sum, built independently by ``s32_sum``."""
-    return hat == 2 * s32_sum(n, lam)
+    gives exactly twice the S32 binomial sum. With the s-binomial
+    cancelled, C(m+A, m) / C(A+r, r) = (r!/m!) (A+r+1)_{m-r}, that sum is
+    the S41 build ``p_s41``, (2m+eps)! / 2 times ``construct.gould_sum``,
+    built apart from the beta kernel."""
+    return hat == 2 * p_s41(n, lam).poly
 
 
 def check_q_forms(q: RatFun, n: int, lam) -> bool:
@@ -287,13 +280,14 @@ def check_central_difference(p: Poly, n: int, lam) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_M_recurrences(n: int, lam) -> dict:
-    """Every Mellin-transform relation at index n as an exact identity in
-    s, by name: the mixed (n, s) recurrence, its lambda = 1 special case,
-    the central s-recurrence, and at lambda = 1 the three 3F2
-    re-expressions of ``lambda1_series``.
+    """The Mellin-transform relations at index n not checked elsewhere, as
+    exact identities in s, by name: the mixed (n, s) recurrence (at
+    lambda = 1 its residual is n times that of the Chebyshev recurrence),
+    and at lambda = 1 the three 3F2 re-expressions of ``lambda1_series``.
+    The central s-recurrence is ``check_central_difference``.
     """
     lam = as_rat(lam)
-    hats = [p_hyp(k, lam).poly for k in range(max(n, 2) + 1)]
+    hats = [p_hyp(k, lam).poly for k in range(n + 1)]
     report = {}
     # mixed recurrence: common ratio Gamma((s+eps)/2)/Gamma((s+n+lam)/2+1/4)
     if n >= 2:
@@ -303,13 +297,6 @@ def check_M_recurrences(n: int, lam) -> dict:
                + (2 * lam + n - 2) * ((S + n + lam) / 2 - Fraction(3, 4))
                * hats[n - 2] / factorial(n - 2))
         report["mixed_recurrence"] = res.is_zero
-        if lam == 1:
-            res = (hats[n] / factorial(n)
-                   - 2 * e * hats[n - 1].shift(1) / factorial(n - 1)
-                   + ((S + n + 1) / 2 - Fraction(3, 4)) * hats[n - 2]
-                   / factorial(n - 2))
-            report["mixed_recurrence_chebyshev"] = res.is_zero
-    report["central_recurrence"] = check_central_difference(hats[n], n, lam)
     if lam == 1:
         for name, series in lambda1_series(n).items():
             report[name] = series == hats[n]
@@ -356,44 +343,33 @@ def _hyp_weights(n: int, eps: int, lam: Fraction) -> list:
 
 
 def check_gould_sum_forms(n: int, lam) -> dict:
-    """The four-over-two, three-over-one and 3F2 sum forms of M_{2n+eps} / M_0
-    times (a+1)_n as identities in Q[s], per parity: ``gould_sum`` (both of
-    the first two) and the 3F2 sum must each equal hat_p(s) / (2n+eps)!,
-    hat_p the ``poly_from_3f2`` build of ``p_hyp``."""
+    """The 3F2 sum form of M_{2n+eps} / M_0 times (a+1)_n as an identity in
+    Q[s], per parity: the ``pochhammer_sum`` of ``_hyp_weights`` must equal
+    hat_p(s) / (2n+eps)!, hat_p the ``poly_from_3f2`` build of ``p_hyp``.
+    The four-over-two and three-over-one forms are ``gould_sum``, which
+    ``check_hat_ratio`` at index 2n+eps proves equal to the same quotient."""
     lam = as_rat(lam)
     results = {"method": "identity"}
     for eps, parity in enumerate(("even", "odd")):
         want = p_hyp(2 * n + eps, lam).poly / factorial(2 * n + eps)
-        hyp = pochhammer_sum(eps, lam / 2 + Fraction(1 + 2 * eps, 4),
-                             _hyp_weights(n, eps, lam))
-        results[parity] = gould_sum(n, eps, lam) == want == hyp
+        results[parity] = want == pochhammer_sum(
+            eps, lam / 2 + Fraction(1 + 2 * eps, 4), _hyp_weights(n, eps, lam))
     results["pass"] = results["even"] and results["odd"]
     return results
 
 
-def check_integer_s_sums(n: int, lam, s1_max: int = 12) -> dict:
-    """At even/odd integer arguments s = 2 s1 + eps the Gamma-ratios become
-    exact rationals; the four-over-three sum forms must then reproduce the
-    closed-form transform values exactly, over M_0(2k), k = s1 + eps. Such
-    a form is ``gould_sum``, proved by ``check_gould_sum_forms``, at s, over
-    (a+1)_n C(a, k) with a = k + lam/2 - 3/4."""
-    lam = as_rat(lam)
-    quarter = lam / 2 + Fraction(1, 4)
-    oks = []
-    for eps in (0, 1):
-        hat, gould = p_hyp(2 * n + eps, lam).poly, gould_sum(n, eps, lam)
-        for s1 in range(1, s1_max + 1):
-            k, s = s1 + eps, Fraction(2 * s1 + eps)
-            # M_0(2k) = (k-1)! / (2 (lam/2+1/4)_k)
-            m0 = Fraction(factorial(k - 1), 2) / pochhammer(quarter, k)
-            # the printed prefactors 1/2s and lambda/(s+1) read s as s1
-            oks.append(m0 == Fraction(1, 2 * k) / gen_binom(quarter + k - 1, k))
-            rising = pochhammer(k + quarter, n)
-            closed = m0 * hat(s) / (factorial(2 * n + eps) * rising)
-            total = gould(s) / (rising * gen_binom(k + quarter - 1, k))
-            # at odd s the r = 0 term already carries the factor 2*lam, so
-            # the matching prefactor is 1/(2k) = M_0(2k) over its binomial part
-            oks.append(total / (2 * k) == closed)
+def check_integer_s_sums(lam, s1_max: int = 12) -> dict:
+    """The prefactor of the four-over-three sum forms at even/odd integer
+    arguments s = 2 s1 + eps, where the Gamma-ratios become exact
+    rationals: M_0(2k) = (k-1)! / (2 (lam/2+1/4)_k), k = s1 + eps, must be
+    1/(2k C(k + lam/2 - 3/4, k)), as the printed prefactors 1/2s and
+    lambda/(s+1) read s as s1 (at odd s the r = 0 term already carries the
+    factor 2 lam). The sums themselves are ``gould_sum`` at s, which
+    ``check_hat_ratio`` proves in Q[s]."""
+    quarter = as_rat(lam) / 2 + Fraction(1, 4)
+    oks = [Fraction(factorial(k - 1), 2) / pochhammer(quarter, k)
+           == Fraction(1, 2 * k) / gen_binom(quarter + k - 1, k)
+           for k in range(1, s1_max + 2)]
     return {"pass": all(oks), "checks": len(oks)}
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,9 +282,14 @@ def test_verify_runs_its_suites_in_order_in_the_calling_thread(
 
 # the cases each suite runs at --nmax 10: a change that drops or adds a case
 # changes its count, and updates this pin on purpose
-CHECK_COUNTS = {"forms": 216, "funceq": 132, "diffeq": 88, "recur": 122,
-                "gould": 145, "q": 80, "hyp3f2": 1, "corollary2": 9,
+CHECK_COUNTS = {"forms": 75, "funceq": 144, "diffeq": 88, "recur": 69,
+                "gould": 121, "q": 80, "hyp3f2": 1, "corollary2": 9,
                 "genfun": 290, "quad": 116, "props": 121, "triangles": 5}
+# the method each row that has one reports; the other rows carry a figure
+# of their own
+METHODS = {"forms": "identity", "funceq": "identity", "diffeq": "identity",
+           "recur": "identity", "gould": "identity", "corollary2": "exact",
+           "genfun": "exact"}
 
 
 def test_verify_all_runs_the_pinned_number_of_checks(capsys):
@@ -293,6 +299,37 @@ def test_verify_all_runs_the_pinned_number_of_checks(capsys):
     assert code == 0 and all(row["pass"] for row in rows), rows
     assert {row["suite"]: row["checks"] for row in rows} == CHECK_COUNTS
     assert [row["suite"] for row in rows] == list(CHECK_COUNTS)
+    assert {row["suite"]: row["method"] for row in rows
+            if "method" in row} == METHODS
+
+
+# the rows whose checks must not repeat one another; genfun re-runs the
+# HYP = 2 S32 ratio and the reflection to n = 40 as the premise of its proof
+IDENTITY_ROWS = ["forms", "funceq", "diffeq", "recur", "gould", "q",
+                 "corollary2"]
+
+
+def test_no_check_runs_in_two_rows(monkeypatch):
+    rows_of, current = {}, []
+
+    def wrap(name, check):
+        def traced(*args):
+            key = (name, tuple(tuple(a) if isinstance(a, list) else a
+                               for a in args))
+            rows_of.setdefault(key, set()).add(current[-1])
+            return check(*args)
+        return traced
+
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, wrap(name, getattr(verify, name)))
+    for row in IDENTITY_ROWS:
+        current.append(row)
+        assert cli.SUITES[row](10, 0)["pass"], row
+    assert set().union(*rows_of.values()) == set(IDENTITY_ROWS)
+    shared = Counter((key[0], *sorted(rows))
+                     for key, rows in rows_of.items() if len(rows) > 1)
+    assert not shared, shared
 
 
 def test_mellin_runs_its_rows_in_order_in_the_calling_thread(
@@ -358,9 +395,9 @@ FAIL_ONE_CASE = [
     ("recur", verify, "check_M_recurrences",
      lambda n, lam: {"duplication_series": (n, lam) != (2, Fraction(3, 2))},
      "duplication_series " + AT_N2_LAMBDA_3_2),
-    ("gould", verify, "check_integer_s_sums",
-     lambda n, lam, m: {"pass": (n, lam) != (2, Fraction(3, 2))},
-     "integer-s sums " + AT_N2_LAMBDA_3_2),
+    ("gould", verify, "check_gould_sum_forms",
+     lambda n, lam: {"pass": (n, lam) != (2, Fraction(3, 2))},
+     "sum forms " + AT_N2_LAMBDA_3_2),
     ("q", verify, "check_q_range",
      lambda q, grid: {"pass": (q.n, q.lam) != (2, Fraction(3, 2)),
                       "near_one_points": 1},

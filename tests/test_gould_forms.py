@@ -1,8 +1,9 @@
 """The Gould-type sum forms, each a ``pochhammer_sum`` of
 ``construct.gould_weights``, against their per-parity transcriptions in
 gould_oracle.py; stand-ins that a sampled check passes and the identities
-in Q[s] fail; and weights without their 2^eps, which the independent S32
-kernel and the sum-form checks must catch at odd index."""
+in Q[s] fail; and weights without their 2^eps, which the independent beta
+kernel, through the HYP = 2 S32 ratio of the forms row, and the closures
+must catch at odd index."""
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -10,14 +11,15 @@ from types import SimpleNamespace
 import pytest
 
 import gould_oracle
-from critpoly import construct, verify
+from critpoly import cli, construct, verify
 from critpoly.cli import LAMBDA_SET
 from critpoly.construct import (S, p_hyp, p_s21_chebyshev, p_s32, p_s41,
                                 q_rational, s32_bare_closed_form,
                                 s32_bare_sum)
 from critpoly.poly import gen_binom, pochhammer
 from critpoly.verify import (check_gould_closures, check_gould_sum_forms,
-                             check_integer_s_sums, lambda1_series)
+                             check_hat_ratio, check_integer_s_sums,
+                             lambda1_series)
 
 LAMBDAS = LAMBDA_SET + [Fraction(-1, 4)]
 # where the sampled oracles of gould_oracle.py evaluate both sides
@@ -61,11 +63,11 @@ def test_sums_match_oracle(lam):
             "method": "identity", "even": all(want["even"]),
             "odd": all(want["odd"]), "pass": want["pass"]}
         assert want["pass"] is True
-        got = check_integer_s_sums(n, lam, 6)
+        # the oracle's sums at integer s read the identity at points; the
+        # check keeps the M_0 prefactors, at k = 1..7 for s = 2..13
         want = gould_oracle.check_integer_s_sums(n, lam, 6)
-        # the folded loop also checks the M_0 prefactor at odd s
-        assert got["pass"] is want["pass"] is True
-        assert (got["checks"], want["checks"]) == (24, 18)
+        assert want["pass"] is True and want["checks"] == 18
+    assert check_integer_s_sums(lam, 6) == {"pass": True, "checks": 7}
     # the three series are lambda = 1 statements; at n >= 1 with any other
     # lambda the polynomial and its sampled oracle must fail alike
     sampled = {"quarter_shift_series": gould_oracle.check_quarter_shift,
@@ -178,11 +180,14 @@ def test_a_wrong_fold_fails_at_odd_index_only():
 
 @pytest.mark.usefixtures("no_two_to_eps")
 def test_a_wrong_fold_fails_the_sum_checks():
+    # the Gould sums are S41 over (2m+eps)!/2, so the forms row's
+    # HYP = 2 S32 ratio is their identity in Q[s]
     for lam in LAMBDA_SET:
-        for n in range(4):
-            got = check_gould_sum_forms(n, lam)
-            assert (got["even"], got["odd"], got["pass"]) == (
-                True, False, False), (n, lam)
-            assert not check_integer_s_sums(n, lam, 6)["pass"], (n, lam)
+        for n in range(8):
+            assert check_hat_ratio(p_hyp(n, lam).poly, n, lam) is (
+                n % 2 == 0), (n, lam)
+    row = cli.SUITES["forms"](10, 0)
+    assert row["pass"] is False
+    assert row["detail"] == "HYP = 2 S32 at n=1, lambda=1 fails", row
     closures = check_gould_closures(4, [Fraction(1)])
     assert {f[0] for f in closures["failures"]} == {"odd"}

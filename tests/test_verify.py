@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from critpoly import cli, construct, quadrature, verify
 from critpoly import poly as poly_module
 from critpoly.construct import (CriticalPolynomial, mellin_T_closed, p_beta,
-                                p_hyp, p_s21_chebyshev, p_s32, q_rational)
+                                p_hyp, p_s21_chebyshev, p_s32, p_s41,
+                                q_rational)
 from critpoly.errors import MixedCoefficients, ZeroPolynomial
 from critpoly.poly import (LineIsolation, Poly, RatFun, isolate_real_roots,
                            real_root_data, refine_root, substitute_critical)
@@ -22,7 +23,7 @@ from critpoly.verify import (certify_critical_line, check_central_difference,
                              check_hat_ratio, check_integer_s_sums,
                              check_M_recurrences, check_q_forms,
                              check_q_range, check_T_zero_set,
-                             lambda1_series, s32_sum)
+                             lambda1_series)
 from corollary2_oracle import corollary2_rel_err
 from sturm_oracle import poly_gcd, sturm_root_data, sturm_roots
 
@@ -85,10 +86,15 @@ def test_functional_equation_detects_breakage():
 
 
 def test_M_recurrences():
+    # the central s-recurrence is check_central_difference's, above
+    series = {"quarter_shift_series", "beta_kernel_series",
+              "duplication_series"}
     for n in range(9):
         for lam in LAMBDAS:
             rep = check_M_recurrences(n, lam)
-            assert rep and all(rep.values()), (n, lam, rep)
+            assert set(rep) == ({"mixed_recurrence"} if n >= 2 else set()) | (
+                series if lam == 1 else set()), (n, lam)
+            assert all(rep.values()), (n, lam, rep)
 
 
 def test_lambda1_series_are_proved_in_s():
@@ -115,9 +121,8 @@ def test_gould_sum_forms():
 
 
 def test_integer_s_sums():
-    for n in range(4):
-        for lam in LAMBDAS:
-            assert check_integer_s_sums(n, lam, 6)["pass"]
+    for lam in LAMBDAS:
+        assert check_integer_s_sums(lam, 6) == {"pass": True, "checks": 7}
 
 
 def test_gould_closures():
@@ -213,17 +218,17 @@ def test_hat_ratio_and_reflection():
             assert check_functional_equation(hat, n), (n, lam)
 
 
-# p_s32 and p_hyp are scalings of the beta kernel; s32_sum is the S32
-# binomial sum, built on its own
+# p_s32 and p_hyp are scalings of the beta kernel; p_s41 is the S32
+# binomial sum with its s-binomial cancelled, built on its own
 KERNEL_LAMBDAS = [Fraction(-49, 100), Fraction(-1, 4), Fraction(1, 2),
                   Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3),
                   Fraction(5, 2), Fraction(10)]
 
 
 @pytest.mark.parametrize("lam", KERNEL_LAMBDAS, ids=str)
-def test_beta_kernel_matches_s32_sum(lam):
+def test_beta_kernel_matches_s41(lam):
     for n in [*range(61), 400]:
-        want = s32_sum(n, lam)
+        want = p_s41(n, lam).poly
         assert p_s32(n, lam).poly == want, (n, lam)
         assert p_hyp(n, lam).poly == 2 * want, (n, lam)
 
@@ -232,15 +237,17 @@ def _perturbed(poly):
     return Poly("s", [poly.coeffs[0] + Fraction(1, 7), *poly.coeffs[1:]])
 
 
-@pytest.mark.parametrize("route", ["beta kernel", "s32_sum"])
+@pytest.mark.parametrize("route", ["beta kernel", "p_s41"])
 def test_perturbed_route_fails_the_form_checks(monkeypatch, route):
     if route == "beta kernel":
         kernel = construct.poly_from_3f2
         monkeypatch.setattr(construct, "poly_from_3f2",
                             lambda *args: _perturbed(kernel(*args)))
     else:
-        monkeypatch.setattr(verify, "s32_sum",
-                            lambda n, lam: _perturbed(s32_sum(n, lam)))
+        def perturbed(n, lam):
+            p = p_s41(n, lam)
+            return dataclasses.replace(p, poly=_perturbed(p.poly))
+        monkeypatch.setattr(verify, "p_s41", perturbed)
     lam = Fraction(7, 3)
     assert not check_hat_ratio(p_hyp(6, lam).poly, 6, lam)
     assert not cli.SUITES["forms"](10, 0)["pass"]
@@ -254,9 +261,9 @@ def test_a_kernel_fault_fails_every_kernel_row(monkeypatch):
         monkeypatch.setattr(module, "pochhammer_sum",
                             lambda *args: _perturbed(kernel(*args)))
     for suite, checks, case in (
-            ("forms", 1, "golden value at n=0"),
-            ("recur", 2, "quarter_shift_series at n=0, lambda=1"),
-            ("genfun", 1, "HYP = 2 S32 at n=0, lambda=1.0")):
+            ("forms", 6, "HYP = 2 S32 at n=0, lambda=1"),
+            ("recur", 1, "quarter_shift_series at n=0, lambda=1"),
+            ("genfun", 1, "HYP = 2 S32 at n=0, lambda=1")):
         row = cli.SUITES[suite](10, 0)
         assert row["pass"] is False and row["checks"] == checks, row
         assert row["detail"] == f"{case} fails", row

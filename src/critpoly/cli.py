@@ -213,10 +213,11 @@ def _suite_funceq(nmax: int, seed: int):
             yield (f"reflection at n={n}, lambda={lam}",
                    verify.check_functional_equation(
                        construct.p_s32(n, lam).poly, n))
-    for n in range(nmax + 1):
+    # q_n, and so fq1, is undefined at n = 0
+    for n in range(1, nmax + 1):
         for lam in LAMBDA_SET:
-            yield (f"fq1 at n={n}, lambda={lam}",
-                   n == 0 or verify.check_fq1(n, lam))
+            yield f"fq1 at n={n}, lambda={lam}", verify.check_fq1(n, lam)
+    for n in range(nmax + 1):
         for beta in BETA_SET:
             yield (f"beta reflection at n={n}, beta={beta}",
                    verify.check_functional_equation(

@@ -298,10 +298,12 @@ class MellinClosedForm:
 def mellin_closed(n: int, lam) -> MellinClosedForm:
     lam = _args(n, lam)
     hat = p_hyp(n, lam).poly
+    p, q = lam.numerator, lam.denominator
+    # const_gamma_arg = lam/2 + 1/4, den_offset = n + lam + 1/2
     return MellinClosedForm("gegenbauer", n, lam, n % 2, hat,
                             Fraction(1, 2 * factorial(n)),
-                            lam / 2 + Fraction(1, 4),
-                            n + lam + Fraction(1, 2))
+                            Fraction(2 * p + q, 4 * q),
+                            Fraction((2 * n + 1) * q + 2 * p, 2 * q))
 
 
 def mellin_T_closed(n: int) -> MellinClosedForm:

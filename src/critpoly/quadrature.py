@@ -6,8 +6,14 @@ coefficient by coefficient as integer polynomials in s.
 The quadrature's per-node loops (Newton's method and the Christoffel sums of
 the rules, and the three-term recurrences of the integrands) run on Python
 integers in _FIXED_BITS-bit fixed point: a real v is held as the integer
-near v 2^_FIXED_BITS. The rules start from exact integer ratios, and a
-quadrature leaves in mpf once per rule, as its integer sum times mu0."""
+near v 2^_FIXED_BITS. lambda and s are read as exact rationals (a float s as
+its binary value), so the weight exponents alpha and beta are exact and the
+rules start from exact integer ratios; a quadrature leaves in mpf once per
+rule, as its integer sum times mu0 = B(beta + 1, alpha + 1).
+
+A comparison row takes mu0 from three mp.gamma calls and reads the closed
+form as mu0 times an exact rational: its Gamma quotient is B(x, a) up to
+Pochhammer symbols at integer offsets, x = (s + eps)/2, a = alpha + 1."""
 from __future__ import annotations
 
 import logging
@@ -22,8 +28,8 @@ from .construct import (MellinClosedForm, mellin_T_closed, mellin_closed,
                         p_hyp)
 from .errors import InvalidParameters, ToleranceNotMet
 from .hyp3f2 import pochhammer_sum
-from .poly import Poly, gen_binom
-from .rat import as_rat
+from .poly import gen_binom
+from .rat import as_rat, format_rat
 
 log = logging.getLogger("critpoly")
 
@@ -57,26 +63,13 @@ class QuadResult:
     terms that make up ``value``: rounding errors scale with it, and it is
     positive where ``value`` vanishes. Both are rounded from the larger
     rule's fixed-point sums, ``error_estimate`` from the exact difference
-    of the two rules' sums."""
+    of the two rules' sums. ``mu0`` is the weight's integral
+    B(beta + 1, alpha + 1), the mpf that scales both sums."""
     value: float
     error_estimate: float
     evaluations: int
     magnitude: float
-
-
-def _poly_at(p: Poly, x):
-    acc = mp.mpf(0)
-    for c in reversed(p.ints):
-        acc = acc * x + c
-    return acc / p.den
-
-
-def _dyadic(v) -> tuple:
-    """The integers num, den, den a power of 2, with num / den equal to the
-    finite mpf v."""
-    sign, man, exp, _ = v._mpf_
-    man = -man if sign else man
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    mu0: mpmath.mpf
 
 
 def _fixed_str(v: int, w: int) -> str:
@@ -99,17 +92,17 @@ def _recurrence_at(c1, c2, x: int, w: int) -> int:
 
 def _gegenbauer_constants(n: int, lam, w: int) -> tuple:
     """c1_k = 2(lam + k - 1)/k and c2_k = (2 lam + k - 2)/k, k = 1..n, of the
-    C_n^lam recurrence: exact rationals in the binary mpf lam, each rounded
+    C_n^lam recurrence: exact rationals in the rational lam, each rounded
     once to w-bit fixed point."""
-    num, den = _dyadic(lam)
+    num, den = lam.numerator, lam.denominator
     ks = range(1, n + 1)
     return ([_ratio(2 * (num + (k - 1) * den), k * den, w) for k in ks],
             [_ratio(2 * num + (k - 2) * den, k * den, w) for k in ks])
 
 
 def _gegenbauer_fixed(n: int, lam):
-    """x -> C_n^lam(x) in _FIXED_BITS-bit fixed point (lam an mpf), with
-    the recurrence constants computed once, here."""
+    """x -> C_n^lam(x) in _FIXED_BITS-bit fixed point (lam a rational),
+    with the recurrence constants computed once, here."""
     w = _FIXED_BITS
     c1, c2 = _gegenbauer_constants(n, lam, w)
     return lambda x: _recurrence_at(c1, c2, x, w)
@@ -124,18 +117,24 @@ def _chebyshev_t_fixed(n: int):
     return lambda x: _recurrence_at(c1, c2, x, w)
 
 
+def _over_lcm(alpha, beta) -> tuple:
+    """(A, B, d) with alpha = A/d and beta = B/d, d the lcm of the
+    denominators of the rationals alpha and beta."""
+    da, db = alpha.denominator, beta.denominator
+    d = math.lcm(da, db)
+    return alpha.numerator * (d // da), beta.numerator * (d // db), d
+
+
 def _jacobi_recurrence(alpha, beta, m: int):
     """Coefficients a_0..a_(m-1) and b_0..b_(m-1), as exact integer ratios
     (num, den), of the monic polynomials orthogonal for y^beta (1-y)^alpha
-    on [0, 1] (alpha, beta binary mpfs), p_(-1) = 0, p_0 = 1,
+    on [0, 1] (alpha, beta rationals), p_(-1) = 0, p_0 = 1,
     p_(k+1)(y) = (y - a_k) p_k(y) - b_k p_(k-1)(y); b_0 = 0.
 
     a_0 and b_1 are the mean and variance of Beta(beta + 1, alpha + 1): the
     general formulas are 0/0 there at alpha + beta = 0 and -1."""
-    (na, da), (nb, db) = _dyadic(alpha), _dyadic(beta)
-    d = max(da, db)
     # alpha = A/d, beta = B/d, alpha + beta = S/d
-    A, B = na * (d // da), nb * (d // db)
+    A, B, d = _over_lcm(alpha, beta)
     S = A + B
     a = [(B + d, S + 2 * d)]
     b = [(0, 1), ((A + d) * (B + d) * d, (S + 2 * d) ** 2 * (S + 3 * d))]
@@ -223,13 +222,14 @@ def _holds(a, b, i: int, lo: float, hi: float) -> bool:
     return _sturm_count(a, b, lo) == i and _sturm_count(a, b, hi) == i + 1
 
 
-def _gauss_rule(a, b) -> list:
+def _gauss_rule(steps, a, b) -> list:
     """The (node, Christoffel sum) pairs, in _FIXED_BITS-bit fixed point,
-    of the Gauss rule whose nodes are the zeros of p_m, m = len(a), for the
-    recurrence ratios a and b: each node is seeded at the middle of its
-    float bracket and polished by Newton's method on p_m; its weight is mu0
-    over its sum Sum_j pt_j(y)^2. Each ratio is rounded once to fixed point
-    (a_k, and sqrt(b_k) by isqrt) and once to float. Both loops run on the
+    of the Gauss rule whose nodes are the zeros of p_m, m = len(steps), for
+    the recurrence ratios a and b (floats, for _float_nodes) and the steps
+    (a_k, 1 / sqrt(b_(k+1)), sqrt(b_k) / sqrt(b_(k+1))) in fixed point,
+    sqrt(b_0) = 0 and sqrt(b_m) taken as 1: each node is seeded at the
+    middle of its float bracket and polished by Newton's method on p_m; its
+    weight is mu0 over its sum Sum_j pt_j(y)^2. Both loops run on the
     orthonormal polynomials pt_j = p_j / sqrt(b_1..b_j), pt_0 = 1,
     pt_(k+1) = ((y - a_k) pt_k - sqrt(b_k) pt_(k-1)) / sqrt(b_(k+1)),
     whose last step, taken with sqrt(b_m) = 1, gives sqrt(b_m) pt_m, a
@@ -239,27 +239,15 @@ def _gauss_rule(a, b) -> list:
     pt_0^2 = 1, and by Christoffel-Darboux the derivative of
     sqrt(b_m) pt_m is at least the square root of that sum.
 
-    ToleranceNotMet is raised when a sqrt(b_k) or that derivative falls
-    below 2^-_GUARD_BITS, and for a node that leaves (0, 1), that is still
-    moving by 2^(8 - mp.prec) after _NEWTON_CAP steps, that ends outside
-    its bracket (widened by _SEED_WIDTH on each side for the rounding of
-    the float count) or that is not above the node before it."""
+    ToleranceNotMet is raised when that derivative falls below
+    2^-_GUARD_BITS, and for a node that leaves (0, 1), that is still moving
+    by 2^(8 - mp.prec) after _NEWTON_CAP steps, that ends outside its
+    bracket (widened by _SEED_WIDTH on each side for the rounding of the
+    float count) or that is not above the node before it."""
     w = _FIXED_BITS
     one, floor = 1 << w, 1 << (w - _GUARD_BITS)
-    # sqrt(b_k), 0 <= k <= m, with sqrt(b_0) = 0 and sqrt(b_m) taken as 1;
-    # b_k is read to 2w bits, so each root has an absolute error of 2^-w
-    # and mp.prec correct bits down to the floor
-    roots = [0] + [math.isqrt((p << 2 * w) // q) for p, q in b[1:]] + [one]
-    for k, r in enumerate(roots[1:-1], 1):
-        if r < floor:
-            raise ToleranceNotMet(
-                f"Gauss-Jacobi recurrence coefficient sqrt(b_{k}) = "
-                f"{_fixed_str(r, w)} is below 2^-{_GUARD_BITS}")
-    # (a_k, 1 / sqrt(b_(k+1)), sqrt(b_k) / sqrt(b_(k+1))), 0 <= k < m
-    steps = [(_ratio(p, q, w), (one << w) // r1, (r0 << w) // r1)
-             for (p, q), r0, r1 in zip(a, roots, roots[1:])]
     rule, prev = [], 0
-    for lo, hi in _float_nodes([p / q for p, q in a], [p / q for p, q in b]):
+    for lo, hi in _float_nodes(a, b):
         y = int(math.ldexp((lo + hi) / 2, w))
         for _ in range(_NEWTON_CAP):
             if not 0 < y < one:
@@ -301,17 +289,45 @@ def _gauss_rule(a, b) -> list:
     return rule
 
 
-def _gauss_jacobi_rules(alpha, beta, m: int) -> tuple:
+def _gauss_jacobi_rules(alpha, beta, m: int) -> list:
     """The Gauss rules of m and m + 1 nodes for y^beta (1-y)^alpha on
-    [0, 1] (alpha, beta > -1 binary mpfs), as _gauss_rule gives them; the
-    m-node rule takes a prefix of the other's recurrence ratios."""
+    [0, 1] (alpha, beta > -1 rationals), as _gauss_rule gives them. The
+    recurrence ratios of the larger rule are converted once, each a_k to
+    fixed point and to float, each b_k to float and sqrt(b_k) by isqrt;
+    the m-node rule reads their prefix.
+
+    ToleranceNotMet is raised when a sqrt(b_k) falls below 2^-_GUARD_BITS:
+    b_k is read to 2w bits, so each root has an absolute error of 2^-w and
+    mp.prec correct bits down to that floor."""
+    w = _FIXED_BITS
+    one, floor = 1 << w, 1 << (w - _GUARD_BITS)
     a, b = _jacobi_recurrence(alpha, beta, m + 1)
-    return _gauss_rule(a[:m], b[:m]), _gauss_rule(a, b)
+    # sqrt(b_k), 0 <= k <= m, with sqrt(b_0) = 0
+    roots = [0] + [math.isqrt((p << 2 * w) // q) for p, q in b[1:]]
+    for k, r in enumerate(roots[1:], 1):
+        if r < floor:
+            raise ToleranceNotMet(
+                f"Gauss-Jacobi recurrence coefficient sqrt(b_{k}) = "
+                f"{_fixed_str(r, w)} is below 2^-{_GUARD_BITS}")
+    fixed = [_ratio(p, q, w) for p, q in a]
+    # the steps of k < m; a rule of k nodes ends on (a_(k-1), 1, sqrt(b_(k-1)))
+    steps = [(ak, (one << w) // r1, (r0 << w) // r1)
+             for ak, r0, r1 in zip(fixed, roots, roots[1:])]
+    af, bf = [p / q for p, q in a], [p / q for p, q in b]
+    return [_gauss_rule(steps[:k - 1] + [(fixed[k - 1], one, roots[k - 1])],
+                        af[:k], bf[:k]) for k in (m, m + 1)]
+
+
+def _beta(xn: int, an: int, d: int):
+    """B(x, a) = Gamma(x) Gamma(a) / Gamma(x + a) at x = xn/d, a = an/d > 0,
+    by three mp.gamma calls."""
+    return (mp.gamma(mp.mpf(xn) / d) * mp.gamma(mp.mpf(an) / d)
+            / mp.gamma(mp.mpf(xn + an) / d))
 
 
 def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of the stated
-    degree (alpha, beta > -1), given as a map from y to f(y) in
+    degree (alpha, beta > -1 rationals), given as a map from y to f(y) in
     _FIXED_BITS-bit fixed point.
 
     The Gauss-Jacobi rules with m = degree//2 + 1 and m + 1 nodes are both
@@ -329,20 +345,20 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     alpha + 1); the error estimate comes from the integer difference of
     the two sums."""
     w = _FIXED_BITS
-    alpha, beta = mp.mpf(alpha), mp.mpf(beta)
     sums, count = [], 0
     for rule in _gauss_jacobi_rules(alpha, beta, degree // 2 + 1):
         terms = [(f(y) << w) // christoffel for y, christoffel in rule]
         sums.append(sum(terms))
         count += len(rule)
-    mu0 = mp.beta(beta + 1, alpha + 1)
+    A, B, d = _over_lcm(alpha, beta)
+    mu0 = _beta(B + d, A + d, d)
     value = float(mu0 * mp.mpf((sums[1], -w)))
     err = float(mu0 * mp.mpf((abs(sums[1] - sums[0]), -w)))
     if not err <= tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
             f"quadrature error estimate {err} exceeds {tol}")
     return QuadResult(value, err, count,
-                      float(mu0 * mp.mpf((sum(map(abs, terms)), -w))))
+                      float(mu0 * mp.mpf((sum(map(abs, terms)), -w))), mu0)
 
 
 def _mellin_integrand(g, eps: int):
@@ -363,10 +379,12 @@ def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
     degree and parity, given as a map from x to g(x) in _FIXED_BITS-bit
     fixed point: in y = x^2 it is Int_0^1 y^beta (1-y)^alpha P(y) dy,
     beta = (s - 2 + eps)/2, eps = degree mod 2, P(y) = g(sqrt y) / (2
-    sqrt(y)^eps) of degree floor(degree/2)."""
+    sqrt(y)^eps) of degree floor(degree/2). alpha is a rational and s a
+    float or rational, read exactly."""
     eps = degree % 2
+    sn, sd = s.as_integer_ratio()
     return _gauss_jacobi(_mellin_integrand(g, eps), degree // 2, alpha,
-                         (mp.mpf(s) - 2 + eps) / 2, tol)
+                         Fraction(sn + (eps - 2) * sd, 2 * sd), tol)
 
 
 def _check_s(n: int, s: float) -> None:
@@ -376,40 +394,98 @@ def _check_s(n: int, s: float) -> None:
                                 f"s = {s}")
 
 
-def quad_mellin_gegenbauer(n: int, lam: float, s: float,
+def _gegenbauer_alpha(lam: Fraction) -> Fraction:
+    """The exponent lam/2 - 3/4 of the Gegenbauer weight (1 - x^2)^alpha."""
+    p, q = lam.numerator, lam.denominator
+    return Fraction(2 * p - 3 * q, 4 * q)
+
+
+_T_ALPHA = Fraction(1, 2)
+
+
+def quad_mellin_gegenbauer(n: int, lam, s: float,
                            tol: float = 1e-12) -> QuadResult:
     """Int_0^1 x^(s-1) C_n^lam(x) (1-x^2)^(lam/2 - 3/4) dx by Gauss-Jacobi
-    quadrature in y = x^2, exact for this integrand up to rounding."""
-    if lam <= -0.5 or lam == 0:
+    quadrature in y = x^2, exact for this integrand up to rounding. lam is
+    read as an exact rational, a float as its binary value."""
+    lam = Fraction(lam)
+    if lam <= Fraction(-1, 2) or lam == 0:
         raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
     _check_s(n, s)
-    lam_m = mp.mpf(lam)
-    return _mellin_even_weight(_gegenbauer_fixed(n, lam_m), n,
-                               lam_m / 2 - mp.mpf(3) / 4, s, tol)
+    return _mellin_even_weight(_gegenbauer_fixed(n, lam), n,
+                               _gegenbauer_alpha(lam), s, tol)
 
 
 def quad_mellin_T(n: int, s: float, tol: float = 1e-12) -> QuadResult:
     """Int_0^1 x^(s-1) T_n(x) (1-x^2)^(1/2) dx, the same way."""
     _check_s(n, s)
-    return _mellin_even_weight(_chebyshev_t_fixed(n), n, mp.mpf(1) / 2, s,
-                               tol)
+    return _mellin_even_weight(_chebyshev_t_fixed(n), n, _T_ALPHA, s, tol)
+
+
+def _beta_multiple(form: MellinClosedForm, s, alpha):
+    """The closed form at s divided by B(x, a), x = (s + eps)/2,
+    a = alpha + 1 (alpha rational, s a float or rational, read exactly), as
+    one integer ratio rounded once to an mpf.
+
+    With g = const_gamma_arg, j = a - g and k = (den_offset - eps)/2 - g,
+    Gamma(z + i) = (z)_i Gamma(z) (DLMF 5.2.5) and B(x, a) = Gamma(x)
+    Gamma(a) / Gamma(x + a) (DLMF 5.12.1) turn the form into
+    B(x, a) const_rat factor(s) / ((g)_j (x + a)_(k - j)). InvalidParameters
+    is raised unless j and k are integers with 0 <= j <= k, and when (g)_j
+    vanishes, a pole of Gamma(g)."""
+    eps, g, off = form.eps, form.const_gamma_arg, form.den_offset
+    sn, sd = s.as_integer_ratio()
+    an, ad = alpha.numerator + alpha.denominator, alpha.denominator
+    gn, gd = g.numerator, g.denominator
+    j, j_rem = divmod(an * gd - gn * ad, ad * gd)
+    k, k_rem = divmod((off.numerator - eps * off.denominator) * gd
+                      - 2 * gn * off.denominator, 2 * off.denominator * gd)
+    if j_rem or k_rem or not 0 <= j <= k:
+        a = Fraction(an, ad)
+        raise InvalidParameters(
+            f"the {form.kind} closed form at n={form.n} is no Beta integral "
+            f"B(x, {format_rat(a)}) over Pochhammer symbols: den_offset "
+            f"{format_rat(off)} gives k = {format_rat((off - eps) / 2 - g)}"
+            f" and const_gamma_arg {format_rat(g)} gives "
+            f"j = {format_rat(a - g)}, not integers 0 <= j <= k")
+    # value = factor(s) den sd^deg = Sum_i ints[i] sn^i sd^(deg - i) by
+    # Horner; top ends at sd^(deg + 1), so num takes one more sd
+    value, top = 0, 1
+    for c in reversed(form.factor.ints):
+        value = value * sn + c * top
+        top *= sd
+    # x + a + i = (base + i step) / step
+    step = 2 * sd * ad
+    base = (sn + eps * sd) * ad + 2 * sd * an
+    num = form.const_rat.numerator * value * sd * step ** (k - j) * gd ** j
+    den = (form.const_rat.denominator * form.factor.den * top
+           * math.prod(base + i * step for i in range(k - j))
+           * math.prod(gn + i * gd for i in range(j)))
+    if not den:
+        raise InvalidParameters(
+            f"the {form.kind} closed form at n={form.n} has Gamma at the "
+            f"pole {format_rat(g)}")
+    return mp.mpf(num) / den
 
 
 def closed_form_value(form: MellinClosedForm, s) -> float:
-    """Evaluate a Gamma-form Mellin transform at float s via mp.gamma."""
-    s_m = mp.mpf(s)
-    c = mp.mpf(form.const_rat.numerator) / form.const_rat.denominator
-    g1 = mp.gamma(mp.mpf(form.const_gamma_arg.numerator)
-                  / form.const_gamma_arg.denominator)
-    num = mp.gamma((s_m + form.eps) / 2)
-    den = mp.gamma((s_m + mp.mpf(form.den_offset.numerator)
-                    / form.den_offset.denominator) / 2)
-    return float(c * g1 * num / den * _poly_at(form.factor, s_m))
+    """Evaluate a Gamma-form Mellin transform at float s: B(x, g) by three
+    mp.gamma calls, x = (s + eps)/2, g = const_gamma_arg > 0, times the
+    rational of _beta_multiple."""
+    g = form.const_gamma_arg
+    sn, sd = s.as_integer_ratio()
+    mu0 = _beta((sn + form.eps * sd) * g.denominator, 2 * sd * g.numerator,
+                2 * sd * g.denominator)
+    return float(mu0 * _beta_multiple(form, s, g - 1))
 
 
 def _comparison_row(n: int, lam, s: float, q: QuadResult,
                     form: MellinClosedForm) -> dict:
-    c = closed_form_value(form, s)
+    """The row of quadrature q against form. The closed value is q.mu0,
+    the quadrature's B(x, alpha + 1), times the form's rational multiple
+    of it, alpha the exponent of the weight of the form's kind."""
+    alpha = _T_ALPHA if form.lam is None else _gegenbauer_alpha(form.lam)
+    c = float(q.mu0 * _beta_multiple(form, s, alpha))
     abs_err = abs(q.value - c)
     # relative to the size of the quadrature's terms, which stays positive
     # at a zero of the polynomial factor, where |c| cannot serve, unless
@@ -426,10 +502,13 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
 
 
 def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
-    """One CSV-shaped row: quadrature vs closed form."""
+    """One CSV-shaped row: quadrature vs closed form, lam read as an exact
+    rational (a float through its shortest repr); the row's lambda is its
+    float."""
     lam = as_rat(lam)
-    q = quad_mellin_gegenbauer(n, float(lam), s, tol)
-    return _comparison_row(n, float(lam), s, q, mellin_closed(n, lam))
+    q = quad_mellin_gegenbauer(n, lam, s, tol)
+    return _comparison_row(n, lam.numerator / lam.denominator, s, q,
+                           mellin_closed(n, lam))
 
 
 def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
@@ -518,14 +597,14 @@ def transform_level_lemma1_check(m: int, n: int, s: float,
         raise InvalidParameters(f"need s > 0, got {s}")
 
     # degree mn - 1, parity mn - 1; U_k = C_k^1
-    u_outer, t_n = _gegenbauer_fixed(m - 1, mp.one), _chebyshev_t_fixed(n)
-    u_inner, w = _gegenbauer_fixed(n - 1, mp.one), _FIXED_BITS
+    u_outer, t_n = _gegenbauer_fixed(m - 1, 1), _chebyshev_t_fixed(n)
+    u_inner, w = _gegenbauer_fixed(n - 1, 1), _FIXED_BITS
 
     def g(x):
         return u_outer(t_n(x)) * u_inner(x) >> w
 
-    lhs = _mellin_even_weight(g, m * n - 1, -mp.mpf(1) / 4, s, tol)
-    rhs = quad_mellin_gegenbauer(m * n - 1, 1.0, s, tol)
+    lhs = _mellin_even_weight(g, m * n - 1, Fraction(-1, 4), s, tol)
+    rhs = quad_mellin_gegenbauer(m * n - 1, 1, s, tol)
     err = abs(lhs.value - rhs.value)
     return {"m": m, "n": n, "s": s, "lhs": lhs.value, "rhs": rhs.value,
             "abs_err": err, "pass": err <= tol * max(1.0, abs(rhs.value))}

@@ -17,7 +17,10 @@ the Gauss-Jacobi rules built from the three-term recurrence against mpmath's
 eigen-solver, their fixed-point Newton and Christoffel loops and the
 fixed-point integrand recurrences against the mpf loops, and their integer
 recurrence ratios and bracket tree against the mpf recurrence and the
-per-node bisection, in gauss_oracle.py; and the float re-expanded
+per-node bisection, in gauss_oracle.py; and the comparison row's closed
+value as a rational multiple of the quadrature's mu0, and its quadrature on
+exact lambda and s, against the row with mpf parameters and three-Gamma
+closed value in mellin_oracle.py; and the float re-expanded
 lambda = 1 generating function of genfun_oracle.py against its twin there
 that sums its odd series at k = 0 too.
 
@@ -41,8 +44,10 @@ import favard_oracle
 import fraction_oracle
 import gauss_oracle
 import genfun_oracle
+import mellin_oracle
 from critpoly import hyp3f2, poly, quadrature
-from critpoly.construct import S, mellin_T_closed, p_beta, p_hyp, p_s32
+from critpoly.construct import (S, mellin_T_closed, mellin_closed, p_beta,
+                                p_hyp, p_s32)
 from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
 from critpoly.orthopoly import gegenbauer
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
@@ -617,11 +622,11 @@ def as_mpf(x):
 
 
 def mpf_rules(alpha, beta, m: int) -> list:
-    """The rules of _gauss_jacobi_rules(alpha, beta, m) (alpha, beta mpfs)
-    as (node, weight) mpfs: the fixed-point node, and
+    """The rules of _gauss_jacobi_rules(alpha, beta, m) (alpha, beta
+    rationals) as (node, weight) mpfs: the fixed-point node, and
     B(beta + 1, alpha + 1) over the fixed-point Christoffel sum."""
     mp, w = quadrature.mp, quadrature._FIXED_BITS
-    mu0 = mp.beta(beta + 1, alpha + 1)
+    mu0 = mp.beta(as_mpf(beta) + 1, as_mpf(alpha) + 1)
     return [[(mp.mpf((y, -w)), mu0 / mp.mpf((christoffel, -w)))
              for y, christoffel in rule]
             for rule in quadrature._gauss_jacobi_rules(alpha, beta, m)]
@@ -631,7 +636,7 @@ def rule_disagreements(alpha, beta, m) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
     _gauss_jacobi_rules that differ from the oracle's by more than
     RULE_TOL relative."""
-    rules = mpf_rules(as_mpf(alpha), as_mpf(beta), m)
+    rules = mpf_rules(alpha, beta, m)
     assert [len(rule) for rule in rules] == [m, m + 1]
     bad = []
     for rule in rules:
@@ -681,23 +686,21 @@ def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
         perturb_recurrence(patch, 1, m - 1,
                            lambda r: (r[0] * (10 ** 20 + 1), r[1] * 10 ** 20))
         assert rule_disagreements(alpha, beta, m)
-        q = quadrature._gauss_jacobi(top, 2 * m - 1, as_mpf(alpha),
-                                     as_mpf(beta), 1e-25)
+        q = quadrature._gauss_jacobi(top, 2 * m - 1, alpha, beta, 1e-25)
         assert q.error_estimate <= 1e-25
     perturb_recurrence(monkeypatch, 0, m - 1, lambda r: (r[0] + r[1], r[1]))
     with pytest.raises(ToleranceNotMet, match="outside"):
         rule_disagreements(alpha, beta, m)
     with pytest.raises(ToleranceNotMet, match="outside"):
-        quadrature._gauss_jacobi(top, 2 * m - 1, as_mpf(alpha), as_mpf(beta),
-                                 1e-12)
+        quadrature._gauss_jacobi(top, 2 * m - 1, alpha, beta, 1e-12)
 
 
 def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
-    alpha, beta = as_mpf(Fraction(-1, 4)), as_mpf(Fraction(-3, 4))
+    alpha, beta = Fraction(-1, 4), Fraction(-3, 4)
     q = quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-25)
-    assert q.value == pytest.approx(float(quadrature.mp.beta(beta + 2,
-                                                             alpha + 1)),
-                                    rel=1e-15)
+    assert q.value == pytest.approx(
+        float(quadrature.mp.beta(as_mpf(beta) + 2, as_mpf(alpha) + 1)),
+        rel=1e-15)
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_NEWTON_CAP", 0)
         with pytest.raises(ToleranceNotMet, match="did not converge"):
@@ -715,7 +718,7 @@ def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
 def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
     # every node seeded in the first node's bracket: Newton's method
     # polishes each seed to the same node, which is not a rule
-    alpha, beta = as_mpf(Fraction(1, 4)), as_mpf(Fraction(3, 4))
+    alpha, beta = Fraction(1, 4), Fraction(3, 4)
     brackets = quadrature._float_nodes
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_float_nodes",
@@ -764,14 +767,13 @@ def fixed_rule_disagreements(alpha, beta, m, tol=FIXED_TOL) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
     _gauss_jacobi_rules that differ from the mpf loops' by more than tol
     relative, or the error that stopped the fixed-point build."""
-    alpha, beta = as_mpf(alpha), as_mpf(beta)
     try:
         rules = mpf_rules(alpha, beta, m)
     except ToleranceNotMet as exc:
         return [str(exc)]
     bad = []
-    for rule, want in zip(rules,
-                          gauss_oracle.mpf_gauss_jacobi_rules(alpha, beta, m)):
+    for rule, want in zip(rules, gauss_oracle.mpf_gauss_jacobi_rules(
+            as_mpf(alpha), as_mpf(beta), m)):
         assert len(rule) == len(want)
         for (y, w), (y0, w0) in zip(rule, want):
             if not (abs(y - y0) <= tol * y0 and abs(w - w0) <= tol * w0):
@@ -789,9 +791,9 @@ def fixed_integrand_disagreements(lam, n) -> list:
         fixed = quadrature._chebyshev_t_fixed(n)
         slow = lambda x: gauss_oracle.chebyshev_t_at(n, x)  # noqa: E731
     else:
-        # the binary lambda that quad_mellin_gegenbauer reads
-        lam_m = quadrature.mp.mpf(float(lam))
-        fixed = quadrature._gegenbauer_fixed(n, lam_m)
+        # quad_mellin_gegenbauer reads lambda exactly
+        lam_m = as_mpf(lam)
+        fixed = quadrature._gegenbauer_fixed(n, lam)
         slow = lambda x: gauss_oracle.gegenbauer_at(n, lam_m, x)  # noqa: E731
     got = quadrature._mellin_integrand(fixed, n % 2)
     want = gauss_oracle.mellin_integrand(slow, n % 2)
@@ -859,7 +861,7 @@ def test_fixed_point_below_working_precision_is_caught(monkeypatch):
 def test_quantities_below_the_guard_bits_are_caught(monkeypatch):
     # the Legendre weight has a_k = 1/2, so p_2 has its minimum at 1/2,
     # where a seed gives Newton's method a derivative of 0
-    zero = as_mpf(Fraction(0))
+    zero = Fraction(0)
     with monkeypatch.context() as patch:
         patch.setattr(quadrature, "_float_nodes",
                       lambda a, b: [(0.5, 0.5)] * len(a))
@@ -868,8 +870,7 @@ def test_quantities_below_the_guard_bits_are_caught(monkeypatch):
     # sqrt(b_2) = 2^-65 would keep fewer than mp.prec bits in fixed point
     perturb_recurrence(monkeypatch, 1, 2, lambda r: (1, 1 << 130))
     with pytest.raises(ToleranceNotMet, match=r"sqrt\(b_2\)"):
-        quadrature._gauss_jacobi_rules(as_mpf(Fraction(1, 4)),
-                                       as_mpf(Fraction(3, 4)), 3)
+        quadrature._gauss_jacobi_rules(Fraction(1, 4), Fraction(3, 4), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +889,8 @@ BRACKET_WEIGHTS = [(Fraction(1, 2), Fraction(3, 2)),
 
 def float_recurrence(alpha, beta, m: int) -> tuple:
     """The recurrence ratios of _jacobi_recurrence, each rounded to float
-    as _gauss_rule rounds them for _float_nodes."""
-    a, b = quadrature._jacobi_recurrence(as_mpf(alpha), as_mpf(beta), m)
+    as _gauss_jacobi_rules rounds them for _float_nodes."""
+    a, b = quadrature._jacobi_recurrence(alpha, beta, m)
     return [p / q for p, q in a], [p / q for p, q in b]
 
 
@@ -904,7 +905,7 @@ def test_integer_recurrence_matches_mpf_recurrence():
         + [(alpha, beta, RULE_MMAX + 1) for alpha, beta in RULE_EDGES] \
         + [(alpha, beta, m + 1) for alpha, beta, m in LARGE_RULES]
     for alpha, beta, m in points:
-        a, b = quadrature._jacobi_recurrence(as_mpf(alpha), as_mpf(beta), m)
+        a, b = quadrature._jacobi_recurrence(alpha, beta, m)
         want_a, want_b = gauss_oracle.jacobi_recurrence(
             ctx.mpf(alpha.numerator) / alpha.denominator,
             ctx.mpf(beta.numerator) / beta.denominator, m)
@@ -973,4 +974,69 @@ def test_uncertified_brackets_fall_back_to_bisection(monkeypatch):
                         lambda a, b, x: count(a, b, x) + 1)
     for k in range(2, RULE_MMAX + 1):
         with pytest.raises(ToleranceNotMet):
-            quadrature._gauss_jacobi_rules(as_mpf(alpha), as_mpf(beta), k)
+            quadrature._gauss_jacobi_rules(alpha, beta, k)
+
+
+# ---------------------------------------------------------------------------
+# the comparison row on exact lambda and s, its closed value a rational
+# multiple of the quadrature's mu0, against the row with mpf parameters and
+# a three-Gamma closed value (mellin_oracle.py)
+# ---------------------------------------------------------------------------
+
+# the c06 grid of the acceptance tests, and the grid on which the rules of
+# the dyadic lambda and s are the same integers as with mpf parameters
+C06_GRID = [(n, lam, s) for n in range(11) for lam in (0.5, 1.0, 1.5, 2.5)
+            for s in (0.5, 1.0, 2.0, 3.7)]
+DYADIC_GRID = [(n, lam, s) for n in range(13)
+               for lam in (0.5, 1.0, 1.5, 2.5, -0.25)
+               for s in (0.125, 0.5, 0.75, 2.0, 3.7, 5.0)]
+# lambdas whose weight the mpf parameters rounded, to n = 40
+WIDE_GRID = [(n, lam, s) for n in range(41)
+             for lam in (Fraction(7, 3), Fraction(-1, 4), Fraction(1, 10))
+             for s in (0.125, 0.5, 2.0, 3.7)]
+T_GRID = [(n, s) for n in range(41)
+          for s in [0.125, 0.5, 2.0, 3.7] + ([float(n * n - 1)] if n >= 2
+                                             else [])]
+
+
+def closed_disagreement(form, s, got) -> str | None:
+    """Why got is not the three-Gamma value of form at s to 1e-14 relative:
+    where the factor vanishes exactly, got must be 0 and the oracle's value
+    no more than its rounding."""
+    want = mellin_oracle.closed_form_value(form, s)
+    if form.factor(Fraction(s)) == 0:
+        if got == 0 and abs(want) <= 1e-25:
+            return None
+    elif abs(got - want) <= 1e-14 * abs(want):
+        return None
+    return f"{form.kind} n={form.n} lambda={form.lam} s={s}: {got} != {want}"
+
+
+def test_beta_form_closed_value_matches_three_gamma_value():
+    bad = []
+    for n, lam, s in C06_GRID + DYADIC_GRID + WIDE_GRID:
+        form = mellin_closed(n, lam)
+        row = quadrature.compare_mellin(n, lam, s)
+        bad += [closed_disagreement(form, s, got) for got in
+                (row["closed_form"], quadrature.closed_form_value(form, s))]
+    for n, s in T_GRID:
+        form = mellin_T_closed(n)
+        row = quadrature.compare_mellin_T(n, s)
+        bad += [closed_disagreement(form, s, got) for got in
+                (row["closed_form"], quadrature.closed_form_value(form, s))]
+        if s == n * n - 1:
+            assert row["closed_form"] == 0, (n, s)
+    assert not [b for b in bad if b]
+
+
+def test_exact_parameters_keep_the_dyadic_quadrature_bits():
+    # a dyadic lambda and s give the recurrences the same integers as their
+    # binary mpfs did, and the rules the same fixed-point nodes and sums
+    for n, lam, s in DYADIC_GRID:
+        row = quadrature.compare_mellin(n, lam, s)
+        assert (row["quadrature"], row["error_estimate"]) \
+            == mellin_oracle.quadrature_row(n, lam, s), (n, lam, s)
+    for n, s in [(n, s) for n, s in T_GRID if n <= 12]:
+        row = quadrature.compare_mellin_T(n, s)
+        assert (row["quadrature"], row["error_estimate"]) \
+            == mellin_oracle.quadrature_row(n, None, s), (n, s)

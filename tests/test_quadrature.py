@@ -1,11 +1,15 @@
 """Numeric oracle: quadrature anchors and Gamma-form agreement; and the exact
 generating-function proof, its negative controls, and its coefficients
 summed against the float closed forms of genfun_oracle.py."""
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -355,7 +359,8 @@ def test_gauss_jacobi_exact_for_stated_degree():
     q = quadrature._gauss_jacobi(lambda y: y ** 5 >> 4 * w, 5, 0, 0, 1e-25)
     assert q.value == pytest.approx(1 / 6, rel=1e-15)
     assert q.evaluations == 3 + 4
-    q = quadrature._gauss_jacobi(lambda y: y * y >> w, 2, 1, 0.5, 1e-25)
+    q = quadrature._gauss_jacobi(lambda y: y * y >> w, 2, 1, Fraction(1, 2),
+                                 1e-25)
     assert q.value == pytest.approx(float(mp.beta(3.5, 2)), rel=1e-15)
 
 
@@ -368,7 +373,8 @@ def test_error_estimate_rejects_wrong_integrands():
     # parity differs from the degree's; g maps fixed-point x to x^3 + x^2
     with pytest.raises(ToleranceNotMet):
         quadrature._mellin_even_weight(
-            lambda x: (x ** 3 >> 2 * w) + (x ** 2 >> w), 3, -0.25, 2.0, 1e-12)
+            lambda x: (x ** 3 >> 2 * w) + (x ** 2 >> w), 3, Fraction(-1, 4),
+            2.0, 1e-12)
 
 
 def test_oracles_ignore_the_global_precision(monkeypatch):
@@ -415,3 +421,94 @@ def test_oracle_under_concurrent_precision_changes():
         mp.mp.prec = prec
     assert not any(t.is_alive() for t in churners + workers)
     assert len(rel_errs) == 18 and max(rel_errs) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the Beta form of the comparison row: negative controls and its Gamma work
+# ---------------------------------------------------------------------------
+
+# at lambda = 3/2, const_gamma_arg - 1 is 0, a pole of Gamma
+CONTROL_ROWS = [(n, lam, s) for n in (0, 1, 5, 12)
+                for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 3),
+                            None)
+                for s in (0.75, 3.7)]
+
+
+def broken_forms(form) -> dict:
+    """form with one field broken: a den_offset off by 1/2 (no integer
+    Pochhammer offset) and by 2, a const_gamma_arg off by 1, the constant
+    coefficient of the factor off by one part in 10^3."""
+    coeffs = list(form.factor.coeffs)
+    coeffs[0] *= 1 + Fraction(1, 10 ** 3)
+    return {"den_offset + 1/2": replace(form, den_offset=form.den_offset
+                                        + Fraction(1, 2)),
+            "den_offset + 2": replace(form, den_offset=form.den_offset + 2),
+            "const_gamma_arg - 1": replace(
+                form, const_gamma_arg=form.const_gamma_arg - 1),
+            "factor": replace(form, factor=Poly("s", coeffs))}
+
+
+def control_outcomes() -> list:
+    """(row, control, how the row came out): the name of the error it
+    raised, or its rel_err."""
+    out = []
+    for n, lam, s in CONTROL_ROWS:
+        if lam is None:
+            q, form = quad_mellin_T(n, s), mellin_T_closed(n)
+        else:
+            q, form = quad_mellin_gegenbauer(n, lam, s), mellin_closed(n, lam)
+        for name, broken in broken_forms(form).items():
+            try:
+                got = quadrature._comparison_row(n, lam, s, q, broken)
+            except InvalidParameters as exc:
+                got = {"rel_err": type(exc).__name__}
+            out.append(((n, str(lam), s), name, got["rel_err"]))
+    return out
+
+
+def test_broken_closed_forms_fail_the_row():
+    # each broken form raises, or reads far from the quadrature; the sound
+    # form agrees with it
+    outcomes = control_outcomes()
+    assert len(outcomes) == 4 * len(CONTROL_ROWS)
+    for row, name, got in outcomes:
+        if name == "den_offset + 1/2" or (row[1], name) == (
+                "3/2", "const_gamma_arg - 1"):
+            assert got == "InvalidParameters", (row, name, got)
+        else:
+            assert got == "InvalidParameters" or got > 1e-8, (row, name, got)
+    for n, lam, s in CONTROL_ROWS:
+        row = (compare_mellin_T(n, s) if lam is None
+               else compare_mellin(n, lam, s))
+        assert row["rel_err"] <= 1e-12, row
+
+
+def test_broken_closed_forms_fail_the_row_under_optimize():
+    # python -O strips assert statements; the row must not rely on them
+    script = ("import json, sys\n"
+              f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+              "import test_quadrature\n"
+              "print(json.dumps(test_quadrature.control_outcomes()))\n")
+    src = Path(quadrature.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outcomes = [(tuple(row), name, got)
+                for row, name, got in json.loads(proc.stdout)]
+    assert outcomes == [((n, lam, s), name, got) for (n, lam, s), name, got
+                        in control_outcomes()]
+
+
+def test_a_row_makes_three_gamma_calls_and_no_beta_call(monkeypatch):
+    calls = []
+    for name in ("gamma", "beta"):
+        fn = getattr(quadrature.mp, name)
+        monkeypatch.setattr(quadrature.mp, name,
+                            lambda *a, name=name, fn=fn: calls.append(name)
+                            or fn(*a))
+    compare_mellin(12, Fraction(7, 3), 3.7)
+    assert calls == ["gamma"] * 3
+    calls.clear()
+    compare_mellin_T(9, 80.0)
+    assert calls == ["gamma"] * 3

@@ -406,6 +406,7 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_mellin(args, parser) -> int:
     ns = args.n if args.n else list(range(args.nmax + 1))
+    before = quadrature.memo_counts()
     if args.family == "T":
         rows = [quadrature.compare_mellin_T(n, s, args.tol)
                 for n in ns for s in args.s]
@@ -413,6 +414,13 @@ def cmd_mellin(args, parser) -> int:
         lams = args.lam or [Fraction(1)]
         rows = [quadrature.compare_mellin(n, lam, s, args.tol)
                 for n in ns for lam in lams for s in args.s]
+    built, reused, computed, beta_reused = (
+        after - start for after, start in zip(quadrature.memo_counts(),
+                                              before))
+    log.debug("mellin: %d rows, %d Gauss-Jacobi rules built of %d requested "
+              "(%d reused), %d Beta values computed of %d requested "
+              "(%d reused)", len(rows), built, built + reused, reused,
+              computed, computed + beta_reused, beta_reused)
     _emit(rows, args)
     return 0 if all(r["rel_err"] <= 1e-10 for r in rows) else 1
 

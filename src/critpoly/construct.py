@@ -35,10 +35,24 @@ S = Poly.var("s")
 # factors, so every repeat there is a hit.
 MEMO_SIZE = 256
 
+# every bounded memo of the package: these two and the quadrature's
+_MEMOS = []
+
+
+def bounded_memo(maxsize: int):
+    """functools.lru_cache(maxsize), registered so that clear_caches()
+    empties it. A call that raises is not cached."""
+    def wrap(fn):
+        memo = lru_cache(maxsize=maxsize)(fn)
+        _MEMOS.append(memo)
+        return memo
+    return wrap
+
 
 def clear_caches() -> None:
-    """Forget every memoized build, so that the next call builds cold."""
-    for memo in (_p_beta, _T_factor):
+    """Forget every memoized build, Gauss-Jacobi rule and Beta value, so
+    that the next call computes cold."""
+    for memo in _MEMOS:
         memo.cache_clear()
 
 
@@ -178,7 +192,7 @@ def p_beta(n: int, beta) -> CriticalPolynomial:
     return _p_beta(n, beta)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@bounded_memo(MEMO_SIZE)
 def _p_beta(n: int, beta: Fraction) -> CriticalPolynomial:
     p, q = beta.numerator, beta.denominator
     coeffs = [Fraction(1)]
@@ -325,7 +339,7 @@ def mellin_T_closed(n: int) -> MellinClosedForm:
                             Fraction(1, 2), Fraction(n + 3))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@bounded_memo(MEMO_SIZE)
 def _T_factor(k: int) -> Poly:
     if k < 2:
         return Poly.constant("s", Fraction(1))

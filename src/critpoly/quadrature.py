@@ -11,9 +11,12 @@ its binary value), so the weight exponents alpha and beta are exact and the
 rules start from exact integer ratios; a quadrature leaves in mpf once per
 rule, as its integer sum times mu0 = B(beta + 1, alpha + 1).
 
-A comparison row takes mu0 from three mp.gamma calls and reads the closed
-form as mu0 times an exact rational: its Gamma quotient is B(x, a) up to
-Pochhammer symbols at integer offsets, x = (s + eps)/2, a = alpha + 1."""
+A rule belongs to its weight, not to the integrand: each rule of k nodes is
+memoized on its exact (alpha, beta, k), and each Beta value, from three
+mp.gamma calls, on its exact arguments, so every row of one weight shares
+them. A comparison row reads the closed form as its mu0 times an exact
+rational: its Gamma quotient is B(x, a) up to Pochhammer symbols at integer
+offsets, x = (s + eps)/2, a = alpha + 1."""
 from __future__ import annotations
 
 import logging
@@ -24,8 +27,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .construct import (MellinClosedForm, mellin_T_closed, mellin_closed,
-                        p_hyp)
+from .construct import (MellinClosedForm, bounded_memo, mellin_T_closed,
+                        mellin_closed, p_hyp)
 from .errors import InvalidParameters, ToleranceNotMet
 from .hyp3f2 import pochhammer_sum
 from .poly import gen_binom
@@ -55,6 +58,13 @@ _FIXED_BITS = mp.prec + _GUARD_BITS
 # node found to float precision, at 2^-44 they hold.
 _SEED_WIDTH = 2.0 ** -44
 _NEWTON_CAP = 8
+
+# Entries kept by the rule memo, keyed (alpha, beta, k), and by the Beta
+# memo, keyed by its exact arguments. 64 mellin-batch rounds (seed 1) ask
+# for 320 distinct rules and 74 distinct weights, so at these sizes every
+# repeat there is a hit; at 256 rules the memo would keep evicting.
+RULE_MEMO_SIZE = 512
+BETA_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -222,7 +232,7 @@ def _holds(a, b, i: int, lo: float, hi: float) -> bool:
     return _sturm_count(a, b, lo) == i and _sturm_count(a, b, hi) == i + 1
 
 
-def _gauss_rule(steps, a, b) -> list:
+def _gauss_rule(steps, a, b) -> tuple:
     """The (node, Christoffel sum) pairs, in _FIXED_BITS-bit fixed point,
     of the Gauss rule whose nodes are the zeros of p_m, m = len(steps), for
     the recurrence ratios a and b (floats, for _float_nodes) and the steps
@@ -286,43 +296,51 @@ def _gauss_rule(steps, a, b) -> list:
             pt_prev, pt = pt, ((u * (y - ak) >> w) * pt - v * pt_prev) >> w
         rule.append((y, christoffel + (pt * pt >> w)))
         prev = y
-    return rule
+    return tuple(rule)
 
 
-def _gauss_jacobi_rules(alpha, beta, m: int) -> list:
-    """The Gauss rules of m and m + 1 nodes for y^beta (1-y)^alpha on
-    [0, 1] (alpha, beta > -1 rationals), as _gauss_rule gives them. The
-    recurrence ratios of the larger rule are converted once, each a_k to
-    fixed point and to float, each b_k to float and sqrt(b_k) by isqrt;
-    the m-node rule reads their prefix.
+@bounded_memo(RULE_MEMO_SIZE)
+def _gauss_jacobi_rule(alpha, beta, k: int) -> tuple:
+    """The Gauss rule of k nodes for y^beta (1-y)^alpha on [0, 1]
+    (alpha, beta > -1 rationals), as _gauss_rule gives it, memoized: each
+    a_j is converted to fixed point and to float, each b_j to float and
+    sqrt(b_j) by isqrt.
 
-    ToleranceNotMet is raised when a sqrt(b_k) falls below 2^-_GUARD_BITS:
-    b_k is read to 2w bits, so each root has an absolute error of 2^-w and
+    ToleranceNotMet is raised when a sqrt(b_j) falls below 2^-_GUARD_BITS:
+    b_j is read to 2w bits, so each root has an absolute error of 2^-w and
     mp.prec correct bits down to that floor."""
     w = _FIXED_BITS
     one, floor = 1 << w, 1 << (w - _GUARD_BITS)
-    a, b = _jacobi_recurrence(alpha, beta, m + 1)
-    # sqrt(b_k), 0 <= k <= m, with sqrt(b_0) = 0
+    a, b = _jacobi_recurrence(alpha, beta, k)
+    # sqrt(b_j), 0 <= j < k, with sqrt(b_0) = 0
     roots = [0] + [math.isqrt((p << 2 * w) // q) for p, q in b[1:]]
-    for k, r in enumerate(roots[1:], 1):
+    for j, r in enumerate(roots[1:], 1):
         if r < floor:
             raise ToleranceNotMet(
-                f"Gauss-Jacobi recurrence coefficient sqrt(b_{k}) = "
+                f"Gauss-Jacobi recurrence coefficient sqrt(b_{j}) = "
                 f"{_fixed_str(r, w)} is below 2^-{_GUARD_BITS}")
     fixed = [_ratio(p, q, w) for p, q in a]
-    # the steps of k < m; a rule of k nodes ends on (a_(k-1), 1, sqrt(b_(k-1)))
-    steps = [(ak, (one << w) // r1, (r0 << w) // r1)
-             for ak, r0, r1 in zip(fixed, roots, roots[1:])]
-    af, bf = [p / q for p, q in a], [p / q for p, q in b]
-    return [_gauss_rule(steps[:k - 1] + [(fixed[k - 1], one, roots[k - 1])],
-                        af[:k], bf[:k]) for k in (m, m + 1)]
+    # the rule ends on (a_(k-1), 1, sqrt(b_(k-1)))
+    steps = [(aj, (one << w) // r1, (r0 << w) // r1)
+             for aj, r0, r1 in zip(fixed, roots, roots[1:])]
+    steps.append((fixed[-1], one, roots[-1]))
+    return _gauss_rule(steps, [p / q for p, q in a], [p / q for p, q in b])
 
 
+@bounded_memo(BETA_MEMO_SIZE)
 def _beta(xn: int, an: int, d: int):
     """B(x, a) = Gamma(x) Gamma(a) / Gamma(x + a) at x = xn/d, a = an/d > 0,
-    by three mp.gamma calls."""
+    by three mp.gamma calls, memoized: (xn, an, d) in lowest terms."""
     return (mp.gamma(mp.mpf(xn) / d) * mp.gamma(mp.mpf(an) / d)
             / mp.gamma(mp.mpf(xn + an) / d))
+
+
+def memo_counts() -> tuple:
+    """(rules built, rules reused, Beta values computed, Beta values
+    reused) by the two memos so far in this process; a build that raised
+    counts as built."""
+    rules, betas = _gauss_jacobi_rule.cache_info(), _beta.cache_info()
+    return rules.misses, rules.hits, betas.misses, betas.hits
 
 
 def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
@@ -343,13 +361,16 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     J. Sci. Comput. 35, 2013). Each rule's sum of f(y) over the Christoffel
     sums runs on integers and is scaled once by mu0 = B(beta + 1,
     alpha + 1); the error estimate comes from the integer difference of
-    the two sums."""
+    the two sums. Both rules and mu0 come from their memos."""
     w = _FIXED_BITS
+    m = degree // 2 + 1
     sums, count = [], 0
-    for rule in _gauss_jacobi_rules(alpha, beta, degree // 2 + 1):
+    for k in (m, m + 1):
+        rule = _gauss_jacobi_rule(alpha, beta, k)
         terms = [(f(y) << w) // christoffel for y, christoffel in rule]
         sums.append(sum(terms))
         count += len(rule)
+    # over the lcm, B + d, A + d and d have no common factor
     A, B, d = _over_lcm(alpha, beta)
     mu0 = _beta(B + d, A + d, d)
     value = float(mu0 * mp.mpf((sums[1], -w)))
@@ -407,8 +428,9 @@ def quad_mellin_gegenbauer(n: int, lam, s: float,
                            tol: float = 1e-12) -> QuadResult:
     """Int_0^1 x^(s-1) C_n^lam(x) (1-x^2)^(lam/2 - 3/4) dx by Gauss-Jacobi
     quadrature in y = x^2, exact for this integrand up to rounding. lam is
-    read as an exact rational, a float as its binary value."""
-    lam = Fraction(lam)
+    read as an exact rational, a float through its shortest repr (0.1 is
+    1/10), as compare_mellin reads it."""
+    lam = as_rat(lam)
     if lam <= Fraction(-1, 2) or lam == 0:
         raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
     _check_s(n, s)
@@ -474,8 +496,10 @@ def closed_form_value(form: MellinClosedForm, s) -> float:
     rational of _beta_multiple."""
     g = form.const_gamma_arg
     sn, sd = s.as_integer_ratio()
-    mu0 = _beta((sn + form.eps * sd) * g.denominator, 2 * sd * g.numerator,
-                2 * sd * g.denominator)
+    xn, gn, d = ((sn + form.eps * sd) * g.denominator, 2 * sd * g.numerator,
+                 2 * sd * g.denominator)
+    c = math.gcd(xn, gn, d)
+    mu0 = _beta(xn // c, gn // c, d // c)
     return float(mu0 * _beta_multiple(form, s, g - 1))
 
 

@@ -15,8 +15,10 @@ else:
 
 @pytest.fixture(autouse=True)
 def cold_builders():
-    """Start every test with empty builder caches: a test that monkeypatches
-    a kernel then sees its patch take effect whatever ran before it, and each
-    acceptance budget times a cold build, as a fresh run pays it."""
+    """Start every test with empty builder caches and empty Gauss-Jacobi
+    rule and Beta memos: a test that monkeypatches a kernel then sees its
+    patch take effect whatever ran before it, each acceptance budget times
+    a cold build, as a fresh run pays it, and a count of memo work starts
+    from cold."""
     construct.clear_caches()
     yield

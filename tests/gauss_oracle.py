@@ -136,7 +136,7 @@ def mpf_gauss_rule(a, b, mu0) -> list:
 
 
 def mpf_gauss_jacobi_rules(alpha, beta, m: int) -> tuple:
-    """The m- and (m+1)-node rules of quadrature._gauss_jacobi_rules (alpha
+    """The m- and (m+1)-node rules of quadrature._gauss_jacobi_rule (alpha
     and beta mpfs) from jacobi_recurrence, by mpf_gauss_rule."""
     a, b = jacobi_recurrence(alpha, beta, m + 1)
     mu0 = quadrature.mp.beta(beta + 1, alpha + 1)

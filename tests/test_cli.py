@@ -499,6 +499,29 @@ def test_mellin_csv_reports_quadrature_work(capsys):
     assert all(float(r["rel_err"]) <= 1e-12 for r in rows)
 
 
+def test_mellin_logs_the_rules_and_beta_values_it_reuses(capsys, caplog):
+    # n = 0..12 at one lambda and s ask for the rules of 1..5 nodes at
+    # beta = 0 and of 1..4 at beta = 1/2, two of each row's size, and one
+    # mu0 per weight; from cold the conftest fixture leaves every memo empty
+    argv = ["--log-level", "DEBUG", "mellin", "--nmax", "12", "--lambda",
+            "7/3", "--s", "2", "--output", "json"]
+    caplog.set_level(logging.DEBUG, logger="critpoly")
+    logs, outs = [], []
+    for _ in range(2):
+        caplog.clear()
+        code, out = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+        logs += [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("mellin:")]
+    assert len(json.loads(outs[0])) == 13 and outs[1] == outs[0]
+    assert logs == [
+        "mellin: 13 rows, 9 Gauss-Jacobi rules built of 26 requested "
+        "(17 reused), 2 Beta values computed of 13 requested (11 reused)",
+        "mellin: 13 rows, 0 Gauss-Jacobi rules built of 26 requested "
+        "(26 reused), 0 Beta values computed of 13 requested (13 reused)"]
+
+
 def test_calls_share_the_parser_but_no_parsed_values(capsys):
     # the `append` options of one call must not carry into the next
     argv = ["mellin", "--n", "1", "--n", "2", "--lambda", "1", "--s", "1",

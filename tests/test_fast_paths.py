@@ -45,7 +45,7 @@ import fraction_oracle
 import gauss_oracle
 import genfun_oracle
 import mellin_oracle
-from critpoly import hyp3f2, poly, quadrature
+from critpoly import construct, hyp3f2, poly, quadrature
 from critpoly.construct import (S, mellin_T_closed, mellin_closed, p_beta,
                                 p_hyp, p_s32)
 from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
@@ -621,20 +621,26 @@ def as_mpf(x):
     return quadrature.mp.mpf(x.numerator) / x.denominator
 
 
+def gauss_jacobi_rules(alpha, beta, m: int) -> list:
+    """The rules of m and m + 1 nodes that _gauss_jacobi integrates with."""
+    return [quadrature._gauss_jacobi_rule(alpha, beta, k)
+            for k in (m, m + 1)]
+
+
 def mpf_rules(alpha, beta, m: int) -> list:
-    """The rules of _gauss_jacobi_rules(alpha, beta, m) (alpha, beta
+    """The rules of gauss_jacobi_rules(alpha, beta, m) (alpha, beta
     rationals) as (node, weight) mpfs: the fixed-point node, and
     B(beta + 1, alpha + 1) over the fixed-point Christoffel sum."""
     mp, w = quadrature.mp, quadrature._FIXED_BITS
     mu0 = mp.beta(as_mpf(beta) + 1, as_mpf(alpha) + 1)
     return [[(mp.mpf((y, -w)), mu0 / mp.mpf((christoffel, -w)))
              for y, christoffel in rule]
-            for rule in quadrature._gauss_jacobi_rules(alpha, beta, m)]
+            for rule in gauss_jacobi_rules(alpha, beta, m)]
 
 
 def rule_disagreements(alpha, beta, m) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
-    _gauss_jacobi_rules that differ from the oracle's by more than
+    gauss_jacobi_rules that differ from the oracle's by more than
     RULE_TOL relative."""
     rules = mpf_rules(alpha, beta, m)
     assert [len(rule) for rule in rules] == [m, m + 1]
@@ -658,6 +664,13 @@ def test_gauss_jacobi_rules_match_eigen_solver(alpha):
             assert not rule_disagreements(a, b, m), (a, b, m)
 
 
+def patch_rule_builder(patch, name: str, value) -> None:
+    """Sets quadrature.<name> to value and empties the memos, so that no
+    rule built before the patch is reused under it."""
+    patch.setattr(quadrature, name, value)
+    construct.clear_caches()
+
+
 def perturb_recurrence(monkeypatch, which: int, k: int, change):
     """Patches _jacobi_recurrence so that change maps the ratio (num, den)
     of a_k (which = 0) or b_k (which = 1) to another ratio."""
@@ -668,7 +681,7 @@ def perturb_recurrence(monkeypatch, which: int, k: int, change):
         coeffs[which][k] = change(coeffs[which][k])
         return coeffs
 
-    monkeypatch.setattr(quadrature, "_jacobi_recurrence", perturbed)
+    patch_rule_builder(monkeypatch, "_jacobi_recurrence", perturbed)
 
 
 def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
@@ -702,17 +715,19 @@ def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
         float(quadrature.mp.beta(as_mpf(beta) + 2, as_mpf(alpha) + 1)),
         rel=1e-15)
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_NEWTON_CAP", 0)
+        patch_rule_builder(patch, "_NEWTON_CAP", 0)
         with pytest.raises(ToleranceNotMet, match="did not converge"):
-            quadrature._gauss_jacobi_rules(alpha, beta, 3)
+            gauss_jacobi_rules(alpha, beta, 3)
         with pytest.raises(ToleranceNotMet, match="did not converge"):
             quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-12)
     for seed in (1.5, 0.0, -0.25):
         with monkeypatch.context() as patch:
-            patch.setattr(quadrature, "_float_nodes",
-                          lambda a, b, seed=seed: [(seed, seed)] * len(a))
+            patch_rule_builder(patch, "_float_nodes",
+                               lambda a, b, seed=seed: [(seed, seed)] * len(a))
             with pytest.raises(ToleranceNotMet, match="outside"):
-                quadrature._gauss_jacobi_rules(alpha, beta, 3)
+                gauss_jacobi_rules(alpha, beta, 3)
+            with pytest.raises(ToleranceNotMet, match="outside"):
+                quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-12)
 
 
 def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
@@ -721,10 +736,10 @@ def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
     alpha, beta = Fraction(1, 4), Fraction(3, 4)
     brackets = quadrature._float_nodes
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_float_nodes",
-                      lambda a, b: [brackets(a, b)[0]] * len(a))
+        patch_rule_builder(patch, "_float_nodes",
+                           lambda a, b: [brackets(a, b)[0]] * len(a))
         with pytest.raises(ToleranceNotMet, match="not above"):
-            quadrature._gauss_jacobi_rules(alpha, beta, 3)
+            gauss_jacobi_rules(alpha, beta, 3)
     # a bracket moved off its node by 2^-20: the seed is still polished to
     # that node, which then lies outside the bracket it was given
 
@@ -732,9 +747,9 @@ def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
         (lo, hi), *rest = brackets(a, b)
         return [(lo + 2.0 ** -20, hi + 2.0 ** -20)] + rest
 
-    monkeypatch.setattr(quadrature, "_float_nodes", moved)
+    patch_rule_builder(monkeypatch, "_float_nodes", moved)
     with pytest.raises(ToleranceNotMet, match="left its bracket"):
-        quadrature._gauss_jacobi_rules(alpha, beta, 3)
+        gauss_jacobi_rules(alpha, beta, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +780,7 @@ INTEGRAND_GRID = [Fraction(j, 16) for j in range(1, 16)] \
 
 def fixed_rule_disagreements(alpha, beta, m, tol=FIXED_TOL) -> list:
     """The nodes and weights of the m- and (m+1)-node rules of
-    _gauss_jacobi_rules that differ from the mpf loops' by more than tol
+    gauss_jacobi_rules that differ from the mpf loops' by more than tol
     relative, or the error that stopped the fixed-point build."""
     try:
         rules = mpf_rules(alpha, beta, m)
@@ -852,7 +867,7 @@ def test_perturbed_fixed_point_constant_is_caught(monkeypatch):
 def test_fixed_point_below_working_precision_is_caught(monkeypatch):
     # 8 bits under mp.prec, Newton's method cannot reach its step bound and
     # the integrands lose the last digits the mpf loops keep
-    monkeypatch.setattr(quadrature, "_FIXED_BITS", quadrature.mp.prec - 8)
+    patch_rule_builder(monkeypatch, "_FIXED_BITS", quadrature.mp.prec - 8)
     assert any("did not converge" in str(bad)
                for *_, bad in rule_grid_disagreements())
     assert any(integrand_grid_disagreements())
@@ -863,14 +878,14 @@ def test_quantities_below_the_guard_bits_are_caught(monkeypatch):
     # where a seed gives Newton's method a derivative of 0
     zero = Fraction(0)
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_float_nodes",
-                      lambda a, b: [(0.5, 0.5)] * len(a))
+        patch_rule_builder(patch, "_float_nodes",
+                           lambda a, b: [(0.5, 0.5)] * len(a))
         with pytest.raises(ToleranceNotMet, match="derivative"):
-            quadrature._gauss_jacobi_rules(zero, zero, 2)
+            gauss_jacobi_rules(zero, zero, 2)
     # sqrt(b_2) = 2^-65 would keep fewer than mp.prec bits in fixed point
     perturb_recurrence(monkeypatch, 1, 2, lambda r: (1, 1 << 130))
     with pytest.raises(ToleranceNotMet, match=r"sqrt\(b_2\)"):
-        quadrature._gauss_jacobi_rules(Fraction(1, 4), Fraction(3, 4), 3)
+        gauss_jacobi_rules(Fraction(1, 4), Fraction(3, 4), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +904,7 @@ BRACKET_WEIGHTS = [(Fraction(1, 2), Fraction(3, 2)),
 
 def float_recurrence(alpha, beta, m: int) -> tuple:
     """The recurrence ratios of _jacobi_recurrence, each rounded to float
-    as _gauss_jacobi_rules rounds them for _float_nodes."""
+    as _gauss_jacobi_rule rounds them for _float_nodes."""
     a, b = quadrature._jacobi_recurrence(alpha, beta, m)
     return [p / q for p, q in a], [p / q for p, q in b]
 
@@ -961,20 +976,21 @@ def test_uncertified_brackets_fall_back_to_bisection(monkeypatch):
     with monkeypatch.context() as patch:
         # the certifying counts off by one: no bracket of Newton's method
         # is taken, and bisection finds each node instead
-        patch.setattr(quadrature, "_holds", lambda a, b, i, lo, hi:
-                      holds(a, b, i + 1, lo, hi))
+        patch_rule_builder(patch, "_holds", lambda a, b, i, lo, hi:
+                           holds(a, b, i + 1, lo, hi))
         got = quadrature._float_nodes(a, b)
         assert all(x != y for x, y in zip(got, certified))
         for (lo, hi), (lo0, hi0) in zip(got, want):
             assert hi - lo <= 2 * quadrature._SEED_WIDTH
             assert lo <= (lo0 + hi0) / 2 <= hi
         assert not rule_disagreements(alpha, beta, m - 1)
-    # every count off by one, the tree's too: no rule at all
-    monkeypatch.setattr(quadrature, "_sturm_count",
-                        lambda a, b, x: count(a, b, x) + 1)
+    # every count off by one, the tree's too: no rule at all, the rules
+    # just built included
+    patch_rule_builder(monkeypatch, "_sturm_count",
+                       lambda a, b, x: count(a, b, x) + 1)
     for k in range(2, RULE_MMAX + 1):
         with pytest.raises(ToleranceNotMet):
-            quadrature._gauss_jacobi_rules(alpha, beta, k)
+            gauss_jacobi_rules(alpha, beta, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,3 +1056,48 @@ def test_exact_parameters_keep_the_dyadic_quadrature_bits():
         row = quadrature.compare_mellin_T(n, s)
         assert (row["quadrature"], row["error_estimate"]) \
             == mellin_oracle.quadrature_row(n, None, s), (n, s)
+
+
+# ---------------------------------------------------------------------------
+# rows that read their rules and mu0 from the memos against rows built cold
+# ---------------------------------------------------------------------------
+
+# the rows of the benchmark's mellin-batch workload: its four lambdas,
+# n <= 12, every s it draws and s = 1/2, and T rows at the same s and at
+# the zeros s = n^2 - 1 of their factor
+BATCH_S = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
+BATCH_GRID = [(n, lam, s) for lam in (Fraction(1, 2), Fraction(1),
+                                      Fraction(3, 2), Fraction(5, 2))
+              for s in BATCH_S for n in range(13)]
+BATCH_T_GRID = [(n, s) for s in BATCH_S for n in range(13)] \
+    + [(n, float(n * n - 1)) for n in range(2, 13)]
+
+
+def row_bits(row: dict) -> dict:
+    """The row with each float as its hex digits, so that rows compare
+    equal only bit for bit."""
+    return {key: v.hex() if isinstance(v, float) else v
+            for key, v in row.items()}
+
+
+def test_memoized_rows_equal_cold_rows():
+    jobs = [(quadrature.compare_mellin, job)
+            for job in C06_GRID + BATCH_GRID] \
+        + [(quadrature.compare_mellin_T, job) for job in BATCH_T_GRID]
+    cold = []
+    for row, job in jobs:
+        construct.clear_caches()
+        cold.append(row_bits(row(*job)))
+        # the same row again reads both rules and mu0 from the memos
+        start = quadrature.memo_counts()
+        assert row_bits(row(*job)) == cold[-1], job
+        assert [b - a for a, b in zip(start, quadrature.memo_counts())] \
+            == [0, 2, 0, 1], job
+    # one pass over the grid, in which rows read the rules and mu0 that
+    # other rows of their weight built
+    construct.clear_caches()
+    start = quadrature.memo_counts()
+    assert [row_bits(row(*job)) for row, job in jobs] == cold
+    built, reused, computed, beta_reused = (
+        b - a for a, b in zip(start, quadrature.memo_counts()))
+    assert reused > built and beta_reused > computed

@@ -501,6 +501,9 @@ def test_broken_closed_forms_fail_the_row_under_optimize():
 
 
 def test_a_row_makes_three_gamma_calls_and_no_beta_call(monkeypatch):
+    # one set of three mp.gamma calls per weight: a cold row makes it, and a
+    # second row on the same weight (n = 14 and 12 are both even, so both
+    # integrate against y^(s/2 - 1) (1-y)^(lambda/2 - 3/4)) makes none
     calls = []
     for name in ("gamma", "beta"):
         fn = getattr(quadrature.mp, name)
@@ -510,5 +513,64 @@ def test_a_row_makes_three_gamma_calls_and_no_beta_call(monkeypatch):
     compare_mellin(12, Fraction(7, 3), 3.7)
     assert calls == ["gamma"] * 3
     calls.clear()
+    compare_mellin(14, Fraction(7, 3), 3.7)
+    # the Gegenbauer closed form is B(x, const_gamma_arg) times a rational,
+    # and x = beta + 1, const_gamma_arg = alpha + 1: the row's own mu0
+    closed_form_value(mellin_closed(12, Fraction(7, 3)), 3.7)
+    assert calls == []
     compare_mellin_T(9, 80.0)
     assert calls == ["gamma"] * 3
+    calls.clear()
+    compare_mellin_T(11, 80.0)
+    assert calls == []
+    # closed_form_value's B(x, const_gamma_arg) comes from the same memo
+    for k in (5, 5, 7):
+        closed_form_value(mellin_closed(k, 1), 1.3)
+    assert calls == ["gamma"] * 3
+
+
+def test_lemma3a_asks_for_one_beta_value_per_argument():
+    # M_2(s + 3) and M_5, M_3, M_1 at s: x = (s + 3)/2 and (s + 1)/2 at
+    # the one const_gamma_arg 3/4 of lambda = 1
+    start = quadrature.memo_counts()
+    assert lemma3a_check(3, 2, 1.3)["pass"]
+    counts = [b - a for a, b in zip(start, quadrature.memo_counts())]
+    assert counts == [0, 0, 2, 2]
+
+
+def test_a_float_lambda_is_read_once_by_both_entry_points():
+    # both read 0.1 as 1/10, so they integrate against one weight
+    for n, s in ((6, 2.0), (12, 3.7)):
+        construct.clear_caches()
+        value = quad_mellin_gegenbauer(n, 0.1, s).value
+        construct.clear_caches()
+        assert value.hex() == compare_mellin(n, 0.1, s)["quadrature"].hex()
+        assert value == quad_mellin_gegenbauer(n, Fraction(1, 10), s).value
+
+
+def test_a_memoized_rule_is_one_immutable_object():
+    rule = quadrature._gauss_jacobi_rule(Fraction(1, 4), Fraction(3, 4), 5)
+    assert type(rule) is tuple and len(rule) == 5
+    assert all(type(node) is tuple for node in rule)
+    assert quadrature._gauss_jacobi_rule(Fraction(1, 4), Fraction(3, 4),
+                                         5) is rule
+
+
+def test_a_rule_that_raises_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_CAP", 0)
+    construct.clear_caches()
+    for _ in range(2):
+        with pytest.raises(ToleranceNotMet, match="did not converge"):
+            compare_mellin(6, Fraction(3, 2), 2.0)
+    assert quadrature._gauss_jacobi_rule.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_quadrature_memos():
+    compare_mellin(6, Fraction(3, 2), 2.0)
+    memos = (quadrature._gauss_jacobi_rule, quadrature._beta)
+    assert [memo.cache_info().currsize for memo in memos] == [2, 1]
+    construct.clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    # 64 mellin-batch rounds (seed 1) ask for 320 rules and 74 weights
+    assert quadrature.RULE_MEMO_SIZE >= 320
+    assert quadrature.BETA_MEMO_SIZE >= 74

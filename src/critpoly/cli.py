@@ -414,13 +414,15 @@ def cmd_mellin(args, parser) -> int:
         lams = args.lam or [Fraction(1)]
         rows = [quadrature.compare_mellin(n, lam, s, args.tol)
                 for n in ns for lam in lams for s in args.s]
-    built, reused, computed, beta_reused = (
+    built, reused, computed, beta_reused, planned, plan_reused = (
         after - start for after, start in zip(quadrature.memo_counts(),
                                               before))
     log.debug("mellin: %d rows, %d Gauss-Jacobi rules built of %d requested "
               "(%d reused), %d Beta values computed of %d requested "
-              "(%d reused)", len(rows), built, built + reused, reused,
-              computed, computed + beta_reused, beta_reused)
+              "(%d reused), %d row plans built of %d requested (%d reused)",
+              len(rows), built, built + reused, reused, computed,
+              computed + beta_reused, beta_reused, planned,
+              planned + plan_reused, plan_reused)
     _emit(rows, args)
     return 0 if all(r["rel_err"] <= 1e-10 for r in rows) else 1
 

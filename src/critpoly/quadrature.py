@@ -19,10 +19,11 @@ beta = B/d, and each Beta value, from three mp.gamma calls, on its exact
 arguments, so every row of one weight shares them. A comparison row reads
 the closed form as its mu0 times an exact rational: its Gamma quotient is
 B(x, a) up to Pochhammer symbols at integer offsets, x = (s + eps)/2,
-a = alpha + 1. What a row needs that does not depend on s (alpha, the
-integrand's recurrence constants, the closed form and its Beta shape) is
-one plan per (n, lambda), or per n for T, memoized too, so a warm row does
-no mpf arithmetic."""
+a = alpha + 1. What does not depend on s is memoized per (n, lambda), or
+per n for T, too: the integrand that quad_mellin_gegenbauer and
+quad_mellin_T integrate (alpha and the recurrence constants of the
+polynomial) and the Beta shape of the closed form that compare_mellin and
+compare_mellin_T check it against, so a warm row does no mpf arithmetic."""
 from __future__ import annotations
 
 import logging
@@ -66,10 +67,11 @@ _SEED_WIDTH = 2.0 ** -44
 _NEWTON_CAP = 8
 
 # Entries kept by the rule memo, keyed (A, B, d, k), by the Beta memo,
-# keyed by its exact arguments, and by each row-plan memo, keyed by (n,
-# lambda) or n. 64 mellin-batch rounds (seed 1) ask for 320 distinct rules,
-# 74 distinct weights and 52 Gegenbauer and 13 T plans, so at these sizes
-# every repeat there is a hit; at 256 rules the memo would keep evicting.
+# keyed by its exact arguments, and by each integrand and closed-form shape
+# memo, keyed by (n, lambda) or n. 64 mellin-batch rounds (seed 1) ask for
+# 320 distinct rules, 74 distinct weights and 52 Gegenbauer and 13 T
+# (n, lambda), so at these sizes every repeat there is a hit; at 256 rules
+# the memo would keep evicting.
 RULE_MEMO_SIZE = 512
 BETA_MEMO_SIZE = 128
 PLAN_MEMO_SIZE = 256
@@ -146,9 +148,10 @@ def _gegenbauer_fixed(n: int, lam):
     return lambda x: _recurrence_at(c1, c2, x, w)
 
 
+@bounded_memo(PLAN_MEMO_SIZE)
 def _chebyshev_t_fixed(n: int):
     """x -> T_n(x) in _FIXED_BITS-bit fixed point: c1_1 = 1, c1_k = 2 and
-    c2_k = 1."""
+    c2_k = 1, memoized: the integrand of T_n, whose alpha is _T_ALPHA."""
     w = _FIXED_BITS
     one = 1 << w
     c1 = tuple(one if k == 1 else 2 * one for k in range(1, n + 1))
@@ -363,9 +366,27 @@ def _beta(xn: int, an: int, d: int):
             / mp.gamma(mp.mpf(xn + an) / d))
 
 
-def _jacobi_quad(f, m: int, key: tuple, tol: float) -> QuadResult:
-    """_gauss_jacobi with the rules of m and m + 1 nodes, for the weight of
-    key = (A, B, d), alpha = A/d and beta = B/d as _over_lcm gives them."""
+def _gauss_jacobi(f, m: int, key: tuple, tol: float) -> QuadResult:
+    """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of degree at
+    most 2m - 1, given as a map from y to f(y) in _FIXED_BITS-bit fixed
+    point; key = (A, B, d), alpha = A/d and beta = B/d > -1 as _over_lcm
+    gives them.
+
+    The Gauss-Jacobi rules with m and m + 1 nodes are both exact for such
+    an f, so they differ only by rounding; their difference is the error
+    estimate. An f of higher degree, or not a polynomial at all, shows up
+    as a difference above tolerance.
+
+    Each rule is built on [0, 1] from the weight's three-term recurrence in
+    exact integer ratios: nodes bracketed in float by one bisection tree on
+    Sturm counts and polished by Newton's method on the orthogonal
+    polynomial in fixed point (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM
+    J. Sci. Comput. 35, 2013). Each rule's sum of f(y) over the Christoffel
+    sums runs on integers; the value, the error estimate (from the integer
+    difference of the two sums) and the magnitude are each that integer
+    times the dyadic mu0 = B(beta + 1, alpha + 1), rounded once to a
+    float. Both rules and mu0 come from their memos."""
     w = _FIXED_BITS
     A, B, d = key
     sums, count = [], 0
@@ -385,31 +406,6 @@ def _jacobi_quad(f, m: int, key: tuple, tol: float) -> QuadResult:
             f"quadrature error estimate {err} exceeds {tol}")
     return QuadResult(value, err, count,
                       _to_float(man * sum(map(abs, terms)), 1, exp), mu0)
-
-
-def _gauss_jacobi(f, degree: int, alpha, beta, tol: float) -> QuadResult:
-    """Int_0^1 y^beta (1-y)^alpha f(y) dy for f a polynomial of the stated
-    degree (alpha, beta > -1 rationals), given as a map from y to f(y) in
-    _FIXED_BITS-bit fixed point.
-
-    The Gauss-Jacobi rules with m = degree//2 + 1 and m + 1 nodes are both
-    exact for such an f, so they differ only by rounding; their difference
-    is the error estimate. An f of higher degree, or not a polynomial at
-    all, shows up as a difference above tolerance.
-
-    Each rule is built on [0, 1] from the weight's three-term recurrence in
-    exact integer ratios: nodes bracketed in float by one bisection tree on
-    Sturm counts and polished by Newton's method on the orthogonal
-    polynomial in fixed point (Gautschi, Orthogonal Polynomials:
-    Computation and Approximation, 2004, sec. 3.1; Hale and Townsend, SIAM
-    J. Sci. Comput. 35, 2013). Each rule's sum of f(y) over the Christoffel
-    sums runs on integers; the value, the error estimate (from the integer
-    difference of the two sums) and the magnitude are each that integer
-    times the dyadic mu0 = B(beta + 1, alpha + 1), rounded once to a
-    float. Both rules and mu0 come from their memos."""
-    key = _over_lcm(alpha.numerator, alpha.denominator, beta.numerator,
-                    beta.denominator)
-    return _jacobi_quad(f, degree // 2 + 1, key, tol)
 
 
 def _mellin_integrand(g, eps: int):
@@ -438,7 +434,8 @@ def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
     bn, bd = sn + (eps - 2) * sd, 2 * sd
     c = math.gcd(bn, bd)
     key = _over_lcm(alpha.numerator, alpha.denominator, bn // c, bd // c)
-    return _jacobi_quad(_mellin_integrand(g, eps), degree // 4 + 1, key, tol)
+    return _gauss_jacobi(_mellin_integrand(g, eps), degree // 4 + 1, key,
+                         tol)
 
 
 def _check_s(n: int, s: float) -> None:
@@ -462,6 +459,14 @@ def _gegenbauer_alpha(lam: Fraction) -> Fraction:
 _T_ALPHA = Fraction(1, 2)
 
 
+@bounded_memo(PLAN_MEMO_SIZE)
+def _gegenbauer_integrand(n: int, p: int, q: int) -> tuple:
+    """The integrand of C_n^lam, lam = p/q in lowest terms: its weight
+    exponent alpha and its fixed-point polynomial g."""
+    lam = Fraction(p, q)
+    return _gegenbauer_alpha(lam), _gegenbauer_fixed(n, lam)
+
+
 def quad_mellin_gegenbauer(n: int, lam, s: float,
                            tol: float = 1e-12) -> QuadResult:
     """Int_0^1 x^(s-1) C_n^lam(x) (1-x^2)^(lam/2 - 3/4) dx by Gauss-Jacobi
@@ -471,8 +476,8 @@ def quad_mellin_gegenbauer(n: int, lam, s: float,
     lam = as_rat(lam)
     _check_lambda(lam)
     _check_s(n, s)
-    return _mellin_even_weight(_gegenbauer_fixed(n, lam), n,
-                               _gegenbauer_alpha(lam), s, tol)
+    alpha, g = _gegenbauer_integrand(n, lam.numerator, lam.denominator)
+    return _mellin_even_weight(g, n, alpha, s, tol)
 
 
 def quad_mellin_T(n: int, s: float, tol: float = 1e-12) -> QuadResult:
@@ -587,38 +592,29 @@ def _comparison_row(n: int, lam, s: float, q: QuadResult,
     return _row(n, lam, s, q, _beta_shape(form, alpha))
 
 
-# A row plan is what a comparison row needs that does not depend on s:
-# (alpha, g, shape), the weight exponent alpha, the fixed-point polynomial
-# g of the integrand (its recurrence constants tuples) and the closed
-# form's _beta_shape.
-
 @bounded_memo(PLAN_MEMO_SIZE)
-def _gegenbauer_plan(n: int, p: int, q: int) -> tuple:
-    """The plan of the rows of C_n^lam, lam = p/q in lowest terms."""
+def _gegenbauer_shape(n: int, p: int, q: int) -> tuple:
+    """The _beta_shape of mellin_closed(n, lam), lam = p/q in lowest
+    terms."""
     lam = Fraction(p, q)
-    alpha = _gegenbauer_alpha(lam)
-    return (alpha, _gegenbauer_fixed(n, lam),
-            _beta_shape(mellin_closed(n, lam), alpha))
+    return _beta_shape(mellin_closed(n, lam), _gegenbauer_alpha(lam))
 
 
 @bounded_memo(PLAN_MEMO_SIZE)
-def _T_plan(n: int) -> tuple:
-    """The plan of the rows of T_n."""
-    return (_T_ALPHA, _chebyshev_t_fixed(n),
-            _beta_shape(mellin_T_closed(n), _T_ALPHA))
-
-
-def _planned_row(plan: tuple, n: int, lam, s: float, tol: float) -> dict:
-    alpha, g, shape = plan
-    return _row(n, lam, s, _mellin_even_weight(g, n, alpha, s, tol), shape)
+def _T_shape(n: int) -> tuple:
+    """The _beta_shape of mellin_T_closed(n)."""
+    return _beta_shape(mellin_T_closed(n), _T_ALPHA)
 
 
 def memo_counts() -> tuple:
     """(rules built, rules reused, Beta values computed, Beta values
     reused, row plans built, row plans reused) by the memos so far in this
-    process; a build that raised counts as built."""
+    process; a build that raised counts as built. A row plan is the
+    integrand of one (n, lambda), or one n for T: every quadrature asks for
+    one, and a comparison row asks for its closed form's shape alongside."""
     rules, betas = _gauss_jacobi_rule.cache_info(), _beta.cache_info()
-    plans = [_gegenbauer_plan.cache_info(), _T_plan.cache_info()]
+    plans = [_gegenbauer_integrand.cache_info(),
+             _chebyshev_t_fixed.cache_info()]
     return (rules.misses, rules.hits, betas.misses, betas.hits,
             sum(p.misses for p in plans), sum(p.hits for p in plans))
 
@@ -628,16 +624,14 @@ def compare_mellin(n: int, lam, s: float, tol: float = 1e-12) -> dict:
     rational (a float through its shortest repr); the row's lambda is its
     float."""
     lam = as_rat(lam)
-    _check_lambda(lam)
-    _check_s(n, s)
-    p, q = lam.numerator, lam.denominator
-    return _planned_row(_gegenbauer_plan(n, p, q), n, p / q, s, tol)
+    q = quad_mellin_gegenbauer(n, lam, s, tol)
+    p, d = lam.numerator, lam.denominator
+    return _row(n, p / d, s, q, _gegenbauer_shape(n, p, d))
 
 
 def compare_mellin_T(n: int, s: float, tol: float = 1e-12) -> dict:
     """The same row for the first-kind (T) transform."""
-    _check_s(n, s)
-    return _planned_row(_T_plan(n), n, None, s, tol)
+    return _row(n, None, s, quad_mellin_T(n, s, tol), _T_shape(n))
 
 
 # ---------------------------------------------------------------------------

@@ -633,7 +633,8 @@ def weight_key(alpha, beta) -> tuple:
 
 
 def gauss_jacobi_rules(alpha, beta, m: int) -> list:
-    """The rules of m and m + 1 nodes that _gauss_jacobi integrates with."""
+    """The rules of m and m + 1 nodes that _gauss_jacobi integrates with
+    at the weight (alpha, beta)."""
     return [quadrature._gauss_jacobi_rule(*weight_key(alpha, beta), k)
             for k in (m, m + 1)]
 
@@ -702,6 +703,7 @@ def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
     # node above 1 (it is at least the largest diagonal entry), which the
     # rule builder rejects.
     alpha, beta, m = Fraction(1, 4), Fraction(3, 4), 4
+    key = weight_key(alpha, beta)
     # y^7 in fixed point, integrated by the rules of 4 and 5 nodes
     w = quadrature._FIXED_BITS
     top = lambda y: y ** (2 * m - 1) >> (2 * m - 2) * w  # noqa: E731
@@ -710,18 +712,19 @@ def test_perturbed_recurrence_coefficient_is_caught(monkeypatch):
         perturb_recurrence(patch, 1, m - 1,
                            lambda r: (r[0] * (10 ** 20 + 1), r[1] * 10 ** 20))
         assert rule_disagreements(alpha, beta, m)
-        q = quadrature._gauss_jacobi(top, 2 * m - 1, alpha, beta, 1e-25)
+        q = quadrature._gauss_jacobi(top, m, key, 1e-25)
         assert q.error_estimate <= 1e-25
     perturb_recurrence(monkeypatch, 0, m - 1, lambda r: (r[0] + r[1], r[1]))
     with pytest.raises(ToleranceNotMet, match="outside"):
         rule_disagreements(alpha, beta, m)
     with pytest.raises(ToleranceNotMet, match="outside"):
-        quadrature._gauss_jacobi(top, 2 * m - 1, alpha, beta, 1e-12)
+        quadrature._gauss_jacobi(top, m, key, 1e-12)
 
 
 def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
     alpha, beta = Fraction(-1, 4), Fraction(-3, 4)
-    q = quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-25)
+    key = weight_key(alpha, beta)
+    q = quadrature._gauss_jacobi(lambda y: y, 1, key, 1e-25)
     assert q.value == pytest.approx(
         float(quadrature.mp.beta(as_mpf(beta) + 2, as_mpf(alpha) + 1)),
         rel=1e-15)
@@ -730,7 +733,7 @@ def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
         with pytest.raises(ToleranceNotMet, match="did not converge"):
             gauss_jacobi_rules(alpha, beta, 3)
         with pytest.raises(ToleranceNotMet, match="did not converge"):
-            quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-12)
+            quadrature._gauss_jacobi(lambda y: y, 1, key, 1e-12)
     for seed in (1.5, 0.0, -0.25):
         with monkeypatch.context() as patch:
             patch_rule_builder(patch, "_float_nodes",
@@ -738,7 +741,7 @@ def test_unpolished_or_outside_nodes_return_no_rule(monkeypatch):
             with pytest.raises(ToleranceNotMet, match="outside"):
                 gauss_jacobi_rules(alpha, beta, 3)
             with pytest.raises(ToleranceNotMet, match="outside"):
-                quadrature._gauss_jacobi(lambda y: y, 1, alpha, beta, 1e-12)
+                quadrature._gauss_jacobi(lambda y: y, 1, key, 1e-12)
 
 
 def test_colliding_or_misplaced_seeds_return_no_rule(monkeypatch):
@@ -861,7 +864,7 @@ def test_fixed_point_loops_match_mpf_loops():
 
 def test_perturbed_fixed_point_constant_is_caught(monkeypatch):
     # c1_2 of every Gegenbauer row moved by 2^-90 relative, in new tuples:
-    # the constants are immutable, and a row plan keeps them
+    # the constants are immutable, and the integrand memo keeps them
     build = quadrature._gegenbauer_constants
 
     def perturbed(n, lam, w):

@@ -356,20 +356,22 @@ def test_gauss_jacobi_exact_for_stated_degree():
     # Int_0^1 y^5 dy and Int_0^1 y^(1/2) (1-y) y^2 dy = B(7/2, 2); the
     # integrands map fixed-point y to fixed-point f(y)
     w = quadrature._FIXED_BITS
-    q = quadrature._gauss_jacobi(lambda y: y ** 5 >> 4 * w, 5, 0, 0, 1e-25)
+    # with the rules of 3 and 4 nodes; the weights (alpha, beta) = (0, 0)
+    # and (1, 1/2) have the keys (0, 0, 1) and (2, 1, 2)
+    q = quadrature._gauss_jacobi(lambda y: y ** 5 >> 4 * w, 3, (0, 0, 1),
+                                 1e-25)
     assert q.value == pytest.approx(1 / 6, rel=1e-15)
     assert q.evaluations == 3 + 4
-    q = quadrature._gauss_jacobi(lambda y: y * y >> w, 2, 1, Fraction(1, 2),
-                                 1e-25)
+    q = quadrature._gauss_jacobi(lambda y: y * y >> w, 2, (2, 1, 2), 1e-25)
     assert q.value == pytest.approx(float(mp.beta(3.5, 2)), rel=1e-15)
 
 
 def test_error_estimate_rejects_wrong_integrands():
     gj, w = quadrature._gauss_jacobi, quadrature._FIXED_BITS
     with pytest.raises(ToleranceNotMet):  # not a polynomial: sqrt(y)
-        gj(lambda y: math.isqrt(y << w), 1, 0, 0, 1e-12)
+        gj(lambda y: math.isqrt(y << w), 1, (0, 0, 1), 1e-12)
     with pytest.raises(ToleranceNotMet):  # stated degree too low
-        gj(lambda y: y ** 5 >> 4 * w, 1, 0, 0, 1e-12)
+        gj(lambda y: y ** 5 >> 4 * w, 1, (0, 0, 1), 1e-12)
     # parity differs from the degree's; g maps fixed-point x to x^3 + x^2
     with pytest.raises(ToleranceNotMet):
         quadrature._mellin_even_weight(
@@ -608,8 +610,8 @@ def test_a_warm_row_makes_no_mpf():
 
 
 def test_clear_caches_empties_the_row_plans(monkeypatch):
-    # a plan keeps its closed form: a patched mellin_closed reaches a warm
-    # row only once clear_caches() has emptied the plan memo
+    # a row keeps the shape of its closed form: a patched mellin_closed
+    # reaches a warm row only once clear_caches() has emptied the memo
     row = compare_mellin(12, Fraction(7, 3), 3.7)
     assert row["rel_err"] <= 1e-12
     build = quadrature.mellin_closed
@@ -617,5 +619,5 @@ def test_clear_caches_empties_the_row_plans(monkeypatch):
                         lambda n, lam: broken_forms(build(n, lam))["factor"])
     assert compare_mellin(12, Fraction(7, 3), 3.7) == row
     construct.clear_caches()
-    assert quadrature._gegenbauer_plan.cache_info().currsize == 0
+    assert quadrature._gegenbauer_shape.cache_info().currsize == 0
     assert compare_mellin(12, Fraction(7, 3), 3.7)["rel_err"] > 1e-8

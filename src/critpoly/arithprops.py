@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .construct import p_s32
-from .errors import InvalidParameters
+from .errors import IdentityFailed, InvalidParameters
 from .orthopoly import gegenbauer, triangle_row_polynomial_b
 from .poly import Poly
 
@@ -70,11 +70,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _not_integer(num: int, den: int) -> IdentityFailed:
+    return IdentityFailed(
+        f"expected an integer value, got {Fraction(num, den)}")
+
+
 def _exact_quotient(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise AssertionError(
-            f"expected an integer value, got {Fraction(num, den)}")
+        raise _not_integer(num, den)
     return q
 
 
@@ -152,26 +156,43 @@ class TriangleRow:
                 "entries": list(self.entries)}
 
 
+def _triangle_row(k: int, odd: int, top: int) -> tuple:
+    """top C(k+j, 2j+odd) / (2j+1+2 odd) for j = 0..k-odd, on integers: the
+    binomial starts at C(k, odd), and C(k+j, 2j+odd) is C(k+j-1, 2j-2+odd)
+    times its term ratio (k+j)(k-j+1-odd) / ((2j-1+odd)(2j+odd)); a
+    remainder in a step or in an entry raises IdentityFailed."""
+    c, out = (k if odd else 1), []
+    for j in range(k + 1 - odd):
+        if j:
+            num = c * (k + j) * (k - j + 1 - odd)
+            den = (2 * j - 1 + odd) * (2 * j + odd)
+            c, r = divmod(num, den)
+            if r:
+                raise _not_integer(num, den)
+        num, den = top * c, 2 * j + 1 + 2 * odd
+        entry, r = divmod(num, den)
+        if r:
+            raise _not_integer(num, den)
+        out.append(entry)
+    return tuple(out)
+
+
 def triangle(kind: str, k: int) -> TriangleRow:
     """Row k of the a-triangle a(k,j) = (2k-1)(2k+1)/(2j+3) C(k+j, 2j+1)
     (k entries, k >= 1) or the b-triangle b(k,j) = (2k+1)/(2j+1) C(k+j, 2j)
-    (k+1 entries, k >= 0)."""
+    (k+1 entries, k >= 0), the binomials stepped along the row."""
     if kind == "a":
         if k < 1:
             raise InvalidParameters("a-triangle needs k >= 1")
-        ints = tuple(_exact_quotient((2 * k - 1) * (2 * k + 1)
-                                     * comb(k + j, 2 * j + 1), 2 * j + 3)
-                     for j in range(k))
+        ints = _triangle_row(k, 1, (2 * k - 1) * (2 * k + 1))
     elif kind == "b":
         if k < 0:
             raise InvalidParameters("b-triangle needs k >= 0")
-        ints = tuple(_exact_quotient((2 * k + 1) * comb(k + j, 2 * j),
-                                     2 * j + 1)
-                     for j in range(k + 1))
+        ints = _triangle_row(k, 0, 2 * k + 1)
     else:
         raise InvalidParameters("kind must be 'a' or 'b'")
     if any(v <= 0 for v in ints):
-        raise AssertionError(f"non-positive triangle entry in {kind}, k={k}")
+        raise IdentityFailed(f"non-positive triangle entry in {kind}, k={k}")
     return TriangleRow(kind, k, ints)
 
 
@@ -202,7 +223,7 @@ def divisibility_characterization(kind: str, kmax: int) -> dict:
 
 def triangle_row_polynomial_a(k: int) -> Poly:
     """A_k(x) = sum_j a(k,j) x^j."""
-    return Poly("x", [Fraction(v) for v in triangle("a", k).entries])
+    return Poly.from_ints("x", triangle("a", k).entries)
 
 
 def a_polynomial_checks(kmax: int = 16) -> dict:
@@ -228,7 +249,7 @@ def a_polynomial_checks(kmax: int = 16) -> dict:
         a[k] == c2(k - 1) + (x + 6) * c2(k - 2) + c2(k - 3)
         for k in range(1, kmax + 5))
     b_rows = all(
-        Poly("x", [Fraction(v) for v in triangle("b", k).entries])
+        Poly.from_ints("x", triangle("b", k).entries)
         == triangle_row_polynomial_b(k) for k in range(0, kmax + 1))
     return {"recurrence": recurrence, "gegenbauer_combination": combination,
             "b_row_match": b_rows,

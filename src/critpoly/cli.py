@@ -39,6 +39,17 @@ def _max_workers() -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+            from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _rat_flag(text: str) -> Fraction:
     try:
         return parse_rat(text)
@@ -162,8 +173,9 @@ def cmd_roots(args, parser) -> int:
 def _suite(cases):
     """A suite's row from its generator of (case, ok) pairs: at the first
     false ok, pass False with the number of cases run and a detail naming
-    the case; otherwise pass True with that number, merged with any dict the
-    generator returns."""
+    the case; after no case at all, pass False, since a row that checked
+    nothing proves nothing; otherwise pass True with that number, merged
+    with any dict the generator returns."""
     @functools.wraps(cases)
     def run(nmax: int, seed: int) -> dict:
         pairs, checks = cases(nmax, seed), 0
@@ -171,6 +183,9 @@ def _suite(cases):
             try:
                 case, ok = next(pairs)
             except StopIteration as done:
+                if not checks:
+                    return {"pass": False, "checks": 0,
+                            "detail": "no case ran"}
                 return {"pass": True, "checks": checks, **(done.value or {})}
             checks += 1
             if not ok:
@@ -484,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--nmax", type=_positive_int, default=10)
     common(p)
     p.set_defaults(func=cmd_verify)
 

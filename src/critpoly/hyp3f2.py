@@ -6,54 +6,55 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DenominatorPole, NonTerminating
-from .poly import Poly, int_form, int_mul_linear, pochhammer
+from .errors import DenominatorPole, InvalidParameters, NonTerminating
+from .poly import Poly, int_form, int_mul_linear
 from .rat import as_rat
 
 
-def termination_index(a1: Fraction, a2: Fraction, a3: Fraction) -> int:
-    """Least n with some numerator parameter equal to -n."""
-    hits = [-int(a) for a in (a1, a2, a3)
-            if a.denominator == 1 and a <= 0]
+def termination_index(a1, a2, a3, den: int = 1) -> int:
+    """Least n with some numerator parameter a_i / den equal to -n: the
+    parameters are integers over den, or rationals with den = 1."""
+    hits = [-(a // den) for a in (a1, a2, a3) if a <= 0 and not a % den]
     if not hits:
-        raise NonTerminating(f"no nonpositive-integer numerator in "
-                             f"({a1}, {a2}, {a3})")
+        shown = ", ".join(str(Fraction(a, den)) for a in (a1, a2, a3))
+        raise NonTerminating(f"no nonpositive-integer numerator in ({shown})")
     return min(hits)
 
 
-def eval_3f2(a1, a2, a3, b1, b2) -> Fraction:
+def eval_3f2(a1, a2, a3, b1, b2, den: int = 0):
     """Exact value of 3F2(a1, a2, a3; b1, b2; 1), which must terminate.
 
     The series stops at the least nonpositive-integer numerator parameter;
     a denominator parameter may be a nonpositive integer only at or beyond
     that index (a pole before termination leaves the series undefined).
+
+    With den = L > 0 the five parameters are integers over L and the value
+    is an integer pair (num, den), not reduced, for callers that compare
+    values by cross-multiplying; rational parameters (den = 0) are put over
+    their lcm and give a Fraction.
     """
-    a1, a2, a3 = as_rat(a1), as_rat(a2), as_rat(a3)
-    b1, b2 = as_rat(b1), as_rat(b2)
-    n = termination_index(a1, a2, a3)
-    for b in (b1, b2):
-        if b.denominator == 1 and 0 >= b > -n:
-            raise DenominatorPole(
-                f"denominator parameter {b} hits a pole before index {n}")
-    # term ratio t_(k+1) / t_k = N(k) / D(k) with the parameters over their
-    # denominators: N(k) = B prod_i (p_i + k q_i), D(k) = A (k + 1)
-    # prod_j (r_j + k s_j), A and B the products of the a- and b-denominators
-    ps = [(a.numerator, a.denominator) for a in (a1, a2, a3)]
-    rs = [(b.numerator, b.denominator) for b in (b1, b2)]
-    big_a = a1.denominator * a2.denominator * a3.denominator
-    big_b = b1.denominator * b2.denominator
-    # nested Horner from the last term inwards,
-    # 1 + N(0)/D(0) (1 + N(1)/D(1) (... (1 + N(n-1)/D(n-1)))), on num / den;
-    # the pole check above keeps every D(k) nonzero
-    num = den = 1
+    if den:
+        params, big_l = (a1, a2, a3, b1, b2), den
+    else:
+        params, big_l = int_form([as_rat(x) for x in (a1, a2, a3, b1, b2)])
+    p1, p2, p3, r1, r2 = params
+    n = termination_index(p1, p2, p3, big_l)
+    for r in (r1, r2):
+        if not r % big_l and 0 >= r > -n * big_l:
+            raise DenominatorPole(f"denominator parameter "
+                                  f"{Fraction(r, big_l)} hits a pole before "
+                                  f"index {n}")
+    # term ratio t_(k+1) / t_k = N(k) / D(k), N(k) = prod_i (p_i + kL) and
+    # D(k) = L (k + 1) prod_j (r_j + kL); nested Horner from the last term
+    # inwards, 1 + N(0)/D(0) (1 + N(1)/D(1) (... (1 + N(n-1)/D(n-1)))), on
+    # top / bottom; the pole check above keeps every D(k) nonzero
+    top = bottom = 1
     for k in range(n - 1, -1, -1):
-        top, bottom = big_b, big_a * (k + 1)
-        for p, q in ps:
-            top *= p + k * q
-        for r, s in rs:
-            bottom *= r + k * s
-        num, den = den * bottom + top * num, den * bottom
-    return Fraction(num, den)
+        kl = k * big_l
+        d = big_l * (k + 1) * (r1 + kl) * (r2 + kl)
+        top, bottom = (bottom * d + (p1 + kl) * (p2 + kl) * (p3 + kl) * top,
+                       bottom * d)
+    return (top, bottom) if den else Fraction(top, bottom)
 
 
 def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:
@@ -68,10 +69,11 @@ def poly_from_3f2(n: int, eps: int, coeffs) -> Poly:
     denominator: O(m^2) integer operations, one division at the end.
     """
     if eps != n % 2:
-        raise ValueError("eps must equal n mod 2")
+        raise InvalidParameters("eps must equal n mod 2")
     m = n // 2
     if len(coeffs) != m + 1:
-        raise ValueError(f"need {m + 1} coefficients, got {len(coeffs)}")
+        raise InvalidParameters(f"need {m + 1} coefficients, got "
+                                f"{len(coeffs)}")
     ints, den = int_form(coeffs)
     # acc = 2^(m-j) * sum_{k <= m-j} c_k ((s+eps)/2 + j)_{m-j-k}
     acc = [ints[0]]
@@ -103,74 +105,97 @@ def pochhammer_sum(eps: int, gamma, weights) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# transformation catalog
+# transformation catalog, on integers over one denominator L
 # ---------------------------------------------------------------------------
 
-def _poch(x, n):
-    return pochhammer(as_rat(x), n)
+def _rising(x: int, n: int, big_l: int) -> int:
+    """L^n (x/L)_n = x (x + L) ... (x + (n-1) L)."""
+    out = 1
+    for j in range(n):
+        out *= x + j * big_l
+    return out
 
 
-def _transforms(n, a, b, c, d):
-    """The seven transformation targets of 3F2(-n, a, b; c, d; 1): each entry
-    is (prefactor, numerators, denominators) of an equal series."""
-    cn, dn = _poch(c, n), _poch(d, n)
-    sgn = Fraction((-1) ** n)
+def _transforms(n: int, a: int, b: int, c: int, d: int, big_l: int) -> list:
+    """The seven transformation targets of 3F2(-n, a/L, b/L; c/L, d/L; 1):
+    each entry is ((num, den), params) of an equal series, its prefactor
+    num/den an integer ratio (each Pochhammer symbol of length n is L^-n
+    times ``_rising``, so the powers of L cancel) and params its five
+    parameters over L. DenominatorPole when (c/L)_n (d/L)_n = 0."""
+    cn, dn = _rising(c, n, big_l), _rising(d, n, big_l)
+    if not cn * dn:
+        raise DenominatorPole(f"(c)_n (d)_n = 0 at n = {n}")
+    sgn, neg_n, one_n = (-1) ** n, -n * big_l, (1 - n) * big_l
+    cdn = cn * dn
+    ca, da = _rising(c - a, n, big_l), _rising(d - a, n, big_l)
+    an, bn = _rising(a, n, big_l), _rising(b, n, big_l)
+    cdab = _rising(c + d - a - b, n, big_l)
     return [
-        (_poch(c - a, n) * _poch(d - a, n) / (cn * dn),
-         (-n, a, a + b - c - d - n + 1), (a - c - n + 1, a - d - n + 1)),
-        (_poch(a, n) * _poch(c + d - a - b, n) / (cn * dn),
-         (-n, c - a, d - a), (1 - a - n, c + d - a - b)),
-        (_poch(c + d - a - b, n) / cn,
-         (-n, d - a, d - b), (d, c + d - a - b)),
-        (sgn * _poch(a, n) * _poch(b, n) / (cn * dn),
-         (-n, 1 - c - n, 1 - d - n), (1 - a - n, 1 - b - n)),
-        (sgn * _poch(d - a, n) * _poch(d - b, n) / (cn * dn),
-         (-n, 1 - d - n, a + b - c - d - n + 1),
-         (a - d - n + 1, b - d - n + 1)),
-        (_poch(c - a, n) / cn,
-         (-n, a, d - b), (d, a - c - n + 1)),
-        (_poch(c - a, n) * _poch(b, n) / (cn * dn),
-         (-n, d - b, 1 - c - n), (1 - b - n, a - c - n + 1)),
+        ((ca * da, cdn),
+         (neg_n, a, a + b - c - d + one_n, a - c + one_n, a - d + one_n)),
+        ((an * cdab, cdn),
+         (neg_n, c - a, d - a, one_n - a, c + d - a - b)),
+        ((cdab, cn),
+         (neg_n, d - a, d - b, d, c + d - a - b)),
+        ((sgn * an * bn, cdn),
+         (neg_n, one_n - c, one_n - d, one_n - a, one_n - b)),
+        ((sgn * da * _rising(d - b, n, big_l), cdn),
+         (neg_n, one_n - d, a + b - c - d + one_n, a - d + one_n,
+          b - d + one_n)),
+        ((ca, cn),
+         (neg_n, a, d - b, d, a - c + one_n)),
+        ((ca * bn, cdn),
+         (neg_n, d - b, one_n - c, one_n - b, a - c + one_n)),
     ]
 
 
-def thomae_terminating(a, b, d, n: int, m: int):
+def thomae_terminating(a: int, b: int, d: int, n: int, m: int,
+                       den: int) -> tuple:
     """Thomae's 3F2(1) relation specialized so both sides terminate.
 
     With c = -n and e = a - m (m a nonnegative integer) in
     3F2(a,b,c;d,e;1) = G * 3F2(d-a, e-a, w; w+b, w+c; 1), w = d+e-a-b-c,
-    the Gamma-ratio G collapses to exact Pochhammer quotients.
-    Returns (lhs, rhs) as exact rationals.
+    the Gamma-ratio G collapses to exact Pochhammer quotients. a, b and d
+    are integers over L = den; returns (lhs, rhs), each side an integer
+    pair (num, den), not reduced, as ``eval_3f2`` gives it.
     """
-    a, b, d = as_rat(a), as_rat(b), as_rat(d)
-    c = Fraction(-n)
-    e = a - m
+    big_l = den
+    c = -n * big_l
+    e = a - m * big_l
     w = d + e - a - b - c
     # Gamma(d)Gamma(e)Gamma(w)/(Gamma(a)Gamma(w+b)) must be finite and
     # nonzero; a nonpositive integer in any slot leaves the relation
     # undefined (0 or infinity, resolvable only as a limit)
     for g in (a, d, e, w, w + b):
-        if g.denominator == 1 and g <= 0:
-            raise DenominatorPole(
-                f"Gamma-ratio argument {g} is a nonpositive integer")
-    lhs = eval_3f2(a, b, c, d, e)
+        if not g % big_l and g <= 0:
+            raise DenominatorPole(f"Gamma-ratio argument "
+                                  f"{Fraction(g, big_l)} is a nonpositive "
+                                  f"integer")
+    lhs = eval_3f2(a, b, c, d, e, den=big_l)
     # G = Gamma(d)Gamma(e)Gamma(w) / (Gamma(a)Gamma(w+b)Gamma(w+c))
     #   = (w-n)_n / ((a-m)_m * (d)_{n-m})        for n >= m
     #   = (w-n)_n * (d-(m-n))_{m-n} / (a-m)_m    for n <  m
-    num = _poch(w - n, n)
-    den = _poch(a - m, m)
+    # with n Pochhammer factors above and below (m for n < m), so the
+    # powers of L cancel
+    g_num = _rising(w + c, n, big_l)
+    g_den = _rising(e, m, big_l)
     if n >= m:
-        den *= _poch(d, n - m)
+        g_den *= _rising(d, n - m, big_l)
     else:
-        num *= _poch(d - (m - n), m - n)
-    if den == 0:
-        raise ZeroDivisionError("Gamma-ratio pole in Thomae prefactor")
-    rhs = num / den * eval_3f2(d - a, e - a, w, w + b, w + c)
-    return lhs, rhs
+        g_num *= _rising(d - (m - n) * big_l, m - n, big_l)
+    if not g_den:
+        raise DenominatorPole("Gamma-ratio pole in Thomae prefactor")
+    top, bottom = eval_3f2(d - a, e - a, w, w + b, w + c, den=big_l)
+    return lhs, (g_num * top, g_den * bottom)
 
 
-def _sample_rat(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+# the suite draws p/q with |p| <= 8 and q <= 4, which is p (12/q) over 12
+_SUITE_L = 12
+
+
+def _sample(rng: random.Random) -> int:
+    p = rng.randint(-8, 8)
+    return p * (_SUITE_L // rng.randint(1, 4))
 
 
 def appendix_transform_suite(trials: int, nmax: int, seed: int) -> dict:
@@ -179,41 +204,56 @@ def appendix_transform_suite(trials: int, nmax: int, seed: int) -> dict:
 
     Parameter tuples that make either side undefined (a denominator pole
     before termination, or a vanishing prefactor denominator) are rejected
-    and resampled. Returns per-identity pass counts and failure exemplars.
+    and resampled. The parameters are integers over L = 12 and each side of
+    an identity an integer ratio; the two sides are compared by
+    cross-multiplying. Returns per-identity pass counts and failure
+    exemplars.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    if trials < 1 or nmax < 0:
+        raise InvalidParameters(f"need trials >= 1 and nmax >= 0, got "
+                                f"trials = {trials}, nmax = {nmax}")
+    big_l, rng = _SUITE_L, random.Random(seed)
     passes = [0] * 8
     failures = []
 
-    def record(idx, params, got, want):
-        if got == want:
+    def record(idx, want, got, params):
+        """Count the identity want = got of two integer ratios; only a
+        failure builds its Fractions and the text of params()."""
+        (wn, wd), (gn, gd) = want, got
+        if wn * gd == gn * wd:
             passes[idx] += 1
         else:
-            failures.append({"identity": idx + 1, "params": params,
-                             "lhs": str(want), "rhs": str(got)})
+            failures.append({"identity": idx + 1, "params": params(),
+                             "lhs": str(Fraction(wn, wd)),
+                             "rhs": str(Fraction(gn, gd))})
+
+    def over(x):
+        return Fraction(x, big_l)
 
     done = 0
     while done < trials:
         n = rng.randint(0, nmax)
-        a, b, c, d = (_sample_rat(rng) for _ in range(4))
+        a, b, c, d = (_sample(rng) for _ in range(4))
         try:
-            lhs = eval_3f2(-n, a, b, c, d)
-            rhss = [pre * eval_3f2(*nums, *dens)
-                    for pre, nums, dens in _transforms(n, a, b, c, d)]
-        except (DenominatorPole, NonTerminating, ZeroDivisionError):
+            lhs = eval_3f2(-n * big_l, a, b, c, d, den=big_l)
+            rhss = [(pre, eval_3f2(*params, den=big_l))
+                    for pre, params in _transforms(n, a, b, c, d, big_l)]
+        except (DenominatorPole, NonTerminating):
             continue
-        for i, rhs in enumerate(rhss):
-            record(i, f"n={n} a={a} b={b} c={c} d={d}", rhs, lhs)
+        for i, ((pn, pd), (rn, rd)) in enumerate(rhss):
+            record(i, lhs, (pn * rn, pd * rd),
+                   lambda: f"n={n} a={over(a)} b={over(b)} c={over(c)} "
+                           f"d={over(d)}")
         while True:
-            ta, tb, td = (_sample_rat(rng) for _ in range(3))
+            ta, tb, td = (_sample(rng) for _ in range(3))
             tn, tm = rng.randint(0, nmax), rng.randint(0, nmax)
             try:
-                tl, tr = thomae_terminating(ta, tb, td, tn, tm)
-            except (DenominatorPole, NonTerminating, ZeroDivisionError):
+                tl, tr = thomae_terminating(ta, tb, td, tn, tm, den=big_l)
+            except (DenominatorPole, NonTerminating):
                 continue
-            record(7, f"a={ta} b={tb} d={td} n={tn} m={tm}", tr, tl)
+            record(7, tl, tr,
+                   lambda: f"a={over(ta)} b={over(tb)} d={over(td)} n={tn} "
+                           f"m={tm}")
             break
         done += 1
     return {"trials": done, "passes": passes, "failures": failures,

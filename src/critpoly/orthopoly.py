@@ -6,8 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import IdentityFailed, InvalidLambda
-from .poly import Poly, gen_binom, pochhammer
+from .errors import IdentityFailed, InvalidLambda, InvalidParameters
+from .poly import Poly, pochhammer
 from .rat import as_rat
 
 X = Poly.var("x")
@@ -19,26 +19,46 @@ def _check_lambda(lam: Fraction):
 
 
 def gegenbauer(n: int, lam) -> Poly:
-    """Gegenbauer polynomial of degree n, built from its binomial sum; the
-    identity suite checks it against the three-term recurrence."""
+    """Gegenbauer polynomial of degree n from its power sum, on integers
+    over one denominator: c_n = 2^n (lam)_n / n!, and c_(n-2r-2) is
+    c_(n-2r) times -(n-2r)(n-2r-1) / (4 (r+1) (lam+n-r-1)). At lam = p/q
+    the r-th of these is tops[r] / bottoms[r], each bottom dividing the
+    last; the identity suite checks the sum against the three-term
+    recurrence."""
     lam = as_rat(lam)
     _check_lambda(lam)
-    coeffs = [Fraction(0)] * (n + 1)
-    for r in range(n // 2 + 1):
-        coeffs[n - 2 * r] = (Fraction((-1) ** r) * comb(n - r, r)
-                             * gen_binom(n - r - 1 + lam, n - r)
-                             * Fraction(2) ** (n - 2 * r))
-    return Poly("x", coeffs)
+    p, q = lam.numerator, lam.denominator
+    top = 2 ** n
+    for j in range(n):
+        top *= p + j * q
+    tops, bottoms = [top], [q ** n * factorial(n)]
+    for r in range(n // 2):
+        k = n - 2 * r
+        tops.append(tops[-1] * -q * k * (k - 1))
+        # lam + n - r - 1 >= lam + 1 > 0 for r < n/2
+        bottoms.append(bottoms[-1] * 4 * (r + 1) * (p + q * (n - r - 1)))
+    den, ints = bottoms[-1], [0] * (n + 1)
+    for r, (t, b) in enumerate(zip(tops, bottoms)):
+        ints[n - 2 * r] = t * (den // b)
+    return Poly.from_ints("x", ints, den)
 
 
 def _gegenbauer_recurrence(n: int, lam: Fraction) -> list:
-    """C_0^lam, ..., C_n^lam by the three-term recurrence, in one pass."""
-    out = [Poly.constant("x", Fraction(1)), 2 * lam * X]
+    """C_0^lam, ..., C_n^lam by the three-term recurrence
+    m C_m = 2 (lam+m-1) x C_(m-1) - (2 lam+m-2) C_(m-2), in one pass on
+    integer lists: at lam = p/q, C_m = I_m / (q^m m!) with I_0 = 1,
+    I_1 = 2p x and I_m = 2 (p + q(m-1)) x I_(m-1)
+    - q (m-1) (2p + q(m-2)) I_(m-2)."""
+    p, q = lam.numerator, lam.denominator
+    ints = [[1], [0, 2 * p]]
     for m in range(2, n + 1):
-        # m*C_m = 2(lam+m-1)*x*C_{m-1} - (2lam+m-2)*C_{m-2}
-        out.append((2 * (lam + m - 1) * X * out[-1]
-                    - (2 * lam + m - 2) * out[-2]) / m)
-    return out[:n + 1]
+        up, down = 2 * (p + q * (m - 1)), q * (m - 1) * (2 * p + q * (m - 2))
+        nxt = [0] + [up * c for c in ints[-1]]
+        for i, c in enumerate(ints[-2]):
+            nxt[i] -= down * c
+        ints.append(nxt)
+    return [Poly.from_ints("x", c, q ** m * factorial(m))
+            for m, c in enumerate(ints[:n + 1])]
 
 
 @lru_cache(maxsize=None)
@@ -70,9 +90,16 @@ def legendre(n: int) -> Poly:
 
 
 def triangle_row_polynomial_b(k: int) -> Poly:
-    """B_k(x) = sum_j (2k+1)/(2j+1) C(k+j, 2j) x^j."""
-    return Poly("x", [Fraction(2 * k + 1, 2 * j + 1) * comb(k + j, 2 * j)
-                      for j in range(k + 1)])
+    """B_k(x) = sum_j b_j x^j, b_j = (2k+1)/(2j+1) C(k+j, 2j), on integers:
+    b_0 = 2k+1 and b_(j+1) = b_j (k+j+1)(k-j) / ((2j+2)(2j+3)), each b_j
+    an integer."""
+    if k < 0:
+        raise InvalidParameters("B_k needs k >= 0")
+    b, ints = 2 * k + 1, [2 * k + 1]
+    for j in range(k):
+        b = b * (k + j + 1) * (k - j) // ((2 * j + 2) * (2 * j + 3))
+        ints.append(b)
+    return Poly.from_ints("x", ints)
 
 
 # ---------------------------------------------------------------------------

@@ -440,9 +440,9 @@ def _mellin_even_weight(g, degree: int, alpha, s, tol: float) -> QuadResult:
 
 def _check_s(n: int, s: float) -> None:
     smin = -(n % 2)
-    if n < 0 or not s > smin:
-        raise InvalidParameters(f"need n >= 0 and s > {smin}, got n = {n}, "
-                                f"s = {s}")
+    if n < 0 or not smin < s < math.inf:
+        raise InvalidParameters(f"need n >= 0 and a finite s > {smin}, got "
+                                f"n = {n}, s = {s}")
 
 
 def _check_lambda(lam: Fraction) -> None:

@@ -1,5 +1,5 @@
 """Catalan normalizations, 2-adic valuations, and the number triangles."""
-from math import comb
+import inspect
 
 import pytest
 
@@ -10,7 +10,7 @@ from critpoly.arithprops import (a_polynomial_checks, catalan,
                                  is_prime, largest_odd_factor,
                                  odd_factor_check, reduced_odd_forms,
                                  triangle, v2)
-from critpoly.errors import InvalidParameters
+from critpoly.errors import IdentityFailed, InvalidParameters
 
 
 def test_catalan_values():
@@ -77,11 +77,32 @@ def test_triangle_rows():
         triangle("c", 3)
 
 
+def step_mutant(old: str, new: str):
+    """arithprops._triangle_row with one step factor edited in its source."""
+    source = inspect.getsource(arithprops._triangle_row)
+    mutant = source.replace(old, new)
+    assert mutant != source
+    namespace = {}
+    exec(compile(mutant, arithprops.__file__, "exec"), vars(arithprops),
+         namespace)
+    return namespace["_triangle_row"]
+
+
 def test_triangle_entry_with_a_remainder_raises(monkeypatch):
-    # with C(k+j, 2j) off by one, b(3, 1) = 7 * 7 / 3 is no integer
-    monkeypatch.setattr(arithprops, "comb", lambda n, k: comb(n, k) + 1)
-    with pytest.raises(AssertionError, match="got 49/3"):
+    # with the step factor k + j off by one, C(k+j, 2j) at k = 3, j = 1
+    # reads 5 * 3 / 2, no integer
+    monkeypatch.setattr(arithprops, "_triangle_row",
+                        step_mutant("c * (k + j) *", "c * (k + j + 1) *"))
+    with pytest.raises(IdentityFailed, match="got 15/2"):
         triangle("b", 3)
+
+
+def test_non_positive_triangle_entry_raises(monkeypatch):
+    row = arithprops._triangle_row
+    monkeypatch.setattr(arithprops, "_triangle_row",
+                        lambda k, odd, top: row(k, odd, -top))
+    with pytest.raises(IdentityFailed, match="non-positive triangle entry"):
+        triangle("a", 4)
 
 
 def test_divisibility_characterizations():

@@ -480,6 +480,42 @@ def test_a_negative_index_is_a_domain_error(capsys, argv):
     assert err.startswith("error: need n >= 0"), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mellin", "--s", "inf"], ["mellin", "--family", "T", "--s", "1e400"]],
+    ids=" ".join)
+def test_an_infinite_s_is_a_domain_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: need n >= 0 and a finite s"), err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_verify_nmax_below_one_is_a_usage_error(capsys, nmax):
+    # --nmax -1 used to end the hyp3f2 row in "empty range for randrange()"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "hyp3f2", "--nmax", nmax])
+    assert exc.value.code == 2
+    assert "--nmax: must be >= 1" in capsys.readouterr().err
+
+
+def test_a_row_that_ran_no_case_fails(capsys, monkeypatch):
+    # q checks n = 1..nmax, so at nmax 0 it used to pass with 0 checks
+    assert cli.SUITES["q"](0, 0) == {"pass": False, "checks": 0,
+                                     "detail": "no case ran"}
+
+    @cli._suite
+    def empty(nmax, seed):
+        yield from ()
+        return {"method": "identity"}
+
+    monkeypatch.setitem(cli.SUITES, "props", empty)
+    code, out = run(capsys, "verify", "--suite", "props", "--output", "json")
+    assert code == 1
+    row = json.loads(out)[0]
+    assert row["pass"] is False and row["checks"] == 0
+
+
 def test_mellin_csv(capsys):
     code, out = run(capsys, "mellin", "--n", "1", "--lambda", "1",
                     "--s", "1", "--output", "csv")

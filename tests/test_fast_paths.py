@@ -7,8 +7,10 @@ sturm_oracle.py; and the fraction-free Favard chain against the Fraction
 chain of the printed recurrence in favard_oracle.py, and the Favard
 certificate against Descartes on the bare polynomial; and the Bernstein-basis isolation and its quadratic
 refinement against the Taylor-shift bisection in taylor_oracle.py; and
-the integer kernels of the Poly product, the Pochhammer symbol and the
-3F2(1) sum against the Fraction loops in fraction_oracle.py, and the
+the integer kernels of the Poly product, the Pochhammer symbol, the
+3F2(1) sum, the transformation suite over one denominator, the Gegenbauer
+power sum and recurrence and the number-triangle rows against the Fraction
+loops in fraction_oracle.py, and the
 integer squarefree part against the Fraction Euclid of sturm_oracle.py; and
 the ring operations, shifts and evaluations of ``Poly``'s
 integer list over one denominator against Fraction arithmetic done
@@ -30,9 +32,8 @@ that sums its odd series at k = 0 too.
 The slow routes below are test-local copies of the earlier constructions:
 the S32 binomial sum with one Poly term per r, the 3F2 kernel summing a
 fresh Pochhammer polynomial per k with c_k from four Pochhammer symbols,
-the T-factor recurrence rerun from 0 for every n, the Horner expansion
-of p(1/2 + it) over Gaussian rationals, and the Gegenbauer binomial sum
-with each x^k built by Poly powers.
+the T-factor recurrence rerun from 0 for every n and the Horner expansion
+of p(1/2 + it) over Gaussian rationals.
 """
 import math
 from fractions import Fraction
@@ -54,7 +55,9 @@ from critpoly.construct import (S, mellin_T_closed, mellin_closed, p_beta,
                                 p_hyp, p_s32)
 from critpoly.errors import (DenominatorPole, InvalidParameters,
                              NonTerminating, ToleranceNotMet)
-from critpoly.orthopoly import gegenbauer
+from critpoly.arithprops import triangle
+from critpoly.orthopoly import (_gegenbauer_recurrence, gegenbauer,
+                                triangle_row_polynomial_b)
 from critpoly.poly import (LineIsolation, Poly, PositiveRoots, gen_binom,
                            int_mul_linear, pochhammer, squarefree_ints,
                            substitute_critical)
@@ -385,16 +388,6 @@ def test_perturbed_de_casteljau_child_is_caught(monkeypatch):
     assert oracle_disagreements(w)
 
 
-def slow_gegenbauer(n, lam):
-    x = Poly.var("x")
-    out = Poly.zero("x")
-    for r in range(n // 2 + 1):
-        c = (Fraction((-1) ** r) * comb(n - r, r)
-             * gen_binom(n - r - 1 + lam, n - r) * Fraction(2) ** (n - 2 * r))
-        out = out + c * x ** (n - 2 * r)
-    return out
-
-
 # the identity suite's default samples, their pairwise sums (identity vi)
 # and its large-parameter limit (identity ix)
 IDENTITY_LAMBDAS = [Fraction(1, 2), Fraction(3, 2), Fraction(2)]
@@ -405,8 +398,60 @@ GEGENBAUER_LAMBDAS = sorted({*LAMBDAS, Fraction(10 ** 6),
 
 @pytest.mark.parametrize("lam", GEGENBAUER_LAMBDAS, ids=str)
 def test_gegenbauer_matches_power_sum(lam):
+    # the ratio-stepped power sum and the integer three-term recurrence
+    # against the binomial sum and the Fraction recurrence
+    recurrence = _gegenbauer_recurrence(30, lam)
+    slow_recurrence = fraction_oracle.gegenbauer_recurrence(30, lam)
     for n in range(31):
-        assert gegenbauer(n, lam).coeffs == slow_gegenbauer(n, lam).coeffs, n
+        assert gegenbauer(n, lam) == fraction_oracle.gegenbauer(n, lam), n
+        assert recurrence[n] == slow_recurrence[n], n
+
+
+def test_triangle_rows_match_comb():
+    for k in range(201):
+        assert triangle("b", k).entries == fraction_oracle.triangle("b", k)
+        assert (triangle_row_polynomial_b(k)
+                == fraction_oracle.triangle_row_polynomial_b(k)), k
+        if k:
+            assert (triangle("a", k).entries
+                    == fraction_oracle.triangle("a", k)), k
+
+
+def recorded(calls, name, f, scaled):
+    """f, appending (name, its arguments) to calls before each call: the
+    first ``scaled`` arguments as Fractions, divided by the keyword den of
+    an integer call."""
+    def call(*args, **kw):
+        over = kw.get("den", 1)
+        calls.append((name, *(Fraction(x, over) for x in args[:scaled]),
+                      *args[scaled:]))
+        return f(*args, **kw)
+    return call
+
+
+def suite_calls(monkeypatch, module, nmax, seed):
+    """The report of module.appendix_transform_suite(100, nmax, seed) and
+    every 3F2 series and Thomae relation it evaluated, in order."""
+    calls = []
+    for name, scaled in (("eval_3f2", 5), ("thomae_terminating", 3)):
+        monkeypatch.setattr(module, name, recorded(
+            calls, name, getattr(module, name), scaled))
+    report = module.appendix_transform_suite(100, nmax, seed)
+    monkeypatch.undo()
+    return report, calls
+
+
+@pytest.mark.parametrize("seed", [*range(1, 21), 20260823])
+@pytest.mark.parametrize("nmax", [6, 8])
+def test_transform_suite_evaluates_the_fraction_suites_series(
+        monkeypatch, nmax, seed):
+    # the same random stream drawn over L = 12: the same tuples accepted
+    # and rejected, the same series evaluated in the same order, and the
+    # same report
+    report, calls = suite_calls(monkeypatch, hyp3f2, nmax, seed)
+    want, want_calls = suite_calls(monkeypatch, fraction_oracle, nmax, seed)
+    assert report == want and report["all_pass"]
+    assert calls == want_calls
 
 
 # the acceptance c12 grid

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critpoly import cli, hyp3f2
 from critpoly.construct import mellin_T_closed, mellin_closed
-from critpoly.errors import DenominatorPole, NonTerminating
+from critpoly.errors import DenominatorPole, InvalidParameters, NonTerminating
 from critpoly.hyp3f2 import (appendix_transform_suite, eval_3f2,
-                             pochhammer_sum, termination_index,
-                             thomae_terminating)
+                             pochhammer_sum, poly_from_3f2,
+                             termination_index, thomae_terminating)
 from critpoly.orthopoly import chebyshev, gegenbauer
 from critpoly.poly import pochhammer
 
@@ -39,7 +40,7 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 def test_matches_naive_summation(n, a, b, c, d):
     try:
         got = eval_3f2(-n, a, b, c, d)
-    except (DenominatorPole, NonTerminating, ZeroDivisionError):
+    except (DenominatorPole, NonTerminating):
         return
     m = termination_index(Fraction(-n), Fraction(a), Fraction(b))
     assert got == naive_3f2(-n, a, b, c, d, m)
@@ -71,9 +72,9 @@ def test_known_value_chu_vandermonde():
 
 
 def test_thomae_anchor():
-    lhs, rhs = thomae_terminating(Fraction(1, 2), Fraction(3, 2),
-                                  Fraction(7, 4), 3, 2)
-    assert lhs == rhs
+    # a = 1/2, b = 3/2, d = 7/4 over L = 4
+    (ln, ld), (rn, rd) = thomae_terminating(2, 6, 7, 3, 2, den=4)
+    assert ln * rd == rn * ld
 
 
 def test_transform_suite_deterministic():
@@ -88,6 +89,49 @@ def test_transform_suite_large():
     r = appendix_transform_suite(trials=200, nmax=8, seed=3)
     assert r["all_pass"], r["failures"][:3]
     assert r["trials"] == 200
+
+
+def test_integer_call_is_the_rational_call_over_its_denominator():
+    params = (-5, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 4),
+              Fraction(2, 3))
+    num, den = eval_3f2(*(int(p * 12) for p in params), den=12)
+    assert Fraction(num, den) == eval_3f2(*params)
+
+
+def test_prefactor_off_by_one_fails_its_identity(monkeypatch):
+    # (c-a)_n -> (c-a)_(n+1) in identity 6: one more factor (c - a + n)
+    transforms = hyp3f2._transforms
+
+    def off(n, a, b, c, d, big_l):
+        out = transforms(n, a, b, c, d, big_l)
+        (num, den), params = out[5]
+        out[5] = (num * (c - a + n * big_l), den * big_l), params
+        return out
+
+    monkeypatch.setattr(hyp3f2, "_transforms", off)
+    r = appendix_transform_suite(trials=200, nmax=8, seed=1)
+    assert not r["all_pass"]
+    assert {f["identity"] for f in r["failures"]} == {6}
+    row = cli.SUITES["hyp3f2"](10, 1)
+    assert row["pass"] is False and "'identity': 6" in row["detail"], row
+
+
+def test_guards_raise_typed_errors(monkeypatch):
+    with pytest.raises(InvalidParameters):
+        appendix_transform_suite(trials=0, nmax=8, seed=1)
+    with pytest.raises(InvalidParameters):
+        appendix_transform_suite(trials=10, nmax=-1, seed=1)
+    with pytest.raises(InvalidParameters, match="eps must equal n mod 2"):
+        poly_from_3f2(4, 1, [1, 2, 3])
+    with pytest.raises(InvalidParameters, match="need 3 coefficients"):
+        poly_from_3f2(4, 0, [1, 2])
+    # the pole checks rule out a zero Thomae prefactor; a zero (a-m)_m
+    # (a = 2/4, m = 2 over L = 4) must still raise the typed error
+    rising = hyp3f2._rising
+    monkeypatch.setattr(hyp3f2, "_rising", lambda x, n, big_l: 0 if (
+        x, n, big_l) == (-6, 2, 4) else rising(x, n, big_l))
+    with pytest.raises(DenominatorPole, match="Thomae prefactor"):
+        thomae_terminating(2, 6, 7, 3, 2, den=4)
 
 
 # The Mellin moment identity: with u = (s+eps)/2, alpha the exponent of

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from critpoly import orthopoly
-from critpoly.errors import IdentityFailed, InvalidLambda
+from critpoly.errors import IdentityFailed, InvalidLambda, InvalidParameters
 from critpoly.orthopoly import (_gegenbauer_recurrence, chebyshev,
                                 gegenbauer, identity_suite, legendre,
                                 triangle_row_polynomial_b)
@@ -122,6 +122,9 @@ def test_lambda_limit_matches_interpolation():
 def test_b_row_polynomial_anchor():
     assert triangle_row_polynomial_b(2) == Poly("x", [Fraction(5), Fraction(5),
                                                       Fraction(1)])
+    assert triangle_row_polynomial_b(0) == 1
+    with pytest.raises(InvalidParameters):
+        triangle_row_polynomial_b(-1)
 
 
 def test_identity_suite_runs_clean():

@@ -50,6 +50,14 @@ def test_T_transform_vanishes_at_claimed_zero(n, s):
     assert abs(quad_mellin_T(n, s, 1e-12).value) <= 1e-11
 
 
+def test_an_infinite_or_nan_s_is_invalid():
+    for s in (float("inf"), float("nan"), 1e400):
+        with pytest.raises(InvalidParameters, match="finite s"):
+            compare_mellin(4, 1, s)
+        with pytest.raises(InvalidParameters, match="finite s"):
+            compare_mellin_T(3, s)
+
+
 def test_invalid_parameters():
     with pytest.raises(InvalidParameters):
         quad_mellin_gegenbauer(2, 1.0, -0.5)
